@@ -1,4 +1,4 @@
-"""Exact integer helpers: primality, Legendre symbol, rational formatting.
+"""Exact integer helpers: primality, Legendre symbol, square sets, rational formatting.
 
 All measures in this package are `fractions.Fraction` values; helpers here
 keep the "num/den" wire format in one place.
@@ -7,6 +7,7 @@ keep the "num/den" wire format in one place.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def is_prime(n: int) -> bool:
@@ -57,6 +58,12 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else 1
+
+
+@lru_cache(maxsize=None)
+def squares_mod(p: int) -> frozenset:
+    """The square set of Z/pZ, 0 included: the one source every census uses."""
+    return frozenset((x * x) % p for x in range(p))
 
 
 def format_rational(x) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closed_forms as cf
-from .arith import format_rational, legendre
+from .arith import format_rational, is_prime, legendre, squares_mod
 from .curves import (
     dr_triples_distinct,
     extension_count_envelope,
@@ -135,20 +135,6 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def block_series_sum(p: int, alpha: int, chi_sign: int, terms: int = 5) -> Fraction:
-    """Valuation-block sum with exact geometric tail (chi_sign = chi(r) or chi(s))."""
-    if alpha == 0:
-        total = cf.mu_A_k_q(p, chi_sign, 0)
-        total += sum(cf.mu_A_k_q(p, chi_sign, k) for k in range(1, terms + 1))
-        return total + cf.mu_A_tail(p, terms + 1)
-    total = Fraction(0)
-    beta = 0
-    while beta <= alpha + 2 * terms:
-        total += cf.mu_B_beta_q(p, alpha, chi_sign, beta)
-        beta += 2
-    return total + cf.mu_B_tail(p, alpha, beta)
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -168,7 +154,7 @@ def _pairs_zp_item(args):
         _record(
             "pair_density_block_series",
             {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
-            block_series_sum(p, shape.alpha, shape.chi_s if shape.alpha else shape.chi_r),
+            series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10).block_sum,
             cf.diop2_zp(shape),
             detail="valuation-block sum with exact geometric tail vs closed form",
         ),
@@ -231,7 +217,7 @@ def suite_z3_adjudicate(**_):
 
 
 def _primes_upto(n):
-    return [p for p in range(3, n + 1, 2) if all(p % f for f in range(3, p, 2))]
+    return [p for p in range(3, n + 1, 2) if is_prime(p)]
 
 
 def _triples_fp_item(args):
@@ -424,7 +410,7 @@ def _extension_census_crosscheck(*cases):
     for p, r in cases:
         triples = dr_triples_distinct(p, r)
         ext_total = 6 * sum(len(extension_dset(p, a, b, c, r)) for a, b, c in triples)
-        squares = {(x * x) % p for x in range(p)}
+        squares = squares_mod(p)
         direct = 0
         for a in range(1, p):
             for b in range(1, p):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb
 
 from .arith import legendre, odd_prime_power
-from .padic import RShape, r_shape
+from .padic import RShape
 
 # ---------------------------------------------------------------------------
 # 2-adic pairs
@@ -248,11 +248,6 @@ def diop2_ok(q: int, alpha: int, chi_s: int) -> Fraction:
 def diop2_ok_claimed(q: int, alpha: int, chi_s: int) -> Fraction:
     """The residue-field five-case statement, verbatim (even-alpha branches swapped)."""
     return pair_measure_claimed(q, alpha, chi_s, even_branch_plus_is_linear=False)
-
-
-def pair_measure_for_r(p: int, r: int) -> Fraction:
-    """Convenience: validated pair density over Z_p for an integer r != 0."""
-    return diop2_zp(r_shape(r, p))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .arith import legendre, require_odd_prime
+from .arith import legendre, require_odd_prime, squares_mod
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def extension_dset(p: int, a: int, b: int, c: int, r: int, include_boundary: boo
     the extension-count bounds are audited against.
     """
     require_odd_prime(p)
-    sq = {(x * x) % p for x in range(p)}
+    sq = squares_mod(p)
     out = set()
     for d in range(p):
         vals = ((a * d + r) % p, (b * d + r) % p, (c * d + r) % p)
@@ -300,7 +300,7 @@ def extension_count_in_envelope(p: int, count: int) -> bool:
 
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:
     """All D(r) triples over F_p with distinct nonzero entries (sorted ascending)."""
-    sq = {(x * x) % p for x in range(p)}
+    sq = squares_mod(p)
     out = []
     for a in range(1, p):
         for b in range(a + 1, p):

@@ -1,13 +1,17 @@
 """Exhaustive, formula-independent censuses of D(r) m-tuples over F_p and F_q.
 
 This module is the authoritative oracle on finite fields: it never consults
-a closed form.  Tuples are enumerated over the full cartesian power; the last
-two coordinates are folded into vectorized boolean algebra (a precomputed
-per-element compatibility row and one matrix-vector product), which keeps
-q^3 sweeps at q around 300 under a second without changing what is counted.
+a closed form.  Tuples are enumerated over the full cartesian power by one
+clique kernel, `_clique_count`, which the Z/p^N sweep in `zp_census` shares:
+the last two coordinates are folded into vectorized boolean algebra (a
+precomputed per-element compatibility row and one matrix-vector product),
+which keeps q^3 sweeps at q around 300 under a second without changing what
+is counted.  With jobs > 1 the outermost coordinate is split into row chunks,
+each counted by the same `_census_counts` as the serial path.
 
 The square set includes 0 throughout (`x*y + r = 0` satisfies the membership
-test); the interior/tilde class separately demands nonzero products.
+test); the interior/tilde class separately demands nonzero products.  Prime
+field square sets come from `arith.squares_mod`.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .arith import legendre, require_odd_prime
+from .arith import legendre, require_odd_prime, squares_mod
 from .closed_forms import main_term
 from .fq import FqField
 
@@ -85,7 +90,7 @@ def square_table(field) -> SquareTable:
         for x in field.elements():
             bitmap[(x * x).encode()] = True
     else:
-        bitmap[(np.arange(q, dtype=np.int64) ** 2) % q] = True
+        bitmap[list(squares_mod(q))] = True
     count = int(bitmap.sum())
     assert count == (q + 1) // 2, f"square set of F_{q} has {count} elements"
     return SquareTable(q=q, bitmap=bitmap)
@@ -119,41 +124,24 @@ def is_dr_tuple(values, r: int, table: SquareTable, field) -> bool:
 # vectorized sweep
 
 
-def _clique_count(B: np.ndarray, m: int, rows: range | None = None) -> int:
+def _clique_count(B: np.ndarray, m: int, rows=None) -> int:
     """Number of ordered m-tuples over the index set with all pairwise B true.
 
-    B must be symmetric.  The last two coordinates are evaluated as a
-    quadratic form against B; earlier coordinates recurse, optionally
-    restricted to `rows` for the outermost coordinate (worker chunking).
+    B must be symmetric.  The outermost coordinate runs over `rows` (default:
+    every index; a pool worker passes its chunk).  The last two coordinates
+    are evaluated as a quadratic form against B; the ones between recurse.
     """
     Bf = B.astype(np.float64)
 
     def g(k: int, vec: np.ndarray) -> int:
-        if k == 0:
-            return 1
         if k == 1:
             return int(np.count_nonzero(vec))
         if k == 2:
             vf = vec.astype(np.float64)
             return int(round(float(vf @ (Bf @ vf))))
-        total = 0
-        for a in np.flatnonzero(vec):
-            total += g(k - 1, vec & B[a])
-        return total
+        return sum(g(k - 1, vec & B[a]) for a in np.flatnonzero(vec))
 
-    if m == 2:
-        if rows is not None:
-            return int(round(float(np.ones(len(rows)) @ (Bf[list(rows)] @ np.ones(B.shape[1])))))
-        return int(round(float(Bf.sum())))
-    ones = np.ones(B.shape[0], dtype=bool)
-    if rows is None:
-        if m == 3:
-            return sum(g(2, B[a]) for a in range(B.shape[0]))
-        return g(m, ones)
-    total = 0
-    for a in rows:
-        total += g(m - 1, B[a])
-    return total
+    return sum(g(m - 1, B[a]) for a in (range(B.shape[0]) if rows is None else rows))
 
 
 @dataclass(frozen=True)
@@ -184,34 +172,23 @@ class CensusBreakdown:
 
 
 def _census_tables(field, r: int):
-    q = field_size(field)
-    r_enc = reduce_r(field, r)
     sq = square_table(field).bitmap
-    addr = _add_r_vector(field, r_enc)
+    addr = _add_r_vector(field, reduce_r(field, r))
     mul = _mul_table(field)
     member = sq[addr[mul]]  # member[a, b] <=> a*b + r in squares (0 included)
     strict = member & (addr[mul] != 0)
-    return r_enc, member, strict
+    return member, strict
 
 
-def _census_counts(field, r: int, m: int, rows_split=None):
-    r_enc, member, strict = _census_tables(field, r)
-    total = _clique_count(member, m, rows_split)
-    nz = _clique_count(member[1:, 1:], m, None if rows_split is None else rows_split)
-    interior = _clique_count(strict[1:, 1:], m, None if rows_split is None else rows_split)
-    return total, nz, interior
-
-
-def _census_worker(args):
-    field_key, r, m, chunk = args
-    field = FqField(*field_key[1:]) if field_key[0] == "fq" else field_key[1]
-    _, member, strict = _census_tables(field, r)
-    lo, hi = chunk
-    total = _clique_count(member, m, range(lo, hi))
-    nz_rows = range(max(lo - 1, 0), hi - 1)  # index shift: rows of member[1:,1:]
-    nz = _clique_count(member[1:, 1:], m, nz_rows)
-    interior = _clique_count(strict[1:, 1:], m, nz_rows)
-    return total, nz, interior
+def _census_counts(field, r: int, m: int, rows=None) -> tuple[int, int, int]:
+    """(total, nonzero, interior) counts with the outermost coordinate in `rows`."""
+    member, strict = _census_tables(field, r)
+    nz_rows = None if rows is None else [a - 1 for a in rows if a]  # rows of member[1:, 1:]
+    return (
+        _clique_count(member, m, rows),
+        _clique_count(member[1:, 1:], m, nz_rows),
+        _clique_count(strict[1:, 1:], m, nz_rows),
+    )
 
 
 def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> CensusBreakdown:
@@ -226,22 +203,17 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -
     q = field_size(field)
     if q**m > budget:
         raise BudgetExceededError(f"census size {q}^{m} exceeds budget {budget}")
-    r_enc = reduce_r(field, r)
-    if jobs > 1 and m >= 3:
-        field_key = ("fq", field.p, field.f) if isinstance(field, FqField) else ("prime", field)
-        bounds = np.linspace(1, q, jobs + 1, dtype=int)  # outermost row 0 handled once
-        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        chunks = [(0, chunks[0][1])] + chunks[1:]
+    if jobs > 1:
+        bounds = np.linspace(0, q, jobs + 1, dtype=int).tolist()
+        chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census_worker, [(field_key, r, m, c) for c in chunks]))
-        total = sum(p[0] for p in parts)
-        nz = sum(p[1] for p in parts)
-        interior = sum(p[2] for p in parts)
+            parts = list(pool.map(partial(_census_counts, field, r, m), chunks))
+        total, nz, interior = (sum(col) for col in zip(*parts))
     else:
         total, nz, interior = _census_counts(field, r, m)
     return CensusBreakdown(
         q=q,
-        r=r_enc,
+        r=reduce_r(field, r),
         m=m,
         total=total,
         boundary=total - nz,
@@ -257,12 +229,8 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -
 def conic_sum_direct(a2: int, a1: int, a0: int, p: int) -> int:
     """Literal sum of chi(a2 c^2 + a1 c + a0) over all c in F_p."""
     require_odd_prime(p)
-    chi = [0] * p
-    for x in range(1, p):
-        chi[(x * x) % p] = 1
-    for x in range(1, p):
-        if chi[x] == 0:
-            chi[x] = -1
+    sq = squares_mod(p)
+    chi = [0] + [1 if x in sq else -1 for x in range(1, p)]
     return sum(chi[(a2 * c * c + a1 * c + a0) % p] for c in range(p))
 
 

@@ -181,9 +181,8 @@ def fq_construct(p: int, f: int, max_q: int = DESK_SCALE_BOUND) -> FqField:
 def quad_char_fq(x: FqElem) -> int:
     """Quadratic character on F_q: 0 at zero, else x^((q-1)/2) mapped to ±1.
 
-    One canonical modular-exponentiation implementation; census tables are
-    built on top of it, never the other way around.  Agrees with the
-    Legendre symbol on prime fields.
+    Computed by modular exponentiation, independently of the census square
+    tables.  Agrees with the Legendre symbol on prime fields.
     """
     field = x.field
     if field.p == 2:

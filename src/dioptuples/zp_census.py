@@ -9,8 +9,9 @@ measure at every precision; increasing N only tightens it.
 
 For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
 depends only on v_p(t), so one pass over Z/p^N with valuation weights
-replaces the p^(2N) sweep.  The fast path is property-tested against the
-naive sweep and both remain available.
+replaces the p^(2N) sweep.  The naive pair path is the general m-tuple
+sweep at m = 2; the fast path is property-tested against it.  The sweep
+counts tuples with the F_q census's clique kernel, over the status grid.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import require_odd_prime
+from .arith import is_prime, require_odd_prime, squares_mod
 from .closed_forms import (
     diop2_ok,
     mu_A_k_q,
@@ -28,8 +29,7 @@ from .closed_forms import (
     mu_B_beta_q,
     mu_B_tail,
 )
-from .arith import is_prime
-from .fp_census import DEFAULT_BUDGET, BudgetExceededError
+from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _clique_count
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,9 @@ def status_table(p: int, N: int) -> np.ndarray:
         st[decided & (unit % 8 != 1)] = -1
         st[even & (visible == 2) & (unit % 4 == 3)] = -1
     else:
-        residue = np.zeros(p, dtype=np.int8)
-        for x in range(1, p):
-            residue[(x * x) % p] = 1
-        is_sq = residue[unit % p] == 1
+        residue = np.zeros(p, dtype=bool)
+        residue[list(squares_mod(p))] = True
+        is_sq = residue[unit % p]
         st[even & is_sq] = 1
         st[even & ~is_sq] = -1
     return st
@@ -131,36 +130,11 @@ def _zp_pair_fast(p: int, r: int, N: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _zp_pair_naive(p: int, r: int, N: int) -> tuple[int, int]:
-    q = p**N
-    st = status_table(p, N)
-    idx = np.arange(q, dtype=np.int64)
-    grid = st[(np.outer(idx, idx) + r) % q]
-    return int((grid == 1).sum()), int((grid != -1).sum())
-
-
 def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
     q = p**N
-    st = status_table(p, N)
     idx = np.arange(q, dtype=np.int64)
-    prods = (np.outer(idx, idx) + r) % q
-    sq = st[prods] == 1
-    ok = st[prods] != -1
-    if m == 2:
-        return int(sq.sum()), int(ok.sum())
-    sqf = sq.astype(np.float64)
-    okf = ok.astype(np.float64)
-
-    def g(B, Bf, k, vec):
-        if k == 2:
-            vf = vec.astype(np.float64)
-            return int(round(float(vf @ (Bf @ vf))))
-        return sum(g(B, Bf, k - 1, vec & B[a]) for a in np.flatnonzero(vec))
-
-    ones = np.ones(q, dtype=bool)
-    lo = g(sq, sqf, m, ones) if m > 2 else int(sq.sum())
-    hi = g(ok, okf, m, ones)
-    return lo, hi
+    grid = status_table(p, N)[(np.outer(idx, idx) + r) % q]
+    return _clique_count(grid == 1, m), _clique_count(grid != -1, m)
 
 
 def zp_interval(
@@ -174,8 +148,8 @@ def zp_interval(
     """Rigorous [lo, hi] bracket of the D(r) m-tuple measure over Z_p.
 
     method "auto" uses the valuation-weight fast path for pairs and the
-    vectorized sweep otherwise; "naive" forces the full p^(2N) pair grid
-    (kept as the reference the fast path is tested against).
+    general sweep otherwise; "naive" sends pairs through the sweep too, over
+    the full p^(2N) grid (kept as the reference the fast path is tested against).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -184,8 +158,8 @@ def zp_interval(
     if p ** (m * N) > budget:
         raise BudgetExceededError(f"census size {p}^{m * N} exceeds budget {budget}")
     r = r % p**N
-    if m == 2:
-        lo, hi = _zp_pair_naive(p, r, N) if method == "naive" else _zp_pair_fast(p, r, N)
+    if m == 2 and method != "naive":
+        lo, hi = _zp_pair_fast(p, r, N)
     else:
         lo, hi = _zp_sweep(p, r, m, N)
     return _interval_from_counts(lo, hi, p ** (m * N), p, N, m)

@@ -14,7 +14,6 @@ from dioptuples.audit import (
     DISAGREE,
     INCONCLUSIVE,
     auto_rset,
-    block_series_sum,
     ec_instances,
     exit_code_for,
     interval_precision,
@@ -62,8 +61,8 @@ def test_criterion_02_pair_theorem_sweep():
             shape = r_shape(r, p)
             value = cf.diop2_zp(shape)
             assert value in zp_interval(p, r, 2, N), (p, r)
-            chi = shape.chi_s if shape.alpha else shape.chi_r
-            assert block_series_sum(p, shape.alpha, chi) == value, (p, r)
+            blocks = series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10)
+            assert blocks.block_sum == value, (p, r)
             checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 300

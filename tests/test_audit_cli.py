@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as Fr
 
@@ -191,6 +192,16 @@ def test_cli_audit_json_deterministic(capsys):
         row = json.loads(line)
         assert list(row) == sorted(row)
         assert row["verdict"] == "Agree"
+
+
+def test_cli_audit_all_matches_anchor(capsys):
+    # the byte-identity contract: refactors must not change one byte of `audit all`
+    code, out, _ = run_cli(capsys, "audit", "all")
+    assert code == 0
+    assert len(out.splitlines()) == 1135
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7555188612de39a6b2830aedef448f19011947c4d5d28e97af0cbe6977ede18f"
+    )
 
 
 def test_cli_audit_csv(capsys):

@@ -80,6 +80,9 @@ def test_census_parallel_matches_serial():
     serial4 = census(7, 1, 4)
     parallel4 = census(7, 1, 4, jobs=2)
     assert serial4 == parallel4
+    f9 = fq_construct(3, 2)  # the FqField itself is pickled to the workers
+    assert census(f9, 1, 3, jobs=2) == census(f9, 1, 3)
+    assert census(13, 2, 2, jobs=2) == census(13, 2, 2)
 
 
 def test_census_budget():
