@@ -1,6 +1,8 @@
 """Exact D(r) tuple densities over p-adic rings and finite fields, audited
 against exhaustive brute-force oracles."""
 
+from types import ModuleType as _ModuleType
+
 from .arith import format_rational, is_prime, legendre
 from .closed_forms import (
     conic_sum_closed,
@@ -41,4 +43,4 @@ from .zp_census import (
     zp_interval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)]

@@ -1,0 +1,5 @@
+"""`python -m dioptuples ...` runs the command-line front end."""
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

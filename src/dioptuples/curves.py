@@ -95,10 +95,11 @@ def curve_points(curve: TripleCurve) -> list:
 
 
 def curve_order(curve: TripleCurve) -> int:
-    """|E(F_p)| = 1 + sum_x (1 + chi(f(x))); Hasse inequality asserted."""
+    """|E(F_p)| = 1 + sum_x (1 + chi(f(x))); raises if the Hasse bound fails."""
     p = curve.p
     order = 1 + sum(1 + legendre(curve.rhs(x), p) for x in range(p))
-    assert (order - p - 1) ** 2 <= 4 * p, f"Hasse bound violated: order {order} at p={p}"
+    if (order - p - 1) ** 2 > 4 * p:
+        raise RuntimeError(f"Hasse bound violated: order {order} at p={p}")
     return order
 
 

@@ -92,7 +92,8 @@ def square_table(field) -> SquareTable:
     else:
         bitmap[list(squares_mod(q))] = True
     count = int(bitmap.sum())
-    assert count == (q + 1) // 2, f"square set of F_{q} has {count} elements"
+    if count != (q + 1) // 2:
+        raise RuntimeError(f"square set of F_{q} has {count} elements")
     return SquareTable(q=q, bitmap=bitmap)
 
 
@@ -157,7 +158,8 @@ class CensusBreakdown:
     interior: int
 
     def __post_init__(self):
-        assert self.total == self.boundary + self.offdiag + self.interior
+        if self.total != self.boundary + self.offdiag + self.interior:
+            raise ValueError("boundary, off-diagonal and interior counts must sum to the total")
 
     def to_dict(self) -> dict:
         return {

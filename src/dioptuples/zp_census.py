@@ -8,16 +8,21 @@ Soundness of the classifier makes [lo, hi] a rigorous bracket of the Haar
 measure at every precision; increasing N only tightens it.
 
 For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
-depends only on v_p(t), so one pass over Z/p^N with valuation weights
-replaces the p^(2N) sweep.  The naive pair path is the general m-tuple
-sweep at m = 2; the fast path is property-tested against it.  The sweep
-counts tuples with the F_q census's clique kernel, over the status grid.
+depends only on v_p(t), so counting the selected residues per valuation
+shell and weighting each shell once replaces the p^(2N) sweep.  The naive
+pair path is the general m-tuple sweep at m = 2; the fast path is
+property-tested against it.  The sweep counts tuples with the F_q census's
+clique kernel, over the status grid.
+
+The valuation vector (built shell by shell with strided adds) and the status
+table are built once per (p, N) and cached read-only; callers roll them by r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,33 +56,33 @@ class MeasureInterval:
         return self.lo <= x <= self.hi
 
 
-def _vp_vector(t: np.ndarray, p: int, N: int) -> np.ndarray:
-    v = np.zeros_like(t)
-    tt = t.copy()
-    for _ in range(N):
-        mask = (tt != 0) & (tt % p == 0)
-        v[mask] += 1
-        tt[mask] //= p
+@lru_cache(maxsize=16)
+def _vp_vector(p: int, N: int) -> np.ndarray:
+    """v_p(t) for t in Z/p^N, with 0 at t = 0; read-only, built once per (p, N)."""
+    v = np.zeros(p**N, dtype=np.int8)
+    for k in range(1, N):
+        v[p**k :: p**k] += 1
+    v.flags.writeable = False
     return v
 
 
+@lru_cache(maxsize=16)
 def status_table(p: int, N: int) -> np.ndarray:
     """Vector of square statuses over Z/p^N: 1 square, -1 nonsquare, 0 undetermined.
 
     Vectorized restatement of `padic.square_status`; equality with the scalar
-    classifier is asserted by tests.
+    classifier is asserted by tests.  Read-only, built once per (p, N).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     q = p**N
     t = np.arange(q, dtype=np.int64)
-    k = _vp_vector(t, p, N)
+    k = _vp_vector(p, N).astype(np.int64)
     st = np.zeros(q, dtype=np.int8)
-    nonzero = t != 0
-    odd_k = nonzero & (k % 2 == 1)
+    odd_k = k % 2 == 1
     st[odd_k] = -1
-    even = nonzero & ~odd_k
-    unit = t // p ** np.minimum(k, N)
+    even = ~odd_k
+    unit = t // p**k
     if p == 2:
         visible = N - k
         decided = even & (visible >= 3)
@@ -90,23 +95,30 @@ def status_table(p: int, N: int) -> np.ndarray:
         is_sq = residue[unit % p]
         st[even & is_sq] = 1
         st[even & ~is_sq] = -1
+    st[0] = 0
+    st.flags.writeable = False
     return st
 
 
-def pair_product_weights(p: int, N: int) -> np.ndarray:
-    """w[t] = #{(a, b) in (Z/p^N)^2 : ab = t}; constant on valuation shells.
+def pair_product_weights(p: int, N: int) -> tuple[int, ...]:
+    """#{(a, b) in (Z/p^N)^2 : ab = t}, one entry per valuation shell of t.
 
-    For v_p(t) = j < N the count is (j+1)(p-1)p^(N-1); the zero class takes
-    the complement, so the weights sum to p^(2N) exactly.
+    Entry j < N is the count for any t with v_p(t) = j, namely
+    (j+1)(p-1)p^(N-1).  Entry N is the count for t = 0: a = 0 pairs with all
+    p^N values of b, and each of the (p-1)p^(N-1-j) values of a with
+    v_p(a) = j pairs with the p^j multiples of p^(N-j).
     """
-    q = p**N
-    v = _vp_vector(np.arange(q, dtype=np.int64), p, N)
-    w = ((v + 1) * (p - 1) * p ** (N - 1)).astype(object)
-    nonzero_total = sum(
-        (p - 1) * p ** (N - 1 - j) * (j + 1) * (p - 1) * p ** (N - 1) for j in range(N)
-    )
-    w[0] = q * q - nonzero_total
-    return w
+    unit = (p - 1) * p ** (N - 1)
+    return (*((j + 1) * unit for j in range(N)), N * unit + p**N)
+
+
+def _pair_count(p: int, N: int, mask: np.ndarray) -> int:
+    """#{(a, b) in (Z/p^N)^2 : mask[ab]}, summed shell by shell."""
+    shells = np.bincount(_vp_vector(p, N)[mask], minlength=N + 1)
+    if mask[0]:  # t = 0 is the zero class, not valuation 0
+        shells[0] -= 1
+        shells[N] += 1
+    return sum(int(n) * w for n, w in zip(shells, pair_product_weights(p, N)))
 
 
 def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: int, m: int) -> MeasureInterval:
@@ -114,20 +126,16 @@ def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: i
     # union bound over pairs on the undetermined-class mass; p = 2 carries an
     # extra factor 4 because the unit must be seen mod 8
     slack = Fraction(2 ** (4 - N)) if p == 2 else Fraction(p ** (2 - N))
-    assert interval.width <= m * (m - 1) * slack, (
-        f"interval width {interval.width} exceeds the union bound at p={p}, N={N}, m={m}"
-    )
+    if interval.width > m * (m - 1) * slack:
+        raise RuntimeError(
+            f"interval width {interval.width} exceeds the union bound at p={p}, N={N}, m={m}"
+        )
     return interval
 
 
 def _zp_pair_fast(p: int, r: int, N: int) -> tuple[int, int]:
-    q = p**N
-    st = status_table(p, N)
-    shifted = st[(np.arange(q, dtype=np.int64) + r) % q]
-    w = pair_product_weights(p, N)
-    lo = int(sum(w[shifted == 1]))
-    hi = int(sum(w[shifted != -1]))
-    return lo, hi
+    shifted = np.roll(status_table(p, N), -r)  # shifted[t] = status of t + r
+    return _pair_count(p, N, shifted == 1), _pair_count(p, N, shifted != -1)
 
 
 def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
@@ -177,15 +185,13 @@ def valuation_class_measure(p: int, r: int, target_valuation: int, N: int) -> Fr
     if target_valuation + 3 > N:
         raise ValueError("need target_valuation + 3 <= N for determined membership")
     q = p**N
-    t = np.arange(q, dtype=np.int64)
-    shifted = (t + r) % q
-    v = _vp_vector(shifted, p, N)
-    st = status_table(p, N)[shifted]
-    mask = (shifted != 0) & (v == target_valuation) & (st == 1)
-    undecided = (shifted != 0) & (v == target_valuation) & (st == 0)
-    assert not undecided.any(), "class membership must be determined at this precision"
-    w = pair_product_weights(p, N)
-    return Fraction(int(sum(w[mask])), q * q)
+    st = status_table(p, N)
+    shell = _vp_vector(p, N) == target_valuation
+    shell[0] = False  # ab + r = 0 lies in no shell
+    if (shell & (st == 0)).any():
+        raise RuntimeError("class membership is undetermined at this precision")
+    # indexed by ab: the squares of the shell, moved back by r
+    return Fraction(_pair_count(p, N, np.roll(shell & (st == 1), -r)), q * q)
 
 
 @dataclass(frozen=True)
@@ -233,29 +239,3 @@ def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesV
         block_sum=total,
         closed_form=diop2_ok(q, alpha, chi_s),
     )
-
-
-def reduction_consistency(p: int, r: int, m: int, N: int, budget: int = 10**7) -> bool:
-    """Every lower-bound tuple reduces to an F_p D(r) tuple when no pairwise
-    product + r vanishes mod p (checked by explicit enumeration; test scale).
-    """
-    from .fp_census import is_dr_tuple, square_table
-
-    require_odd_prime(p)
-    if p ** (m * N) > budget:
-        raise BudgetExceededError("reduction consistency check is test-scale only")
-    q = p**N
-    st = status_table(p, N)
-    table = square_table(p)
-    from itertools import product as iproduct
-
-    for tup in iproduct(range(q), repeat=m):
-        statuses = [
-            st[(tup[i] * tup[j] + r) % q] for i in range(m) for j in range(i + 1, m)
-        ]
-        if all(s == 1 for s in statuses):
-            if any((tup[i] * tup[j] + r) % p == 0 for i in range(m) for j in range(i + 1, m)):
-                continue
-            if not is_dr_tuple(tuple(x % p for x in tup), r, table, p):
-                return False
-    return True

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import types
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+import dioptuples
 from dioptuples.audit import (
     AGREE,
     DISAGREE,
@@ -234,3 +240,31 @@ def test_suite_parallel_matches_serial():
     serial = run_suite("pairs-zp", ps=(3, 5), rset=(1, 2, 3))
     parallel = run_suite("pairs-zp", ps=(3, 5), rset=(1, 2, 3), jobs=3)
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+
+def test_package_all_exports_no_modules():
+    assert dioptuples.__all__
+    for name in dioptuples.__all__:
+        assert not isinstance(getattr(dioptuples, name), types.ModuleType), name
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "dioptuples", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
+def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():
+    proc = run_module("measure", "pair", "--p", "3", "--r", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7/12\n", "")
+    # a pipe whose read end is already closed: every write to it fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("audit", "z2", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -1,15 +1,20 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dioptuples
 from dioptuples import closed_forms as cf
-from dioptuples.fp_census import BudgetExceededError
-from dioptuples.padic import ResidueClass, SquareStatus, square_status, r_shape
+from dioptuples.fp_census import BudgetExceededError, is_dr_tuple, square_table
+from dioptuples.padic import ResidueClass, SquareStatus, square_status, r_shape, vp
 from dioptuples.zp_census import (
+    _vp_vector,
     pair_product_weights,
-    reduction_consistency,
     series_consistency,
     status_table,
     valuation_class_measure,
@@ -33,8 +38,44 @@ def test_pair_weights_match_brute_counts(p, N):
         for b in range(q):
             counts[(a * b) % q] += 1
     w = pair_product_weights(p, N)
-    assert all(counts[t] == w[t] for t in range(q))
-    assert sum(w) == q * q
+    shell = [vp(t, p) if t else N for t in range(q)]
+    assert len(w) == N + 1
+    assert all(counts[t] == w[shell[t]] for t in range(q))
+    assert sum(w[shell[t]] for t in range(q)) == q * q
+
+
+@pytest.mark.parametrize("p,N", [(2, 8), (3, 5), (5, 3)])
+def test_vp_vector_matches_scalar_valuation(p, N):
+    v = _vp_vector(p, N)
+    assert v[0] == 0
+    assert all(v[t] == vp(t, p) for t in range(1, p**N))
+
+
+@pytest.mark.parametrize("table", [status_table, _vp_vector])
+def test_cached_tables_are_read_only(table):
+    t = table(3, 4)
+    before = t.copy()
+    with pytest.raises(ValueError):
+        t[1] = 7
+    with pytest.raises(ValueError):
+        t += 1
+    again = table(3, 4)
+    assert again is t
+    assert np.array_equal(again, before)
+
+
+def test_union_bound_raises_under_optimize():
+    # a width of 1 at p=3, N=5 breaks the bound 2 * 3^-3; -O strips bare asserts
+    code = (
+        "from dioptuples.zp_census import _interval_from_counts\n"
+        "_interval_from_counts(0, 243, 243, 3, 5, 2)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "exceeds the union bound" in proc.stderr
 
 
 @pytest.mark.parametrize("p,N,r", [(2, 5, 1), (2, 6, 1), (3, 3, 1), (3, 4, 3), (3, 4, 2), (5, 2, 2), (5, 3, 5)])
@@ -94,9 +135,23 @@ def test_interval_budget():
         zp_interval(3, 1, 2, 12, budget=10**6)
 
 
+def reduction_consistency(p, r, m, N):
+    """Every lower-bound tuple reduces to an F_p D(r) tuple when no pairwise
+    product + r vanishes mod p (checked by explicit enumeration)."""
+    q = p**N
+    st = status_table(p, N)
+    table = square_table(p)
+    for tup in product(range(q), repeat=m):
+        pairs = [(tup[i] * tup[j] + r) % q for i in range(m) for j in range(i + 1, m)]
+        if all(st[s] == 1 for s in pairs) and all(s % p for s in pairs):
+            if not is_dr_tuple(tuple(x % p for x in tup), r, table, p):
+                return False
+    return True
+
+
 def test_reduction_consistency_small():
     assert reduction_consistency(3, 1, 2, 2)
-    assert reduction_consistency(3, 1, 3, 2, budget=10**7)
+    assert reduction_consistency(3, 1, 3, 2)
     assert reduction_consistency(5, 2, 2, 2)
 
 
