@@ -27,7 +27,6 @@ from .fp_census import (
     BudgetExceededError,
     CensusBreakdown,
     SquareTable,
-    asymptotic_gap,
     census,
     conic_sum_direct,
     is_dr_tuple,

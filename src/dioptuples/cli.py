@@ -95,7 +95,7 @@ def _emit(rows: list[dict], fmt: str) -> None:
 def _census(args) -> int:
     try:
         if args.mode == "fp":
-            field = args.p if args.f == 1 else fq_construct(args.p, args.f)
+            field = fq_construct(args.p, args.f)
             result = census(field, args.r, args.m, budget=args.budget, jobs=args.jobs)
             _emit([result.to_dict()], args.format)
         else:
@@ -257,3 +257,7 @@ def entry() -> None:  # console-script shim
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    entry()

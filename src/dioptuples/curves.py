@@ -141,12 +141,6 @@ def doubling_image(curve: TripleCurve) -> set:
     return {double_point(curve, P) for P in curve_points(curve)}
 
 
-def doubling_image_xset(curve: TripleCurve) -> set[int]:
-    """Original X-coordinates {x / abc} of the affine doubling image."""
-    inv = pow(curve.abc, curve.p - 2, curve.p)
-    return {(P[0] * inv) % curve.p for P in doubling_image(curve) if P is not INFINITY}
-
-
 def two_torsion_xvals(p: int, a: int, b: int, c: int, r: int) -> set[int]:
     """Original-coordinate X values of the 2-torsion: the d with some factor zero."""
     return {(-r) * pow(t, p - 2, p) % p for t in (a, b, c)}
@@ -292,11 +286,6 @@ def extension_count_envelope(p: int) -> tuple[int, int]:
     s = isqrt(4 * p)
     ceil_2sqrt = s if s * s == 4 * p else s + 1
     return p - ceil_2sqrt - 8, p + ceil_2sqrt
-
-
-def extension_count_in_envelope(p: int, count: int) -> bool:
-    lo, hi = extension_count_envelope(p)
-    return lo <= 8 * count <= hi
 
 
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:

@@ -9,23 +9,25 @@ which keeps q^3 sweeps at q around 300 under a second without changing what
 is counted.  With jobs > 1 the outermost coordinate is split into row chunks,
 each counted by the same `_census_counts` as the serial path.
 
-The square set includes 0 throughout (`x*y + r = 0` satisfies the membership
-test); the interior/tilde class separately demands nonzero products.  Prime
-field square sets come from `arith.squares_mod`.
+Every field is an `fq.FqField`: a prime p is taken as F_{p^1}, so each table
+has one body for every q.  Products come from the field's log/antilog tables
+of a primitive element, and the square set is 0 and the even powers of that
+element.  The square set includes 0 throughout (`x*y + r = 0` satisfies the
+membership test); the interior/tilde class separately demands nonzero
+products.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
 from .arith import legendre, require_odd_prime, squares_mod
-from .closed_forms import main_term
-from .fq import FqField
+from .fq import FqField, fq_construct
 
 DEFAULT_BUDGET = 10**9
 
@@ -34,42 +36,30 @@ class BudgetExceededError(ValueError):
     """Raised when a census would enumerate more residue tuples than allowed."""
 
 
+def _as_field(field) -> FqField:
+    """The one field representation: a prime p is F_{p^1}."""
+    return field if isinstance(field, FqField) else fq_construct(field, 1)
+
+
 def field_size(field) -> int:
-    if isinstance(field, FqField):
-        return field.q
-    require_odd_prime(field)
-    return field
-
-
-def reduce_r(field, r: int) -> int:
-    """Encoding of the integer r inside the field; censuses only ever see this."""
-    if isinstance(field, FqField):
-        return field.from_int(r).encode()
-    return r % field
+    return _as_field(field).q
 
 
 def _mul_table(field) -> np.ndarray:
-    if isinstance(field, FqField):
-        q = field.q
-        table = np.empty((q, q), dtype=np.int64)
-        elems = [field.decode(i) for i in range(q)]
-        for i in range(q):
-            for j in range(i, q):
-                code = (elems[i] * elems[j]).encode()
-                table[i, j] = code
-                table[j, i] = code
-        return table
-    p = field
-    idx = np.arange(p, dtype=np.int64)
-    return (np.outer(idx, idx)) % p
+    """Codes of all products a*b, as exp[log a + log b] off the zero row and column."""
+    exp, log = _as_field(field).exp_log
+    table = exp[log[:, None] + log]
+    table[0] = 0
+    table[:, 0] = 0
+    return table
 
 
-def _add_r_vector(field, r_enc: int) -> np.ndarray:
-    q = field_size(field)
-    if isinstance(field, FqField):
-        radd = field.decode(r_enc)
-        return np.array([(field.decode(i) + radd).encode() for i in range(q)], dtype=np.int64)
-    return (np.arange(q, dtype=np.int64) + r_enc) % q
+def _add_r_vector(field, r: int) -> np.ndarray:
+    """Codes of x + r: r is the F_p constant r mod p, so only the lowest base-p digit moves."""
+    field = _as_field(field)
+    codes = np.arange(field.q, dtype=np.int32)
+    low = codes % field.p
+    return codes - low + (low + r % field.p) % field.p
 
 
 @dataclass(frozen=True)
@@ -84,13 +74,13 @@ class SquareTable:
 
 
 def square_table(field) -> SquareTable:
-    q = field_size(field)
+    """0 and the even powers of the primitive element."""
+    field = _as_field(field)
+    q = field.q
+    exp, _ = field.exp_log
     bitmap = np.zeros(q, dtype=bool)
-    if isinstance(field, FqField):
-        for x in field.elements():
-            bitmap[(x * x).encode()] = True
-    else:
-        bitmap[list(squares_mod(q))] = True
+    bitmap[0] = True
+    bitmap[exp[: q - 1 : 2]] = True
     count = int(bitmap.sum())
     if count != (q + 1) // 2:
         raise RuntimeError(f"square set of F_{q} has {count} elements")
@@ -102,22 +92,15 @@ def is_dr_tuple(values, r: int, table: SquareTable, field) -> bool:
 
     `values` are element encodings (plain residues for a prime field).
     """
-    if field_size(field) != table.q:
+    field = _as_field(field)
+    if field.q != table.q:
         raise ValueError("square table does not match the field")
-    r_enc = reduce_r(field, r)
-    addr = _add_r_vector(field, r_enc)
-    if isinstance(field, FqField):
-        elems = [field.decode(v) for v in values]
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if not table.bitmap[addr[(elems[i] * elems[j]).encode()]]:
-                    return False
-        return True
-    p = field
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if not table.bitmap[addr[(values[i] * values[j]) % p]]:
-                return False
+    addr = _add_r_vector(field, r)
+    exp, log = field.exp_log
+    for a, b in combinations(values, 2):
+        product = exp[log[a] + log[b]] if a and b else 0
+        if not table.bitmap[addr[product]]:
+            return False
     return True
 
 
@@ -175,10 +158,9 @@ class CensusBreakdown:
 
 def _census_tables(field, r: int):
     sq = square_table(field).bitmap
-    addr = _add_r_vector(field, reduce_r(field, r))
-    mul = _mul_table(field)
-    member = sq[addr[mul]]  # member[a, b] <=> a*b + r in squares (0 included)
-    strict = member & (addr[mul] != 0)
+    shifted = _add_r_vector(field, r)[_mul_table(field)]  # a*b + r
+    member = sq[shifted]  # member[a, b] <=> a*b + r in squares (0 included)
+    strict = member & (shifted != 0)
     return member, strict
 
 
@@ -202,7 +184,8 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    q = field_size(field)
+    field = _as_field(field)
+    q = field.q
     if q**m > budget:
         raise BudgetExceededError(f"census size {q}^{m} exceeds budget {budget}")
     if jobs > 1:
@@ -215,7 +198,7 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -
         total, nz, interior = _census_counts(field, r, m)
     return CensusBreakdown(
         q=q,
-        r=reduce_r(field, r),
+        r=r % field.p,  # censuses only ever see r as an element of F_p
         m=m,
         total=total,
         boundary=total - nz,
@@ -248,9 +231,3 @@ def z3_structure_check(r: int) -> bool:
                     return False
     return True
 
-
-def asymptotic_gap(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact |census density - 2^(-C(m,2))| for the main-term audit."""
-    q = field_size(field)
-    result = census(field, r, m, budget=budget)
-    return abs(Fraction(result.total, q**m) - main_term(m))

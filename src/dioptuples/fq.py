@@ -6,12 +6,18 @@ the lexicographic order on coefficient tuples) so that element encodings are
 reproducible across runs and machines.
 
 Elements are also addressable as integers: (c_0, ..., c_{f-1}) encodes to
-sum c_i * p^i.  Census code enumerates fields through this encoding.
+sum c_i * p^i.  Census code enumerates fields through this encoding, and a
+prime field F_p is F_{p^1}, where the code of a residue is the residue.
+Products of codes go through one pair of log/antilog tables of a primitive
+element, built lazily with q - 1 field multiplications and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .arith import is_prime
 
@@ -109,10 +115,6 @@ class FqField:
         c += [0] * (self.f - len(c))
         return FqElem(self, tuple(c))
 
-    def from_int(self, n: int) -> "FqElem":
-        """Image of the rational integer n under Z -> F_q (constant polynomial)."""
-        return self.elem([n % self.p])
-
     def decode(self, code: int) -> "FqElem":
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} out of range for q={self.q}")
@@ -127,6 +129,35 @@ class FqField:
 
     def one(self) -> "FqElem":
         return self.elem([1])
+
+    @cached_property
+    def exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log/antilog tables of g, the primitive element with the smallest code.
+
+        exp[k] is the code of g^k for 0 <= k < 2(q-1): the q-1 powers stored
+        twice, so that exp[log[a] + log[b]] is the product of nonzero codes a
+        and b with no modulo.  log[exp[k]] = k for k < q-1.  Zero has no
+        logarithm; log[0] = 0 is a placeholder that callers mask.  Read-only.
+        """
+        n = self.q - 1
+        one = self.one()
+        cofactors = [n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
+        g = next(x for x in map(self.decode, range(1, self.q)) if all(x**c != one for c in cofactors))
+        powers = np.empty(n, dtype=np.int32)
+        x = one
+        for k in range(n):
+            powers[k] = x.encode()
+            x = x * g
+        log = np.zeros(self.q, dtype=np.int32)
+        log[powers] = np.arange(n)
+        exp = np.concatenate([powers, powers])
+        exp.flags.writeable = log.flags.writeable = False
+        return exp, log
+
+    def __reduce__(self):
+        # a pool worker gets the field from its own cache, and builds its own
+        # read-only tables, instead of unpickling writeable copies
+        return fq_construct, (self.p, self.f, self.q)
 
     def __repr__(self):
         return f"FqField(p={self.p}, f={self.f}, modulus={self.modulus})"
@@ -173,8 +204,9 @@ class FqElem:
         return result
 
 
+@lru_cache(maxsize=128)
 def fq_construct(p: int, f: int, max_q: int = DESK_SCALE_BOUND) -> FqField:
-    """Field with the deterministic smallest irreducible modulus."""
+    """Field with the deterministic smallest irreducible modulus, one per (p, f)."""
     return FqField(p, f, max_q=max_q)
 
 
@@ -194,7 +226,3 @@ def quad_char_fq(x: FqElem) -> int:
         return 1
     return -1
 
-
-def quad_char_table(field: FqField) -> list[int]:
-    """chi(x) for every element code, indexable by encoding."""
-    return [quad_char_fq(field.decode(code)) for code in range(field.q)]

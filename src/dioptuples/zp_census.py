@@ -75,27 +75,24 @@ def status_table(p: int, N: int) -> np.ndarray:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q = p**N
-    t = np.arange(q, dtype=np.int64)
-    k = _vp_vector(p, N).astype(np.int64)
-    st = np.zeros(q, dtype=np.int8)
-    odd_k = k % 2 == 1
-    st[odd_k] = -1
-    even = ~odd_k
-    unit = t // p**k
-    if p == 2:
-        visible = N - k
-        decided = even & (visible >= 3)
-        st[decided & (unit % 8 == 1)] = 1
-        st[decided & (unit % 8 != 1)] = -1
-        st[even & (visible == 2) & (unit % 4 == 3)] = -1
-    else:
-        residue = np.zeros(p, dtype=bool)
-        residue[list(squares_mod(p))] = True
-        is_sq = residue[unit % p]
-        st[even & is_sq] = 1
-        st[even & ~is_sq] = -1
-    st[0] = 0
+    # shell k is t = p^k j, for j >= 1 along st[p**k::p**k]; the j divisible
+    # by p are multiples of p^(k+1), which the next shell overwrites, so the
+    # pattern for the remaining j depends on j mod p (mod 8 when p = 2)
+    period = 8 if p == 2 else p
+    j = np.arange(1, period + 1) % period
+    square = np.isin(j, list(squares_mod(p)))
+    st = np.zeros(p**N, dtype=np.int8)
+    for k in range(N):
+        visible = N - k  # the unit is known mod p^(N-k)
+        if k % 2:
+            pattern = np.full(period, -1)
+        elif p != 2:
+            pattern = np.where(square, 1, -1)
+        elif visible >= 3:
+            pattern = np.where(j == 1, 1, -1)
+        else:  # the unit is seen mod 4 or mod 2: only j = 3 mod 4 is decided
+            pattern = np.where((visible == 2) & (j % 4 == 3), -1, 0)
+        st[p**k :: p**k] = np.resize(pattern.astype(np.int8), p ** (N - k) - 1)
     st.flags.writeable = False
     return st
 

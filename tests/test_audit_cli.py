@@ -248,23 +248,23 @@ def test_package_all_exports_no_modules():
         assert not isinstance(getattr(dioptuples, name), types.ModuleType), name
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
+def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples"):
     env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "dioptuples", *argv],
+        [sys.executable, "-m", module, *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
 def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():
-    proc = run_module("measure", "pair", "--p", "3", "--r", "1")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7/12\n", "")
-    # a pipe whose read end is already closed: every write to it fails
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = run_module("audit", "z2", stdout=write_end)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 1
-    assert proc.stderr == ""
+    for module in ("dioptuples", "dioptuples.cli"):
+        proc = run_module("measure", "pair", "--p", "3", "--r", "1", module=module)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7/12\n", ""), module
+        # a pipe whose read end is already closed: every write to it fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module("audit", "z2", stdout=write_end, module=module)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, ""), module

@@ -10,10 +10,8 @@ from dioptuples.curves import (
     curve_points,
     double_point,
     doubling_image,
-    doubling_image_xset,
     dr_triples_distinct,
     extension_count_envelope,
-    extension_count_in_envelope,
     extension_dset,
     two_descent_equiv,
     two_torsion_xvals,
@@ -130,15 +128,16 @@ def test_two_descent_random_instances():
 def test_extension_count_envelope():
     lo, hi = extension_count_envelope(29)
     assert (lo, hi) == (29 - 11 - 8, 29 + 11)
-    assert extension_count_in_envelope(29, 5)  # 8*5 = 40 = hi
-    assert not extension_count_in_envelope(29, 6)
+    assert lo <= 8 * 5 <= hi  # 8*5 = 40 = hi
+    assert not lo <= 8 * 6 <= hi
 
 
 def test_eqd_envelope_over_small_primes():
     for p, r in ((13, 1), (13, 2), (17, 1)):
+        lo, hi = extension_count_envelope(p)
         for a, b, c in dr_triples_distinct(p, r):
             nd = len(extension_dset(p, a, b, c, r, include_boundary=False))
-            assert extension_count_in_envelope(p, nd), (p, r, a, b, c, nd)
+            assert lo <= 8 * nd <= hi, (p, r, a, b, c, nd)
 
 
 def test_extension_sum_matches_restricted_quadruple_census():

@@ -3,18 +3,18 @@ from itertools import product
 
 import pytest
 
-from dioptuples.arith import legendre
-from dioptuples.closed_forms import conic_sum_closed
+from dioptuples.arith import legendre, squares_mod
+from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
-    asymptotic_gap,
+    _mul_table,
     census,
     conic_sum_direct,
     is_dr_tuple,
     square_table,
     z3_structure_check,
 )
-from dioptuples.fq import fq_construct
+from dioptuples.fq import fq_construct, quad_char_fq
 
 
 def reference_census(p, r, m):
@@ -88,6 +88,8 @@ def test_census_parallel_matches_serial():
 def test_census_budget():
     with pytest.raises(BudgetExceededError):
         census(101, 1, 4, budget=10**6)
+    with pytest.raises(ValueError, match="desk-scale"):  # the field refuses it first
+        census(100_003, 1, 2, budget=10**11)
 
 
 def test_census_over_extension_field():
@@ -95,7 +97,7 @@ def test_census_over_extension_field():
     table = square_table(field)
     # reference by explicit field arithmetic
     squares = {(x * x).encode() for x in field.elements()}
-    relems = field.from_int(1)
+    relems = field.one()
     total = 0
     for a in field.elements():
         for b in field.elements():
@@ -145,8 +147,42 @@ def test_z3_structure_check():
 
 
 def test_asymptotic_gap():
-    assert asymptotic_gap(5, 1, 2) == Fr(9, 50)  # |17/25 - 1/2|
-    assert asymptotic_gap(3, 1, 2) == Fr(5, 18)  # census total 7 of 9 pairs
+    assert abs(Fr(census(5, 1, 2).total, 5**2) - main_term(2)) == Fr(9, 50)  # |17/25 - 1/2|
+    assert abs(Fr(census(3, 1, 2).total, 3**2) - main_term(2)) == Fr(5, 18)  # 7 of 9 pairs
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (3, 3), (7, 1), (13, 1)])
+def test_mul_table_matches_field_products(p, f):
+    field = fq_construct(p, f)
+    elems = list(field.elements())
+    want = [[(x * y).encode() for y in elems] for x in elems]
+    assert _mul_table(field).tolist() == want
+    if f == 1:
+        assert _mul_table(p).tolist() == want
+
+
+def test_square_tables_match_character_and_squares_mod():
+    for p, f in ((3, 2), (5, 2), (3, 3), (7, 2)):
+        field = fq_construct(p, f)
+        want = [quad_char_fq(x) != -1 for x in field.elements()]
+        assert square_table(field).bitmap.tolist() == want
+    for p in (3, 5, 7, 11, 13, 101):
+        assert set(map(int, square_table(p).bitmap.nonzero()[0])) == squares_mod(p)
+
+
+def test_census_over_f27_matches_field_arithmetic():
+    field = fq_construct(3, 3)
+    elems = list(field.elements())
+    r = field.one()
+    # plus_r_square[a][b]: a*b + 1 is 0 or a square, by the quadratic character
+    plus_r_square = [[quad_char_fq(x * y + r) != -1 for y in elems] for x in elems]
+    want = sum(
+        plus_r_square[a][b] and plus_r_square[a][c] and plus_r_square[b][c]
+        for a, b, c in product(range(field.q), repeat=3)
+    )
+    got = census(field, 1, 3)
+    assert got.total == want
+    assert got.r == 1 and got.q == 27
 
 
 def test_census_symmetry_under_coordinate_permutation():

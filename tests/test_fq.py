@@ -1,7 +1,7 @@
 import pytest
 
 from dioptuples.arith import legendre
-from dioptuples.fq import fq_construct, quad_char_fq, quad_char_table
+from dioptuples.fq import fq_construct, quad_char_fq
 
 
 def test_modulus_selection_is_deterministic_and_smallest():
@@ -45,17 +45,33 @@ def test_generator_is_nonsquare():
 def test_square_count_invariant():
     for p, f in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)):
         field = fq_construct(p, f)
-        table = quad_char_table(field)
+        table = [quad_char_fq(x) for x in field.elements()]
         assert table.count(1) == (field.q - 1) // 2
         assert table.count(-1) == (field.q - 1) // 2
         assert table[0] == 0
+
+
+def test_log_tables_are_read_only_and_fields_cached():
+    for p, f in ((3, 1), (7, 1), (3, 2), (5, 2), (3, 3)):
+        field = fq_construct(p, f)
+        assert fq_construct(p, f) is field
+        exp, log = field.exp_log
+        assert not exp.flags.writeable and not log.flags.writeable
+        with pytest.raises(ValueError):
+            exp[0] = 2
+        g = field.decode(int(exp[1]))
+        assert len(exp) == 2 * (field.q - 1)
+        for k in range(2 * (field.q - 1)):
+            assert field.decode(int(exp[k])) == g**k
+        assert sorted(exp[: field.q - 1]) == list(range(1, field.q))  # g is primitive
+        assert all(log[exp[k]] == k for k in range(field.q - 1))
 
 
 def test_prime_field_agrees_with_legendre():
     for p in (3, 5, 7, 11, 13):
         field = fq_construct(p, 1)
         for a in range(p):
-            assert quad_char_fq(field.from_int(a)) == legendre(a, p)
+            assert quad_char_fq(field.elem([a])) == legendre(a, p)
 
 
 def test_char_is_multiplicative():
