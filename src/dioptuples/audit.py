@@ -9,6 +9,7 @@ recomputable from the record fields alone.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -161,12 +162,12 @@ def _pairs_zp_item(args):
     ]
 
 
-def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, cap=10**8, jobs=1, **_):
+def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, cap=10**8, jobs=1):
     items = [(p, r, cap) for p in ps for r in (rset if rset is not None else auto_rset(p))]
     return [rec for recs in _pmap(_pairs_zp_item, items, jobs) for rec in recs]
 
 
-def suite_z2(N: int = 10, **_):
+def suite_z2(N: int = 10):
     interval = zp_interval(2, 1, 2, N)
     return [
         _record("pair_density_z2", {"p": 2, "r": 1, "N": N}, cf.diop2_z2(), interval),
@@ -180,7 +181,7 @@ def suite_z2(N: int = 10, **_):
     ]
 
 
-def suite_z3_adjudicate(**_):
+def suite_z3_adjudicate():
     records = []
     for m, N in ((2, 7), (3, 5)):
         interval = zp_interval(3, 1, m, N)
@@ -265,12 +266,12 @@ def _triples_fp_item(args):
     ]
 
 
-def suite_triples_fp(pmax: int = 31, jobs: int = 1, **_):
+def suite_triples_fp(pmax: int = 31, jobs: int = 1):
     items = [(p, r) for p in _primes_upto(pmax) for r in range(1, p)]
     return [rec for recs in _pmap(_triples_fp_item, items, jobs) for rec in recs]
 
 
-def suite_conic(pmax: int = 13, **_):
+def suite_conic(pmax: int = 13):
     records = []
     for p in _primes_upto(pmax):
         mismatches = 0
@@ -293,7 +294,7 @@ def suite_conic(pmax: int = 13, **_):
     return records
 
 
-def suite_valuation_classes(ps=(3, 5), N: int = 7, **_):
+def suite_valuation_classes(ps=(3, 5), N: int = 7):
     records = []
     for p in ps:
         n = smallest_nonresidue(p)
@@ -333,7 +334,7 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7, **_):
     return records
 
 
-def suite_ok_series(qs=(3, 5, 7, 9, 25, 27), alpha_max: int = 6, **_):
+def suite_ok_series(qs=(3, 5, 7, 9, 25, 27), alpha_max: int = 6):
     records = []
     for q in qs:
         for alpha in range(alpha_max + 1):
@@ -376,7 +377,7 @@ def ec_instances(seed: int, count: int):
     return out
 
 
-def suite_ec(seed: int = 20240, count: int = 100, jobs: int = 1, **_):
+def suite_ec(seed: int = 20240, count: int = 100, jobs: int = 1):
     records = []
     for p, a, b, c, r in ec_instances(seed, count):
         v = two_descent_equiv(p, a, b, c, r)
@@ -455,7 +456,7 @@ def _eqd_item(args):
     )
 
 
-def suite_eqd(ps=(13, 17, 29), rs=(1, 2), jobs: int = 1, **_):
+def suite_eqd(ps=(13, 17, 29), rs=(1, 2), jobs: int = 1):
     return _pmap(_eqd_item, [(p, r) for p in ps for r in rs], jobs)
 
 
@@ -487,7 +488,7 @@ def _asymptotics_item(args):
     )
 
 
-def suite_asymptotics(jobs: int = 1, **_):
+def suite_asymptotics(jobs: int = 1):
     items = [("m3", p, r) for p in (31, 61, 101) for r in (1, 2)]
     items += [("m4", p, r) for p in (53, 101) for r in (1, 2)]
     return _pmap(_asymptotics_item, items, jobs)
@@ -506,12 +507,26 @@ SUITES = {
 }
 
 
+def suite_parameters(name: str) -> set[str]:
+    """Keyword arguments suite `name` takes; for "all", those any suite takes."""
+    names = SUITES if name == "all" else (name,)
+    return {param for n in names for param in inspect.signature(SUITES[n]).parameters}
+
+
 def run_suite(name: str, **kwargs) -> list:
-    """Run one named suite (or "all") and return records in canonical order."""
+    """Run one named suite (or "all") and return records in canonical order.
+
+    "all" passes each suite only the arguments it takes, and refuses an
+    argument that no suite takes.
+    """
     if name == "all":
+        unused = set(kwargs) - suite_parameters(name)
+        if unused:
+            raise TypeError(f"no audit suite takes {', '.join(sorted(unused))}")
         records = []
         for suite_name in SUITES:
-            records.extend(run_suite(suite_name, **kwargs))
+            taken = suite_parameters(suite_name)
+            records.extend(run_suite(suite_name, **{k: v for k, v in kwargs.items() if k in taken}))
         return records
     if name not in SUITES:
         raise KeyError(name)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import closed_forms as cf
 from .arith import format_rational
-from .audit import SUITE_NAMES, exit_code_for, run_suite
+from .audit import SUITE_NAMES, exit_code_for, run_suite, suite_parameters
 from .curves import two_descent_equiv
 from .fp_census import DEFAULT_BUDGET, BudgetExceededError, census
 from .fq import fq_construct
@@ -93,10 +93,12 @@ def _emit(rows: list[dict], fmt: str) -> None:
 
 
 def _census(args) -> int:
+    if args.jobs > 1:
+        print(f"note: a census runs in one process; --jobs {args.jobs} is ignored", file=sys.stderr)
     try:
         if args.mode == "fp":
             field = fq_construct(args.p, args.f)
-            result = census(field, args.r, args.m, budget=args.budget, jobs=args.jobs)
+            result = census(field, args.r, args.m, budget=args.budget)
             _emit([result.to_dict()], args.format)
         else:
             interval = zp_interval(args.p, args.r, args.m, args.precision, budget=args.budget)
@@ -119,32 +121,41 @@ def _census(args) -> int:
     return 0
 
 
-def _parse_int_list(text):
-    return tuple(int(x) for x in text.split(",")) if text else None
+def _int_list(text):
+    return tuple(int(x) for x in text.split(","))
+
+
+# audit flag -> (the suite keyword it sets, the conversion of its value)
+_AUDIT_FLAGS = {
+    "p": ("ps", _int_list),
+    "rset": ("rset", lambda text: None if text == "auto" else _int_list(text)),
+    "pmax": ("pmax", int),
+    "precision": ("N", int),
+    "seed": ("seed", int),
+    "jobs": ("jobs", int),
+    "budget": ("cap", lambda budget: min(10**8, budget)),
+}
 
 
 def _audit(args) -> int:
     if args.suite not in SUITE_NAMES:
         print(f"error: unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 1
-    kwargs = {"jobs": args.jobs}
-    if args.budget != DEFAULT_BUDGET:
-        kwargs["cap"] = min(10**8, args.budget)
-    if args.p:
-        kwargs["ps"] = _parse_int_list(args.p)
-    if args.rset and args.rset != "auto":
-        kwargs["rset"] = _parse_int_list(args.rset)
-    if args.pmax:
-        kwargs["pmax"] = args.pmax
-    if args.precision:
-        kwargs["N"] = args.precision
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    given = {flag: value for flag in _AUDIT_FLAGS if (value := getattr(args, flag)) is not None}
+    taken = suite_parameters(args.suite)
+    refused = [f"--{flag}" for flag in given if _AUDIT_FLAGS[flag][0] not in taken]
+    if refused:
+        print(f"error: audit {args.suite} takes no {', '.join(refused)}", file=sys.stderr)
+        return 1
     try:
+        kwargs = {_AUDIT_FLAGS[flag][0]: _AUDIT_FLAGS[flag][1](value) for flag, value in given.items()}
         records = run_suite(args.suite, **kwargs)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit([rec.to_dict() for rec in records], args.format)
     return exit_code_for(records)
 
@@ -222,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("audit", help="run a formula-vs-oracle audit suite")
     a.add_argument("suite")
-    a.add_argument("--p", type=str, default="", help="comma-separated prime list")
-    a.add_argument("--rset", type=str, default="auto")
-    a.add_argument("--pmax", type=int, default=0)
-    a.add_argument("--precision", "-N", type=int, default=0)
-    a.add_argument("--seed", type=int, default=None)
+    a.add_argument("--p", type=str, help="comma-separated prime list")
+    a.add_argument("--rset", type=str, help='comma-separated r list, or "auto"')
+    a.add_argument("--pmax", type=int)
+    a.add_argument("--precision", "-N", type=int)
+    a.add_argument("--seed", type=int)
     a.add_argument("--format", choices=["json", "csv"], default="json")
-    a.add_argument("--jobs", type=int, default=1)
-    a.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    a.add_argument("--jobs", type=int)
+    a.add_argument("--budget", type=int, help="caps the pairs-zp censuses at min(10^8, budget)")
     a.set_defaults(func=_audit)
 
     e = sub.add_parser("ec-check", help="two-descent verdict for one instance")

@@ -71,12 +71,6 @@ class TripleCurve:
     def rhs(self, x: int) -> int:
         return (x * x * x + self.A * x * x + self.B * x + self.C) % self.p
 
-    def is_on_curve(self, P) -> bool:
-        if P is None:
-            return True
-        x, y = P
-        return (y * y) % self.p == self.rhs(x)
-
 
 INFINITY = None  # curve points are None or (x, y) tuples
 

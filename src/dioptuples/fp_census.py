@@ -1,13 +1,12 @@
 """Exhaustive, formula-independent censuses of D(r) m-tuples over F_p and F_q.
 
 This module is the authoritative oracle on finite fields: it never consults
-a closed form.  Tuples are enumerated over the full cartesian power by one
+a closed form.  Tuples are counted over the full cartesian power by one
 clique kernel, `_clique_count`, which the Z/p^N sweep in `zp_census` shares:
-the last two coordinates are folded into vectorized boolean algebra (a
-precomputed per-element compatibility row and one matrix-vector product),
-which keeps q^3 sweeps at q around 300 under a second without changing what
-is counted.  With jobs > 1 the outermost coordinate is split into row chunks,
-each counted by the same `_census_counts` as the serial path.
+the last three coordinates are one float32 matrix product (a GEMM) over the
+q x q compatibility table, and each further coordinate is one loop over
+neighbourhoods.  A census runs in one process; the BLAS product already uses
+every core.  The budget charges the larger of q^m tuples and the table bytes.
 
 Every field is an `fq.FqField`: a prime p is taken as F_{p^1}, so each table
 has one body for every q.  Products come from the field's log/antilog tables
@@ -19,9 +18,7 @@ products.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +27,9 @@ from .arith import legendre, require_odd_prime, squares_mod
 from .fq import FqField, fq_construct
 
 DEFAULT_BUDGET = 10**9
+# tracemalloc peak of census(1009, 1, 3) over 1009^2: the census tables plus
+# the float32 matrix and its square
+TABLE_BYTES_PER_CELL = 12
 
 
 class BudgetExceededError(ValueError):
@@ -69,9 +69,6 @@ class SquareTable:
     q: int
     bitmap: np.ndarray
 
-    def __contains__(self, code: int) -> bool:
-        return bool(self.bitmap[code])
-
 
 def square_table(field) -> SquareTable:
     """0 and the even powers of the primitive element."""
@@ -108,24 +105,29 @@ def is_dr_tuple(values, r: int, table: SquareTable, field) -> bool:
 # vectorized sweep
 
 
-def _clique_count(B: np.ndarray, m: int, rows=None) -> int:
+def _clique_count(B: np.ndarray, m: int) -> int:
     """Number of ordered m-tuples over the index set with all pairwise B true.
 
-    B must be symmetric.  The outermost coordinate runs over `rows` (default:
-    every index; a pool worker passes its chunk).  The last two coordinates
-    are evaluated as a quadratic form against B; the ones between recurse.
+    B must be symmetric.  The count recurses over induced sub-matrices: the
+    first coordinate picks a row, and the rest are counted inside its
+    neighbourhood.  Three coordinates are trace(S^3), one float32 matrix
+    product whose entries are integers of at most n, so it is exact while
+    n < 2^24.
     """
-    Bf = B.astype(np.float64)
+    if B.shape[0] >= 2**24:
+        raise ValueError(f"{B.shape[0]} indices: float32 counts are exact only below 2^24")
 
-    def g(k: int, vec: np.ndarray) -> int:
+    def g(k: int, S: np.ndarray) -> int:
         if k == 1:
-            return int(np.count_nonzero(vec))
+            return S.shape[0]
         if k == 2:
-            vf = vec.astype(np.float64)
-            return int(round(float(vf @ (Bf @ vf))))
-        return sum(g(k - 1, vec & B[a]) for a in np.flatnonzero(vec))
+            return int(np.count_nonzero(S))
+        if k == 3:
+            f = S.astype(np.float32)
+            return int((f @ f)[S].sum(dtype=np.int64))
+        return sum(g(k - 1, S[np.ix_(row, row)]) for row in S)
 
-    return sum(g(m - 1, B[a]) for a in (range(B.shape[0]) if rows is None else rows))
+    return g(m, B)
 
 
 @dataclass(frozen=True)
@@ -164,18 +166,17 @@ def _census_tables(field, r: int):
     return member, strict
 
 
-def _census_counts(field, r: int, m: int, rows=None) -> tuple[int, int, int]:
-    """(total, nonzero, interior) counts with the outermost coordinate in `rows`."""
+def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
+    """(total, nonzero, interior) counts; the last two drop the zero row and column."""
     member, strict = _census_tables(field, r)
-    nz_rows = None if rows is None else [a - 1 for a in rows if a]  # rows of member[1:, 1:]
     return (
-        _clique_count(member, m, rows),
-        _clique_count(member[1:, 1:], m, nz_rows),
-        _clique_count(strict[1:, 1:], m, nz_rows),
+        _clique_count(member, m),
+        _clique_count(member[1:, 1:], m),
+        _clique_count(strict[1:, 1:], m),
     )
 
 
-def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> CensusBreakdown:
+def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdown:
     """Exhaustive D(r) m-tuple census with the three-way breakdown.
 
     boundary: some coordinate is zero.  offdiag: all coordinates nonzero but
@@ -186,16 +187,12 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -
         raise ValueError("m must be >= 2")
     field = _as_field(field)
     q = field.q
-    if q**m > budget:
-        raise BudgetExceededError(f"census size {q}^{m} exceeds budget {budget}")
-    if jobs > 1:
-        bounds = np.linspace(0, q, jobs + 1, dtype=int).tolist()
-        chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(partial(_census_counts, field, r, m), chunks))
-        total, nz, interior = (sum(col) for col in zip(*parts))
-    else:
-        total, nz, interior = _census_counts(field, r, m)
+    charge = max(q**m, TABLE_BYTES_PER_CELL * q * q)
+    if charge > budget:
+        raise BudgetExceededError(
+            f"census charge {charge} (max of {q}^{m} tuples, {TABLE_BYTES_PER_CELL}*{q}^2 table bytes) exceeds budget {budget}"
+        )
+    total, nz, interior = _census_counts(field, r, m)
     return CensusBreakdown(
         q=q,
         r=r % field.p,  # censuses only ever see r as an element of F_p

@@ -124,9 +124,6 @@ class FqField:
         for code in range(self.q):
             yield self.decode(code)
 
-    def zero(self) -> "FqElem":
-        return self.elem([])
-
     def one(self) -> "FqElem":
         return self.elem([1])
 
@@ -153,11 +150,6 @@ class FqField:
         exp = np.concatenate([powers, powers])
         exp.flags.writeable = log.flags.writeable = False
         return exp, log
-
-    def __reduce__(self):
-        # a pool worker gets the field from its own cache, and builds its own
-        # read-only tables, instead of unpickling writeable copies
-        return fq_construct, (self.p, self.f, self.q)
 
     def __repr__(self):
         return f"FqField(p={self.p}, f={self.f}, modulus={self.modulus})"

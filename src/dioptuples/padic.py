@@ -48,12 +48,6 @@ class ResidueClass:
         if not 0 <= self.value < self.p**self.N:
             raise ValueError("value out of range for the stated precision")
 
-    def refine(self, value: int) -> "ResidueClass":
-        """The class at precision N+1 with the given consistent value."""
-        if value % self.p**self.N != self.value:
-            raise ValueError("refinement is inconsistent with the class")
-        return ResidueClass(self.p, self.N + 1, value)
-
 
 def square_status(c: ResidueClass) -> SquareStatus:
     """Classify a residue class as a Z_p square.

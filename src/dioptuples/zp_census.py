@@ -202,10 +202,6 @@ class SeriesVerdict:
     block_sum: Fraction
     closed_form: Fraction
 
-    @property
-    def equal(self) -> bool:
-        return self.block_sum == self.closed_form
-
 
 def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesVerdict:
     """Sum the valuation-block densities with an exact geometric tail and

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dioptuples
+from dioptuples import audit
 from dioptuples.audit import (
     AGREE,
     DISAGREE,
@@ -128,6 +130,24 @@ def test_run_suite_unknown():
         run_suite("unknown-suite")
 
 
+def test_run_suite_all_passes_each_suite_only_its_arguments(monkeypatch):
+    seen = {}
+
+    def one(pmax=0):
+        seen["one"] = pmax
+        return []
+
+    def two(N=0, jobs=1):
+        seen["two"] = (N, jobs)
+        return []
+
+    monkeypatch.setattr(audit, "SUITES", {"one": one, "two": two})
+    assert run_suite("all", pmax=5, jobs=2) == []
+    assert seen == {"one": 5, "two": (0, 2)}
+    with pytest.raises(TypeError, match="seed"):
+        run_suite("all", seed=1)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -182,6 +202,37 @@ def test_cli_census_budget_exit_code(capsys):
         capsys, "census", "fp", "--p", "101", "--r", "1", "--m", "4", "--budget", "1000",
     )
     assert code == 2 and "budget" in err
+
+
+def test_cli_census_table_memory_exceeds_budget(capsys):
+    # 30011^2 tuples fit the default budget, but the q x q tables would take gigabytes
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "census", "fp", "--p", "30011", "--m", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "table bytes" in err
+    assert peak < 10**6
+
+
+def test_cli_census_jobs_runs_in_one_process(capsys):
+    for argv in (("fp", "--p", "13", "--m", "3"), ("zp", "--p", "3", "--m", "2", "-N", "4")):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert (code, err) == (0, "")
+        code2, out2, err2 = run_cli(capsys, "census", *argv, "--jobs", "2")
+        assert (code2, out2) == (0, out)
+        assert err2 == "note: a census runs in one process; --jobs 2 is ignored\n"
+
+
+def test_cli_audit_refuses_flags_the_suite_does_not_take(capsys):
+    code, out, err = run_cli(capsys, "audit", "z2", "--p", "3", "--pmax", "7")
+    assert (code, out) == (1, "")
+    assert "--p" in err and "--pmax" in err
+    code, out, err = run_cli(capsys, "audit", "conic", "--pmax", "5", "--jobs", "2")
+    assert (code, out) == (1, "") and "--jobs" in err and "--pmax" not in err
+    code, _, err = run_cli(capsys, "audit", "z2", "--precision", "0")
+    assert code == 1 and "error" in err
 
 
 def test_cli_audit_unknown_suite(capsys):

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dioptuples
 from dioptuples.arith import legendre, squares_mod
 from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
+    _clique_count,
     _mul_table,
     census,
     conic_sum_direct,
@@ -73,16 +80,61 @@ def test_census_boundary_matches_closed_count():
                 assert c.boundary == 0, (p, r)
 
 
-def test_census_parallel_matches_serial():
-    serial = census(13, 1, 3)
-    parallel = census(13, 1, 3, jobs=3)
-    assert serial == parallel
-    serial4 = census(7, 1, 4)
-    parallel4 = census(7, 1, 4, jobs=2)
-    assert serial4 == parallel4
-    f9 = fq_construct(3, 2)  # the FqField itself is pickled to the workers
-    assert census(f9, 1, 3, jobs=2) == census(f9, 1, 3)
-    assert census(13, 2, 2, jobs=2) == census(13, 2, 2)
+def field_census_brute(field, r, m):
+    """(total, boundary, offdiag, interior) by field arithmetic over every m-tuple."""
+    elems = list(field.elements())
+    shift = field.elem([r % field.p])
+    plus_r = [[x * y + shift for y in elems] for x in elems]
+    total = boundary = offdiag = interior = 0
+    for t in product(range(field.q), repeat=m):
+        pairs = [plus_r[t[i]][t[j]] for i in range(m) for j in range(i + 1, m)]
+        if any(quad_char_fq(v) == -1 for v in pairs):
+            continue
+        total += 1
+        if 0 in t:
+            boundary += 1
+        elif any(v.is_zero() for v in pairs):
+            offdiag += 1
+        else:
+            interior += 1
+    return total, boundary, offdiag, interior
+
+
+def test_census_shapes_match_field_brute_force():
+    for p, f, r, m in ((13, 1, 1, 3), (7, 1, 1, 4), (3, 2, 1, 3), (13, 1, 2, 2)):
+        field = fq_construct(p, f)
+        got = census(field, r, m)
+        assert (got.total, got.boundary, got.offdiag, got.interior) == field_census_brute(field, r, m), (p, f, r, m)
+
+
+def test_clique_count_matches_brute_force():
+    rng = np.random.default_rng(2024)
+    for n in range(13):
+        upper = np.triu(rng.random((n, n)) < 0.6)
+        B = upper | upper.T
+        if n % 2:
+            np.fill_diagonal(B, False)  # a tuple may then repeat no index
+        for m in range(1, 6):
+            want = sum(
+                all(B[t[i], t[j]] for i in range(m) for j in range(i + 1, m))
+                for t in product(range(n), repeat=m)
+            )
+            assert _clique_count(B, m) == want, (n, m)
+
+
+def test_clique_count_refuses_inexact_sizes_under_optimize():
+    # a broadcast view allocates nothing; -O strips bare asserts
+    code = (
+        "import numpy as np\n"
+        "from dioptuples.fp_census import _clique_count\n"
+        "_clique_count(np.broadcast_to(np.zeros(1, bool), (2**24, 2**24)), 3)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "exact only below 2^24" in proc.stderr
 
 
 def test_census_budget():

