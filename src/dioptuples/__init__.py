@@ -31,7 +31,6 @@ from .fp_census import (
     conic_sum_direct,
     is_dr_tuple,
     square_table,
-    z3_structure_check,
 )
 from .fq import FqElem, FqField, fq_construct, quad_char_fq
 from .padic import ResidueClass, RShape, SquareStatus, r_shape, square_status, vp

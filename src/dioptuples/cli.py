@@ -92,9 +92,14 @@ def _emit(rows: list[dict], fmt: str) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _census(args) -> int:
+def _ignore_jobs(args, runs: str) -> None:
+    """`--jobs N` stays accepted; every command runs in one process."""
     if args.jobs > 1:
-        print(f"note: a census runs in one process; --jobs {args.jobs} is ignored", file=sys.stderr)
+        print(f"note: {runs} runs in one process; --jobs {args.jobs} is ignored", file=sys.stderr)
+
+
+def _census(args) -> int:
+    _ignore_jobs(args, "a census")
     try:
         if args.mode == "fp":
             field = fq_construct(args.p, args.f)
@@ -132,12 +137,12 @@ _AUDIT_FLAGS = {
     "pmax": ("pmax", int),
     "precision": ("N", int),
     "seed": ("seed", int),
-    "jobs": ("jobs", int),
     "budget": ("cap", lambda budget: min(10**8, budget)),
 }
 
 
 def _audit(args) -> int:
+    _ignore_jobs(args, "an audit")
     if args.suite not in SUITE_NAMES:
         print(f"error: unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 1
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--precision", "-N", type=int, default=4, help="zp mode precision")
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     c.set_defaults(func=_census)
 
     a = sub.add_parser("audit", help="run a formula-vs-oracle audit suite")
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--precision", "-N", type=int)
     a.add_argument("--seed", type=int)
     a.add_argument("--format", choices=["json", "csv"], default="json")
-    a.add_argument("--jobs", type=int)
+    a.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     a.add_argument("--budget", type=int, help="caps the pairs-zp censuses at min(10^8, budget)")
     a.set_defaults(func=_audit)
 

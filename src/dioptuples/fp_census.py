@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import legendre, require_odd_prime, squares_mod
+from .arith import require_odd_prime, squares_mod
 from .fq import FqField, fq_construct
 
 DEFAULT_BUDGET = 10**9
@@ -205,7 +205,7 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdo
 
 
 # ---------------------------------------------------------------------------
-# direct character sums and structural checks
+# direct character sums
 
 
 def conic_sum_direct(a2: int, a1: int, a0: int, p: int) -> int:
@@ -214,17 +214,3 @@ def conic_sum_direct(a2: int, a1: int, a0: int, p: int) -> int:
     sq = squares_mod(p)
     chi = [0] + [1 if x in sq else -1 for x in range(1, p)]
     return sum(chi[(a2 * c * c + a1 * c + a0) % p] for c in range(p))
-
-
-def z3_structure_check(r: int) -> bool:
-    """Over F_3 with r = 1 mod 3: every all-units triple must fail the D(r) test."""
-    if legendre(r, 3) != 1:
-        raise ValueError("structure check applies to r = 1 mod 3 only")
-    table = square_table(3)
-    for a in (1, 2):
-        for b in (1, 2):
-            for c in (1, 2):
-                if is_dr_tuple((a, b, c), r, table, 3):
-                    return False
-    return True
-

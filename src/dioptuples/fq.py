@@ -94,13 +94,13 @@ def find_irreducible(p: int, f: int) -> tuple[int, ...]:
 class FqField:
     """F_{p^f} with odd p; immutable after construction."""
 
-    def __init__(self, p: int, f: int, max_q: int = DESK_SCALE_BOUND):
+    def __init__(self, p: int, f: int):
         if p == 2 or not is_prime(p):
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if f < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**f > max_q:
-            raise ValueError(f"q = {p}^{f} exceeds the desk-scale bound {max_q}")
+        if p**f > DESK_SCALE_BOUND:
+            raise ValueError(f"q = {p}^{f} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
         self.p = p
         self.f = f
         self.q = p**f
@@ -197,9 +197,9 @@ class FqElem:
 
 
 @lru_cache(maxsize=128)
-def fq_construct(p: int, f: int, max_q: int = DESK_SCALE_BOUND) -> FqField:
+def fq_construct(p: int, f: int) -> FqField:
     """Field with the deterministic smallest irreducible modulus, one per (p, f)."""
-    return FqField(p, f, max_q=max_q)
+    return FqField(p, f)
 
 
 def quad_char_fq(x: FqElem) -> int:

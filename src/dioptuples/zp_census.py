@@ -9,10 +9,9 @@ measure at every precision; increasing N only tightens it.
 
 For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
 depends only on v_p(t), so counting the selected residues per valuation
-shell and weighting each shell once replaces the p^(2N) sweep.  The naive
-pair path is the general m-tuple sweep at m = 2; the fast path is
-property-tested against it.  The sweep counts tuples with the F_q census's
-clique kernel, over the status grid.
+shell and weighting each shell once replaces the p^(2N) sweep.  The fast
+path is property-tested against the general m-tuple sweep at m = 2.  The
+sweep counts tuples with the F_q census's clique kernel, over the status grid.
 
 The valuation vector (built shell by shell with strided adds) and the status
 table are built once per (p, N) and cached read-only; callers roll them by r.
@@ -148,13 +147,10 @@ def zp_interval(
     m: int,
     N: int,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
 ) -> MeasureInterval:
     """Rigorous [lo, hi] bracket of the D(r) m-tuple measure over Z_p.
 
-    method "auto" uses the valuation-weight fast path for pairs and the
-    general sweep otherwise; "naive" sends pairs through the sweep too, over
-    the full p^(2N) grid (kept as the reference the fast path is tested against).
+    Pairs take the valuation-weight fast path; m >= 3 takes the general sweep.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -163,7 +159,7 @@ def zp_interval(
     if p ** (m * N) > budget:
         raise BudgetExceededError(f"census size {p}^{m * N} exceeds budget {budget}")
     r = r % p**N
-    if m == 2 and method != "naive":
+    if m == 2:
         lo, hi = _zp_pair_fast(p, r, N)
     else:
         lo, hi = _zp_sweep(p, r, m, N)

@@ -27,7 +27,7 @@ from dioptuples.curves import (
     two_descent_equiv,
     TripleCurve,
 )
-from dioptuples.fp_census import census, conic_sum_direct, z3_structure_check
+from dioptuples.fp_census import census, conic_sum_direct
 from dioptuples.padic import r_shape
 from dioptuples.zp_census import (
     series_consistency,
@@ -116,7 +116,9 @@ def test_criterion_04_z3_adjudication():
 
 def test_criterion_05_z3_structure_lemma():
     rs = [r for r in range(1, 101) if r % 3 == 1]
-    assert all(z3_structure_check(r) for r in rs)
+    for r in rs:
+        result = census(3, r, 3)
+        assert result.boundary == result.total, r  # no all-units triple survives
     _report(5, f"all-units triples excluded over F_3 for all {len(rs)} r = 1 mod 3 in [1, 100]")
 
 

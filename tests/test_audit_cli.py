@@ -137,12 +137,12 @@ def test_run_suite_all_passes_each_suite_only_its_arguments(monkeypatch):
         seen["one"] = pmax
         return []
 
-    def two(N=0, jobs=1):
-        seen["two"] = (N, jobs)
+    def two(N=0, depth=1):
+        seen["two"] = (N, depth)
         return []
 
     monkeypatch.setattr(audit, "SUITES", {"one": one, "two": two})
-    assert run_suite("all", pmax=5, jobs=2) == []
+    assert run_suite("all", pmax=5, depth=2) == []
     assert seen == {"one": 5, "two": (0, 2)}
     with pytest.raises(TypeError, match="seed"):
         run_suite("all", seed=1)
@@ -225,12 +225,21 @@ def test_cli_census_jobs_runs_in_one_process(capsys):
         assert err2 == "note: a census runs in one process; --jobs 2 is ignored\n"
 
 
+def test_cli_audit_jobs_runs_in_one_process(capsys):
+    code, out, err = run_cli(capsys, "audit", "all")
+    assert (code, err) == (0, "")
+    code2, out2, err2 = run_cli(capsys, "audit", "all", "--jobs", "2")
+    assert (code2, out2) == (0, out)
+    assert err2 == "note: an audit runs in one process; --jobs 2 is ignored\n"
+    assert "jobs" not in audit.suite_parameters("all")
+
+
 def test_cli_audit_refuses_flags_the_suite_does_not_take(capsys):
     code, out, err = run_cli(capsys, "audit", "z2", "--p", "3", "--pmax", "7")
     assert (code, out) == (1, "")
     assert "--p" in err and "--pmax" in err
-    code, out, err = run_cli(capsys, "audit", "conic", "--pmax", "5", "--jobs", "2")
-    assert (code, out) == (1, "") and "--jobs" in err and "--pmax" not in err
+    code, out, err = run_cli(capsys, "audit", "conic", "--pmax", "5", "--seed", "1")
+    assert (code, out) == (1, "") and "--seed" in err and "--pmax" not in err
     code, _, err = run_cli(capsys, "audit", "z2", "--precision", "0")
     assert code == 1 and "error" in err
 
@@ -287,12 +296,6 @@ def test_cli_ec_check(capsys):
     assert code == 1 and "error" in err
 
 
-def test_suite_parallel_matches_serial():
-    serial = run_suite("pairs-zp", ps=(3, 5), rset=(1, 2, 3))
-    parallel = run_suite("pairs-zp", ps=(3, 5), rset=(1, 2, 3), jobs=3)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
-
-
 def test_package_all_exports_no_modules():
     assert dioptuples.__all__
     for name in dioptuples.__all__:
@@ -319,3 +322,43 @@ def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, ""), module
+
+
+def test_cli_import_loads_no_process_pool():
+    # start-up cost of every CLI call: nothing may pull in a worker pool
+    code = (
+        "import sys\n"
+        "import dioptuples.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def reference_quadruple_count(p, r):
+    """Ordered (a, b, c, d): a, b, c distinct pairwise-D(r) units, d any residue
+    with ad + r, bd + r, cd + r all squares (0 included); plain loops."""
+    squares = {x * x % p for x in range(p)}
+    count = 0
+    for a in range(1, p):
+        for b in range(1, p):
+            if b == a or (a * b + r) % p not in squares:
+                continue
+            for c in range(1, p):
+                if c in (a, b):
+                    continue
+                if (a * c + r) % p not in squares or (b * c + r) % p not in squares:
+                    continue
+                count += sum(
+                    1 for d in range(p) if all((x * d + r) % p in squares for x in (a, b, c))
+                )
+    return count
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (13, 2), (17, 1), (7, 3), (11, 1), (19, 5), (23, 2)])
+def test_extension_crosscheck_counts_quadruples_like_plain_loops(p, r):
+    [record] = audit._extension_census_crosscheck((p, r))
+    assert record.oracle_value == reference_quadruple_count(p, r)

@@ -19,7 +19,6 @@ from dioptuples.fp_census import (
     conic_sum_direct,
     is_dr_tuple,
     square_table,
-    z3_structure_check,
 )
 from dioptuples.fq import fq_construct, quad_char_fq
 
@@ -192,10 +191,14 @@ def test_conic_direct_matches_closed_small():
 
 
 def test_z3_structure_check():
-    assert z3_structure_check(1)
-    assert z3_structure_check(4)
-    with pytest.raises(ValueError):
-        z3_structure_check(2)
+    # r = 1 mod 3: every D(r) triple over F_3 has a zero coordinate
+    for r in (1, 4):
+        result = census(3, r, 3)
+        assert result.boundary == result.total
+    # r = 2: a unit product ab is 1 or 2, so ab + 2 is 0 or 1, a square either
+    # way, and all 2^3 all-unit triples count
+    result = census(3, 2, 3)
+    assert result.total - result.boundary == 8
 
 
 def test_asymptotic_gap():

@@ -94,4 +94,4 @@ def test_rejects_even_characteristic_and_huge_fields():
     with pytest.raises(ValueError):
         fq_construct(4, 1)
     with pytest.raises(ValueError):
-        fq_construct(3, 2, max_q=8)
+        fq_construct(317, 2)  # q = 100 489 exceeds the desk-scale bound

@@ -14,6 +14,8 @@ from dioptuples.fp_census import BudgetExceededError, is_dr_tuple, square_table
 from dioptuples.padic import ResidueClass, SquareStatus, square_status, r_shape, vp
 from dioptuples.zp_census import (
     _vp_vector,
+    _zp_pair_fast,
+    _zp_sweep,
     pair_product_weights,
     series_consistency,
     status_table,
@@ -80,9 +82,7 @@ def test_union_bound_raises_under_optimize():
 
 @pytest.mark.parametrize("p,N,r", [(2, 5, 1), (2, 6, 1), (3, 3, 1), (3, 4, 3), (3, 4, 2), (5, 2, 2), (5, 3, 5)])
 def test_pair_fast_path_matches_naive(p, N, r):
-    fast = zp_interval(p, r, 2, N)
-    naive = zp_interval(p, r, 2, N, method="naive")
-    assert fast == naive
+    assert _zp_pair_fast(p, r % p**N, N) == _zp_sweep(p, r % p**N, 2, N)
 
 
 def brute_interval(p, r, m, N):
