@@ -26,10 +26,8 @@ from .curves import TripleCurve, curve_order, extension_dset, two_descent_equiv
 from .fp_census import (
     BudgetExceededError,
     CensusBreakdown,
-    SquareTable,
     census,
     conic_sum_direct,
-    is_dr_tuple,
     square_table,
 )
 from .fq import FqElem, FqField, fq_construct, quad_char_fq

@@ -370,18 +370,12 @@ def suite_ec(seed: int = 20240, count: int = 100):
     records = []
     for p, a, b, c, r in ec_instances(seed, count):
         v = two_descent_equiv(p, a, b, c, r)
-        ok = (
-            v.quarter_order_ok
-            and v.criterion_equal
-            and v.coset_identity_ok
-            and v.coset_xset_matches_dset
-        )
         records.append(
             _record(
                 "two_descent_equivalence",
                 {"p": p, "a": a, "b": b, "c": c, "r": r},
                 Fraction(1),
-                Fraction(1 if ok else 0),
+                Fraction(1 if v.ok else 0),
                 detail=(
                     f"order={v.order} |2E|={v.image_size} twist={v.twist} "
                     f"naive_dset_eq_image={v.dset_matches_image}"
@@ -396,16 +390,17 @@ def suite_ec(seed: int = 20240, count: int = 100):
 def _extension_census_crosscheck(*cases):
     # ordered quadruple count with distinct unit first-three, two ways:
     # summed extension sets vs the census kernel, which counts the triangles
-    # of distinct units inside the neighbourhood of each fourth coordinate
+    # of distinct units inside the neighbourhood of each fourth coordinate;
+    # a zero fourth coordinate is compatible with every unit or with none
     records = []
     for p, r in cases:
         triples = dr_triples_distinct(p, r)
         ext_total = 6 * sum(len(extension_dset(p, a, b, c, r)) for a, b, c in triples)
-        member = _census_tables(p, r)[0]
+        zero, member, _ = _census_tables(p, r)
         units = member.copy()
-        units[0] = units[:, 0] = False
         np.fill_diagonal(units, False)
-        direct = sum(_clique_count(units[np.ix_(row, row)], 3) for row in member)
+        direct = zero * _clique_count(units, 3)
+        direct += sum(_clique_count(units[np.ix_(row, row)], 3) for row in member)
         records.append(
             _record(
                 "extension_census_crosscheck",

@@ -197,6 +197,16 @@ class TwoDescentVerdict:
     coset_xset_matches_dset: bool  # X-image of the witness coset equals dset_nb
     boundary: tuple                # (d, in_dset_with_zero_convention, in_image) per boundary d
 
+    @property
+    def ok(self) -> bool:
+        """Every check holds; `dset_matches_image` records the naive reading and may fail."""
+        return (
+            self.quarter_order_ok
+            and self.criterion_equal
+            and self.coset_identity_ok
+            and self.coset_xset_matches_dset
+        )
+
 
 def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdict:
     """Verify the square-criterion description of 2E and locate the extension set.

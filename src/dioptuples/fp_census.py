@@ -9,22 +9,26 @@ neighbourhoods.  A census runs in one process; the BLAS product already uses
 every core.  The budget charges the larger of q^m tuples and the table bytes.
 
 Every field is an `fq.FqField`: a prime p is taken as F_{p^1}, so each table
-has one body for every q.  Products come from the field's log/antilog tables
-of a primitive element, and the square set is 0 and the even powers of that
-element.  The square set includes 0 throughout (`x*y + r = 0` satisfies the
-membership test); the interior/tilde class separately demands nonzero
-products.
+has one body for every q.  The kernel counts tuples of nonzero codes only:
+their products come from the field's log/antilog tables of a primitive
+element.  The zero element is one bit.  Since 0*b + r = r, zero is compatible
+with every element, itself included, when r is a square, and with none when
+it is not; tuples with a zero coordinate follow from the nonzero counts.  The
+square set is 0 and the even powers of the primitive element.  It includes 0
+(`x*y + r = 0` satisfies the membership test); the interior/tilde class
+separately demands nonzero products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .arith import require_odd_prime, squares_mod
 from .fq import FqField, fq_construct
+from .padic import require_nonzero_r
 
 DEFAULT_BUDGET = 10**9
 # tracemalloc peak of census(1009, 1, 3) over 1009^2: the census tables plus
@@ -46,12 +50,9 @@ def field_size(field) -> int:
 
 
 def _mul_table(field) -> np.ndarray:
-    """Codes of all products a*b, as exp[log a + log b] off the zero row and column."""
+    """Codes of the products a*b of nonzero codes a, b, as exp[log a + log b]."""
     exp, log = _as_field(field).exp_log
-    table = exp[log[:, None] + log]
-    table[0] = 0
-    table[:, 0] = 0
-    return table
+    return exp[log[1:, None] + log[1:]]
 
 
 def _add_r_vector(field, r: int) -> np.ndarray:
@@ -62,16 +63,8 @@ def _add_r_vector(field, r: int) -> np.ndarray:
     return codes - low + (low + r % field.p) % field.p
 
 
-@dataclass(frozen=True)
-class SquareTable:
-    """Membership bitmap of the square set (zero included) of a field."""
-
-    q: int
-    bitmap: np.ndarray
-
-
-def square_table(field) -> SquareTable:
-    """0 and the even powers of the primitive element."""
+def square_table(field) -> np.ndarray:
+    """Membership bitmap of the square set: 0 and the even powers of the primitive element."""
     field = _as_field(field)
     q = field.q
     exp, _ = field.exp_log
@@ -81,24 +74,7 @@ def square_table(field) -> SquareTable:
     count = int(bitmap.sum())
     if count != (q + 1) // 2:
         raise RuntimeError(f"square set of F_{q} has {count} elements")
-    return SquareTable(q=q, bitmap=bitmap)
-
-
-def is_dr_tuple(values, r: int, table: SquareTable, field) -> bool:
-    """Membership test: every pairwise product plus r lies in the square set.
-
-    `values` are element encodings (plain residues for a prime field).
-    """
-    field = _as_field(field)
-    if field.q != table.q:
-        raise ValueError("square table does not match the field")
-    addr = _add_r_vector(field, r)
-    exp, log = field.exp_log
-    for a, b in combinations(values, 2):
-        product = exp[log[a] + log[b]] if a and b else 0
-        if not table.bitmap[addr[product]]:
-            return False
-    return True
+    return bitmap
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +135,27 @@ class CensusBreakdown:
 
 
 def _census_tables(field, r: int):
-    sq = square_table(field).bitmap
-    shifted = _add_r_vector(field, r)[_mul_table(field)]  # a*b + r
+    """(zero, member, strict): whether r is a square, and the nonzero-code tables."""
+    sq = square_table(field)
+    addr = _add_r_vector(field, r)
+    shifted = addr[_mul_table(field)]  # a*b + r for nonzero a, b
     member = sq[shifted]  # member[a, b] <=> a*b + r in squares (0 included)
     strict = member & (shifted != 0)
-    return member, strict
+    return bool(sq[addr[0]]), member, strict
 
 
 def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
-    """(total, nonzero, interior) counts; the last two drop the zero row and column."""
-    member, strict = _census_tables(field, r)
-    return (
-        _clique_count(member, m),
-        _clique_count(member[1:, 1:], m),
-        _clique_count(strict[1:, 1:], m),
-    )
+    """(total, nonzero, interior) counts of D(r) m-tuples.
+
+    Tuples with k nonzero coordinates count only if the zero bit is set, and
+    then as C(m, k) placements of a nonzero k-tuple.
+    """
+    zero, member, strict = _census_tables(field, r)
+    nonzero = _clique_count(member, m)
+    total = nonzero
+    if zero:
+        total += sum(comb(m, k) * (_clique_count(member, k) if k else 1) for k in range(m))
+    return total, nonzero, _clique_count(strict, m)
 
 
 def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdown:
@@ -181,11 +163,14 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdo
 
     boundary: some coordinate is zero.  offdiag: all coordinates nonzero but
     some pairwise product + r vanishes.  interior: the tilde condition (all
-    coordinates and all pairwise products + r nonzero).
+    coordinates and all pairwise products + r nonzero).  r must be nonzero
+    mod p.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     field = _as_field(field)
+    r %= field.p  # censuses only ever see r as an element of F_p
+    require_nonzero_r(r)
     q = field.q
     charge = max(q**m, TABLE_BYTES_PER_CELL * q * q)
     if charge > budget:
@@ -195,7 +180,7 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdo
     total, nz, interior = _census_counts(field, r, m)
     return CensusBreakdown(
         q=q,
-        r=r % field.p,  # censuses only ever see r as an element of F_p
+        r=r,
         m=m,
         total=total,
         boundary=total - nz,

@@ -134,7 +134,7 @@ class FqField:
         exp[k] is the code of g^k for 0 <= k < 2(q-1): the q-1 powers stored
         twice, so that exp[log[a] + log[b]] is the product of nonzero codes a
         and b with no modulo.  log[exp[k]] = k for k < q-1.  Zero has no
-        logarithm; log[0] = 0 is a placeholder that callers mask.  Read-only.
+        logarithm; log[0] = 0 is a placeholder that no caller reads.  Read-only.
         """
         n = self.q - 1
         one = self.one()

@@ -89,10 +89,15 @@ class RShape:
     chi_neg_r: int
 
 
-def r_shape(r: int, p: int) -> RShape:
-    """Package r = p^alpha * s with its quadratic characters."""
+def require_nonzero_r(r: int) -> None:
+    """r must be nonzero in the ring whose measure is computed."""
     if r == 0:
         raise ValueError("r = 0 is rejected (appending 0 extends any tuple trivially)")
+
+
+def r_shape(r: int, p: int) -> RShape:
+    """Package r = p^alpha * s with its quadratic characters."""
+    require_nonzero_r(r)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     alpha = vp(r, p)

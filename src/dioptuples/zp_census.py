@@ -34,6 +34,7 @@ from .closed_forms import (
     mu_B_tail,
 )
 from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _clique_count
+from .padic import require_nonzero_r
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,9 @@ def zp_interval(
     """Rigorous [lo, hi] bracket of the D(r) m-tuple measure over Z_p.
 
     Pairs take the valuation-weight fast path; m >= 3 takes the general sweep.
+    r must be nonzero; its class mod p^N may vanish.
     """
+    require_nonzero_r(r)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 2 or N < 1:

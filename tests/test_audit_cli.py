@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -171,6 +172,35 @@ def test_cli_measure_examples(capsys):
     assert code == 0 and out.startswith("7/12 (0.58333")
 
 
+# exit code and stdout of every measure quantity at its default flags
+MEASURE_DEFAULTS = [
+    ("z2-pair", 0, "1/3\n"),
+    ("pair", 0, "7/12\n"),
+    ("pair-stated", 0, "7/12\n"),
+    ("pair-ok", 0, "7/12\n"),
+    ("pair-ok-stated", 0, "7/12\n"),
+    ("block-a", 0, "5/9\n"),
+    ("block-b", 1, ""),
+    ("z3", 0, "91/162\n"),
+    ("z3-consistent", 0, "7/12\n"),
+    ("triple-fp", 0, "67/108\n"),
+    ("tilde-fp", 0, "0\n"),
+    ("boundary-fp", 0, "13\n"),
+    ("offdiag-fp", 0, "15/4\n"),
+    ("conic", 0, "2\n"),
+    ("main-term", 0, "1/2\n"),
+    ("ram3", 0, "91/162\n"),
+]
+
+
+@pytest.mark.parametrize("quantity,code,out", MEASURE_DEFAULTS)
+def test_cli_measure_every_quantity_at_defaults(capsys, quantity, code, out):
+    got_code, got_out, err = run_cli(capsys, "measure", quantity)
+    assert (got_code, got_out) == (code, out)
+    if code:
+        assert err == "error: B_beta blocks require alpha > 0; use mu_A_k for a unit r\n"
+
+
 def test_cli_measure_invalid_params(capsys):
     code, _, err = run_cli(capsys, "measure", "pair", "--p", "4", "--r", "1")
     assert code == 1 and "error" in err
@@ -195,6 +225,14 @@ def test_cli_census_zp(capsys):
     lo = Fr(*map(int, row["lo"].split("/")))
     hi = Fr(*map(int, row["hi"].split("/")))
     assert lo <= Fr(1, 3) <= hi
+
+
+def test_cli_census_refuses_r_zero(capsys):
+    code, out, err = run_cli(capsys, "census", "fp", "--p", "5", "--r", "5")
+    assert (code, out) == (1, "") and "r = 0 is rejected" in err
+    # a nonzero r whose class mod p^N vanishes is a valid Z_p constant
+    code, _, _ = run_cli(capsys, "census", "zp", "--p", "3", "--r", "27", "-N", "3")
+    assert code == 0
 
 
 def test_cli_census_budget_exit_code(capsys):
@@ -300,6 +338,18 @@ def test_package_all_exports_no_modules():
     assert dioptuples.__all__
     for name in dioptuples.__all__:
         assert not isinstance(getattr(dioptuples, name), types.ModuleType), name
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, and every soundness check must still run
+    src = Path(dioptuples.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples"):

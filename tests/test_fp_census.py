@@ -17,7 +17,6 @@ from dioptuples.fp_census import (
     _mul_table,
     census,
     conic_sum_direct,
-    is_dr_tuple,
     square_table,
 )
 from dioptuples.fq import fq_construct, quad_char_fq
@@ -100,7 +99,11 @@ def field_census_brute(field, r, m):
 
 
 def test_census_shapes_match_field_brute_force():
-    for p, f, r, m in ((13, 1, 1, 3), (7, 1, 1, 4), (3, 2, 1, 3), (13, 1, 2, 2)):
+    # m = 5 with r a square and with r a nonsquare, and F_27 with the nonsquare r = 2
+    for p, f, r, m in (
+        (13, 1, 1, 3), (7, 1, 1, 4), (3, 2, 1, 3), (13, 1, 2, 2),
+        (5, 1, 1, 5), (7, 1, 3, 5), (3, 3, 2, 2),
+    ):
         field = fq_construct(p, f)
         got = census(field, r, m)
         assert (got.total, got.boundary, got.offdiag, got.interior) == field_census_brute(field, r, m), (p, f, r, m)
@@ -136,6 +139,12 @@ def test_clique_count_refuses_inexact_sizes_under_optimize():
     assert "exact only below 2^24" in proc.stderr
 
 
+def test_census_refuses_r_zero_mod_p():
+    for p, r, m in ((5, 0, 3), (5, 5, 2)):
+        with pytest.raises(ValueError, match="r = 0 is rejected"):
+            census(p, r, m)
+
+
 def test_census_budget():
     with pytest.raises(BudgetExceededError):
         census(101, 1, 4, budget=10**6)
@@ -145,7 +154,6 @@ def test_census_budget():
 
 def test_census_over_extension_field():
     field = fq_construct(3, 2)
-    table = square_table(field)
     # reference by explicit field arithmetic
     squares = {(x * x).encode() for x in field.elements()}
     relems = field.one()
@@ -161,19 +169,9 @@ def test_census_over_extension_field():
 
 def test_square_table_counts():
     for p in (3, 5, 7, 11):
-        table = square_table(p)
-        assert int(table.bitmap.sum()) == (p + 1) // 2
+        assert int(square_table(p).sum()) == (p + 1) // 2
     field = fq_construct(5, 2)
-    assert int(square_table(field).bitmap.sum()) == (field.q + 1) // 2
-
-
-def test_is_dr_tuple_examples():
-    table13 = square_table(13)
-    assert is_dr_tuple((1, 3, 8, 3), 1, table13, 13)  # (1, 3, 8, 120) reduced mod 13
-    table7 = square_table(7)
-    assert is_dr_tuple((0, 0, 0, 0), 1, table7, 7)  # all products equal r, a square
-    table3 = square_table(3)
-    assert not is_dr_tuple((1, 1), 1, table3, 3)  # 1*1 + 1 = 2 is not a square mod 3
+    assert int(square_table(field).sum()) == (field.q + 1) // 2
 
 
 def test_conic_sum_direct_examples():
@@ -209,8 +207,8 @@ def test_asymptotic_gap():
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (3, 3), (7, 1), (13, 1)])
 def test_mul_table_matches_field_products(p, f):
     field = fq_construct(p, f)
-    elems = list(field.elements())
-    want = [[(x * y).encode() for y in elems] for x in elems]
+    units = list(field.elements())[1:]
+    want = [[(x * y).encode() for y in units] for x in units]
     assert _mul_table(field).tolist() == want
     if f == 1:
         assert _mul_table(p).tolist() == want
@@ -220,9 +218,9 @@ def test_square_tables_match_character_and_squares_mod():
     for p, f in ((3, 2), (5, 2), (3, 3), (7, 2)):
         field = fq_construct(p, f)
         want = [quad_char_fq(x) != -1 for x in field.elements()]
-        assert square_table(field).bitmap.tolist() == want
+        assert square_table(field).tolist() == want
     for p in (3, 5, 7, 11, 13, 101):
-        assert set(map(int, square_table(p).bitmap.nonzero()[0])) == squares_mod(p)
+        assert set(map(int, square_table(p).nonzero()[0])) == squares_mod(p)
 
 
 def test_census_over_f27_matches_field_arithmetic():

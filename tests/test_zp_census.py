@@ -10,7 +10,8 @@ import pytest
 
 import dioptuples
 from dioptuples import closed_forms as cf
-from dioptuples.fp_census import BudgetExceededError, is_dr_tuple, square_table
+from dioptuples.arith import squares_mod
+from dioptuples.fp_census import BudgetExceededError
 from dioptuples.padic import ResidueClass, SquareStatus, square_status, r_shape, vp
 from dioptuples.zp_census import (
     _vp_vector,
@@ -130,6 +131,11 @@ def test_interval_nesting():
             prev = cur
 
 
+def test_zp_interval_refuses_r_zero():
+    with pytest.raises(ValueError, match="r = 0 is rejected"):
+        zp_interval(3, 0, 2, 4)
+
+
 def test_interval_budget():
     with pytest.raises(BudgetExceededError):
         zp_interval(3, 1, 2, 12, budget=10**6)
@@ -140,11 +146,11 @@ def reduction_consistency(p, r, m, N):
     product + r vanishes mod p (checked by explicit enumeration)."""
     q = p**N
     st = status_table(p, N)
-    table = square_table(p)
+    squares = squares_mod(p)
     for tup in product(range(q), repeat=m):
         pairs = [(tup[i] * tup[j] + r) % q for i in range(m) for j in range(i + 1, m)]
         if all(st[s] == 1 for s in pairs) and all(s % p for s in pairs):
-            if not is_dr_tuple(tuple(x % p for x in tup), r, table, p):
+            if not all((s % p) in squares for s in pairs):
                 return False
     return True
 
