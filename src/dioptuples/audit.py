@@ -27,7 +27,7 @@ from .curves import (
     extension_dset,
     two_descent_equiv,
 )
-from .fp_census import _census_tables, _clique_count, census, conic_sum_direct
+from .fp_census import BudgetExceededError, _census_tables, _clique_count, census, conic_sum_direct
 from .padic import r_shape
 from .zp_census import (
     MeasureInterval,
@@ -113,6 +113,8 @@ def auto_rset(p: int) -> list[int]:
 
 def interval_precision(p: int, m: int, cap: int = 10**8) -> int:
     """Largest N with p^(mN) <= cap."""
+    if p**m > cap:
+        raise BudgetExceededError(f"census size {p}^{m} at N = 1 exceeds budget {cap}")
     N = 1
     while p ** (m * (N + 1)) <= cap:
         N += 1
@@ -294,8 +296,6 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7):
                 for v in range(N - 2):
                     if v % 2 == 1 and v != alpha:
                         continue
-                    if alpha == 0 and v % 2 == 1:
-                        continue
                     oracle = valuation_class_measure(p, r, v, N)
                     if alpha == 0:
                         claimed = cf.mu_A_k(shape, v // 2)
@@ -377,7 +377,7 @@ def suite_ec(seed: int = 20240, count: int = 100):
                 Fraction(1),
                 Fraction(1 if v.ok else 0),
                 detail=(
-                    f"order={v.order} |2E|={v.image_size} twist={v.twist} "
+                    f"order={v.order} |2E|={v.doubling_image_size} twist={v.twist} "
                     f"naive_dset_eq_image={v.dset_matches_image}"
                 ),
             )

@@ -2,20 +2,22 @@
 
 Output contract: values print as exact rationals ("num/den", denominator 1
 elided); JSON objects have sorted keys and rationals as strings, so identical
-arguments produce byte-identical output.  Diagnostics go to stderr.  Exit
-codes: 0 success (and no gating Disagree in audits), 1 usage/verdict failure,
-2 budget exceeded.
+arguments produce byte-identical output.  Diagnostics go to stderr.  Every
+command refuses a flag it does not read.  Exit codes, all decided in `main`:
+0 success (and no gating Disagree in audits); 1 bad input of any kind (usage
+errors included), a gating Disagree, or a failed ec-check; 2 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 
 from . import closed_forms as cf
 from .arith import format_rational
@@ -27,6 +29,22 @@ from .padic import r_shape
 from .zp_census import zp_interval
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so `main` gives them the exit code of any bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _given(args, flags, taken, command: str) -> dict:
+    """The `flags` set on the command line; raise for one `command` does not read."""
+    given = {flag: value for flag in flags if (value := getattr(args, flag)) is not None}
+    refused = [f"--{flag.replace('_', '-')}" for flag in given if flag not in taken]
+    if refused:
+        raise ValueError(f"{command} takes no {', '.join(refused)}")
+    return given
+
+
 def _print_value(value, decimal: bool) -> None:
     out = format_rational(value)
     if decimal:
@@ -34,34 +52,37 @@ def _print_value(value, decimal: bool) -> None:
     print(out)
 
 
-# measure quantity -> its evaluator on the parsed flags
+# measure flag -> its default
+_MEASURE_FLAGS = {
+    "p": 3, "q": 3, "r": 1, "m": 2, "k": 0, "beta": 0, "alpha": 0, "chi_s": 1, "a2": 1, "a1": 0, "a0": 0,
+}
+
+# measure quantity -> its evaluator, whose parameters are the flags it reads
 _MEASURES = {
-    "z2-pair": lambda a: cf.diop2_z2(),
-    "pair": lambda a: cf.diop2_zp(r_shape(a.r, a.p)),
-    "pair-stated": lambda a: cf.diop2_zp_claimed(r_shape(a.r, a.p)),
-    "pair-ok": lambda a: cf.diop2_ok(a.q, a.alpha, a.chi_s),
-    "pair-ok-stated": lambda a: cf.diop2_ok_claimed(a.q, a.alpha, a.chi_s),
-    "block-a": lambda a: cf.mu_A_k(r_shape(a.r, a.p), a.k),
-    "block-b": lambda a: cf.mu_B_beta(r_shape(a.r, a.p), a.beta),
-    "z3": lambda a: cf.diopm_z3_claimed(a.m),
-    "z3-consistent": lambda a: cf.diopm_z3_consistent(a.m),
-    "triple-fp": lambda a: cf.diop3_fp_claimed(a.p, a.r),
-    "tilde-fp": lambda a: cf.tilde3_fp_claimed(a.p, a.r),
-    "boundary-fp": lambda a: cf.count_boundary_claimed(a.p, a.r),
-    "offdiag-fp": lambda a: cf.count_offdiag_claimed(a.p, a.r),
-    "conic": lambda a: Fraction(cf.conic_sum_closed(a.a2, a.a1, a.a0, a.p)),
-    "main-term": lambda a: cf.main_term(a.m),
-    "ram3": lambda a: cf.ram3_mtuple_claimed(a.m),
+    "z2-pair": cf.diop2_z2,
+    "pair": lambda p, r: cf.diop2_zp(r_shape(r, p)),
+    "pair-stated": lambda p, r: cf.diop2_zp_claimed(r_shape(r, p)),
+    "pair-ok": cf.diop2_ok,
+    "pair-ok-stated": cf.diop2_ok_claimed,
+    "block-a": lambda p, r, k: cf.mu_A_k(r_shape(r, p), k),
+    "block-b": lambda p, r, beta: cf.mu_B_beta(r_shape(r, p), beta),
+    "z3": cf.diopm_z3_claimed,
+    "z3-consistent": cf.diopm_z3_consistent,
+    "triple-fp": cf.diop3_fp_claimed,
+    "tilde-fp": cf.tilde3_fp_claimed,
+    "boundary-fp": cf.count_boundary_claimed,
+    "offdiag-fp": cf.count_offdiag_claimed,
+    "conic": cf.conic_sum_closed,
+    "main-term": cf.main_term,
+    "ram3": cf.ram3_mtuple_claimed,
 }
 
 
 def _measure(args) -> int:
-    try:
-        value = _MEASURES[args.quantity](args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _print_value(value, args.decimal)
+    evaluate = _MEASURES[args.quantity]
+    taken = inspect.signature(evaluate).parameters
+    given = _given(args, _MEASURE_FLAGS, taken, f"measure {args.quantity}")
+    _print_value(evaluate(**{flag: given.get(flag, _MEASURE_FLAGS[flag]) for flag in taken}), args.decimal)
     return 0
 
 
@@ -87,29 +108,23 @@ def _ignore_jobs(args, runs: str) -> None:
 
 def _census(args) -> int:
     _ignore_jobs(args, "a census")
-    try:
-        if args.mode == "fp":
-            field = fq_construct(args.p, args.f)
-            result = census(field, args.r, args.m, budget=args.budget)
-            _emit([result.to_dict()], args.format)
-        else:
-            interval = zp_interval(args.p, args.r, args.m, args.precision, budget=args.budget)
-            row = {
-                "p": args.p,
-                "r": args.r,
-                "m": args.m,
-                "N": args.precision,
-                "lo": format_rational(interval.lo),
-                "hi": format_rational(interval.hi),
-                "width": format_rational(interval.width),
-            }
-            _emit([row], args.format)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    taken = ("f",) if args.mode == "fp" else ("precision",)
+    given = _given(args, ("f", "precision"), taken, f"census {args.mode}")
+    if args.mode == "fp":
+        row = asdict(census(fq_construct(args.p, given.get("f", 1)), args.r, args.m, budget=args.budget))
+    else:
+        N = given.get("precision", 4)
+        interval = zp_interval(args.p, args.r, args.m, N, budget=args.budget)
+        row = {
+            "p": args.p,
+            "r": args.r,
+            "m": args.m,
+            "N": N,
+            "lo": format_rational(interval.lo),
+            "hi": format_rational(interval.hi),
+            "width": format_rational(interval.width),
+        }
+    _emit([row], args.format)
     return 0
 
 
@@ -131,57 +146,25 @@ _AUDIT_FLAGS = {
 def _audit(args) -> int:
     _ignore_jobs(args, "an audit")
     if args.suite not in SUITE_NAMES:
-        print(f"error: unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
-        return 1
-    given = {flag: value for flag in _AUDIT_FLAGS if (value := getattr(args, flag)) is not None}
-    taken = suite_parameters(args.suite)
-    refused = [f"--{flag}" for flag in given if _AUDIT_FLAGS[flag][0] not in taken]
-    if refused:
-        print(f"error: audit {args.suite} takes no {', '.join(refused)}", file=sys.stderr)
-        return 1
-    try:
-        kwargs = {_AUDIT_FLAGS[flag][0]: _AUDIT_FLAGS[flag][1](value) for flag, value in given.items()}
-        records = run_suite(args.suite, **kwargs)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    keywords = suite_parameters(args.suite)
+    taken = [flag for flag, (keyword, _) in _AUDIT_FLAGS.items() if keyword in keywords]
+    given = _given(args, _AUDIT_FLAGS, taken, f"audit {args.suite}")
+    kwargs = {_AUDIT_FLAGS[flag][0]: _AUDIT_FLAGS[flag][1](value) for flag, value in given.items()}
+    records = run_suite(args.suite, **kwargs)
     _emit([rec.to_dict() for rec in records], args.format)
     return exit_code_for(records)
 
 
 def _ec_check(args) -> int:
-    try:
-        v = two_descent_equiv(args.p, args.a, args.b, args.c, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    row = {
-        "p": v.p,
-        "a": v.a,
-        "b": v.b,
-        "c": v.c,
-        "r": v.r,
-        "order": v.order,
-        "doubling_image_size": v.image_size,
-        "quarter_order_ok": v.quarter_order_ok,
-        "criterion_equal": v.criterion_equal,
-        "twist": list(v.twist),
-        "dset_nonboundary": sorted(v.dset_nonboundary),
-        "image_nonboundary": sorted(v.image_nonboundary),
-        "dset_matches_image": v.dset_matches_image,
-        "coset_identity_ok": v.coset_identity_ok,
-        "coset_xset_matches_dset": v.coset_xset_matches_dset,
-        "boundary": [list(b) for b in v.boundary],
-    }
+    verdict = two_descent_equiv(args.p, args.a, args.b, args.c, args.r)
+    row = {field: sorted(v) if isinstance(v, frozenset) else v for field, v in asdict(verdict).items()}
     print(json.dumps(row, sort_keys=True))
-    return 0 if v.ok else 1
+    return 0 if verdict.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dioptuples",
         description="Exact D(r) tuple densities and their brute-force audits.",
     )
@@ -189,27 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("measure", help="print a closed-form value exactly")
     m.add_argument("quantity", choices=_MEASURES)
-    m.add_argument("--p", type=int, default=3)
-    m.add_argument("--q", type=int, default=3)
-    m.add_argument("--r", type=int, default=1)
-    m.add_argument("--m", type=int, default=2)
-    m.add_argument("--k", type=int, default=0)
-    m.add_argument("--beta", type=int, default=0)
-    m.add_argument("--alpha", type=int, default=0)
-    m.add_argument("--chi-s", dest="chi_s", type=int, default=1, choices=(-1, 1))
-    m.add_argument("--a2", type=int, default=1)
-    m.add_argument("--a1", type=int, default=0)
-    m.add_argument("--a0", type=int, default=0)
+    for flag, default in _MEASURE_FLAGS.items():
+        m.add_argument(f"--{flag.replace('_', '-')}", type=int, help=f"default {default}")
     m.add_argument("--decimal", action="store_true", help="append a decimal approximation")
     m.set_defaults(func=_measure)
 
     c = sub.add_parser("census", help="run an exhaustive census")
     c.add_argument("mode", choices=["fp", "zp"])
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--f", type=int, default=1, help="extension degree for fp mode")
+    c.add_argument("--f", type=int, help="extension degree, fp mode only (default 1)")
     c.add_argument("--r", type=int, default=1)
     c.add_argument("--m", type=int, default=2)
-    c.add_argument("--precision", "-N", type=int, default=4, help="zp mode precision")
+    c.add_argument("--precision", "-N", type=int, help="precision, zp mode only (default 4)")
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     c.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
@@ -239,8 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except BudgetExceededError as exc:  # a ValueError too, so it comes first
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:  # console-script shim

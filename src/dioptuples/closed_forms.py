@@ -205,6 +205,8 @@ def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_lin
     statement, which swaps them.
     """
     odd_prime_power(q)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     if chi_s not in (-1, 1):
         raise ValueError("chi(s) must be ±1")
     if alpha == 0:
@@ -263,12 +265,12 @@ def diopm_z3_claimed(m: int) -> Fraction:
 
 def z3_case_all_zero(m: int) -> Fraction:
     """Density of the all-coordinates-divisible-by-3 block: 1/3^m."""
-    return Fraction(1, 3**m)
+    return Fraction(1, 3) ** m
 
 
 def z3_case_one_unit_each(m: int) -> Fraction:
     """Per-position density with exactly one unit coordinate: 2/3^m."""
-    return Fraction(2, 3**m)
+    return 2 * Fraction(1, 3) ** m
 
 
 def z3_case_mixed_pair() -> Fraction:

@@ -186,7 +186,7 @@ class TwoDescentVerdict:
     c: int
     r: int
     order: int
-    image_size: int
+    doubling_image_size: int
     quarter_order_ok: bool
     criterion_equal: bool          # doubling image == twisted square criterion
     twist: tuple[int, int, int]    # (chi(bc), chi(ac), chi(ab))
@@ -268,7 +268,7 @@ def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdi
         c=c,
         r=r,
         order=order,
-        image_size=image_size,
+        doubling_image_size=image_size,
         quarter_order_ok=quarter_ok,
         criterion_equal=criterion_equal,
         twist=twist,

@@ -122,17 +122,6 @@ class CensusBreakdown:
         if self.total != self.boundary + self.offdiag + self.interior:
             raise ValueError("boundary, off-diagonal and interior counts must sum to the total")
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "r": self.r,
-            "m": self.m,
-            "total": self.total,
-            "boundary": self.boundary,
-            "offdiag": self.offdiag,
-            "interior": self.interior,
-        }
-
 
 def _census_tables(field, r: int):
     """(zero, member, strict): whether r is a square, and the nonzero-code tables."""

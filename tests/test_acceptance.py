@@ -183,7 +183,7 @@ def test_criterion_10_curve_checks():
         order = curve_order(TripleCurve(p, a, b, c, r))  # Hasse asserted inside
         assert order % 4 == 0
         v = two_descent_equiv(p, a, b, c, r)
-        assert v.image_size == order // 4
+        assert v.doubling_image_size == order // 4
         assert v.criterion_equal, (p, a, b, c, r)
         assert v.coset_identity_ok and v.coset_xset_matches_dset, (p, a, b, c, r)
     _report(10, "100 deterministic instances: Hasse, full 2-torsion order, quarter-size "

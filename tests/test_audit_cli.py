@@ -206,6 +206,32 @@ def test_cli_measure_invalid_params(capsys):
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "measure", "triple-fp", "--p", "5", "--r", "10")
     assert code == 1 and "error" in err
+    for argv in (("pair-ok-stated", "--alpha", "-1"), ("pair-ok-stated", "--alpha", "-2"), ("z3-consistent", "--m", "-1")):
+        code, out, err = run_cli(capsys, "measure", *argv)
+        assert (code, out) == (1, "") and err.startswith("error:")
+
+
+# argv -> exit code, stdout, and a fragment of stderr: every failure is decided in `main`
+CLI_CONTRACT = [
+    (("census", "fp", "--m", "3"), 1, "", "required: --p"),
+    (("measure", "nosuch"), 1, "", "invalid choice: 'nosuch'"),
+    (("audit",), 1, "", "required: suite"),
+    (("measure", "pair-ok", "--p", "5"), 1, "", "measure pair-ok takes no --p"),
+    (("measure", "z2-pair", "--p", "7"), 1, "", "measure z2-pair takes no --p"),
+    (("census", "zp", "--p", "3", "--f", "3"), 1, "", "census zp takes no --f"),
+    (("census", "fp", "--p", "3", "-N", "9"), 1, "", "census fp takes no --precision"),
+    (("census", "zp", "--p", "3", "--m", "3", "-N", "9"), 2, "", "exceeds budget"),
+    (("audit", "pairs-zp", "--p", "3", "--budget", "0"), 2, "", "exceeds budget 0"),
+    (("measure", "conic", "--p", "5", "--a1", "1"), 0, "-1\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err_part", CLI_CONTRACT, ids=[" ".join(c[0]) for c in CLI_CONTRACT])
+def test_cli_exit_code_contract(capsys, argv, code, out, err_part):
+    got_code, got_out, err = run_cli(capsys, *argv)
+    assert (got_code, got_out) == (code, out)
+    assert err_part in err
+    assert err.startswith("error: ") if code else err == ""
 
 
 def test_cli_census_fp_json(capsys):
@@ -324,12 +350,15 @@ def test_cli_audit_pairs_with_explicit_args(capsys):
 
 
 def test_cli_ec_check(capsys):
-    code, out, _ = run_cli(capsys, "ec-check", "--p", "13", "--a", "1", "--b", "3", "--c", "8", "--r", "1")
-    assert code == 0
-    row = json.loads(out)
-    assert row["criterion_equal"] is True
-    assert row["coset_identity_ok"] is True
-    assert 3 in row["dset_nonboundary"]
+    code, out, err = run_cli(capsys, "ec-check", "--p", "13", "--a", "1", "--b", "3", "--c", "8", "--r", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"a": 1, "b": 3, "boundary": [[4, false, false], [8, true, false], [12, false, false]], '
+        '"c": 8, "coset_identity_ok": true, "coset_xset_matches_dset": true, "criterion_equal": true, '
+        '"doubling_image_size": 5, "dset_matches_image": false, "dset_nonboundary": [0, 3], '
+        '"image_nonboundary": [6, 10], "order": 20, "p": 13, "quarter_order_ok": true, "r": 1, '
+        '"twist": [-1, -1, 1]}\n'
+    )
     code, _, err = run_cli(capsys, "ec-check", "--p", "13", "--a", "1", "--b", "1", "--c", "8", "--r", "1")
     assert code == 1 and "error" in err
 
