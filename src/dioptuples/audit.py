@@ -27,7 +27,7 @@ from .curves import (
     extension_dset,
     two_descent_equiv,
 )
-from .fp_census import BudgetExceededError, _census_tables, _clique_count, census, conic_sum_direct
+from .fp_census import BudgetExceededError, _census_tables, _clique_count, _induced, census, conic_sum_direct
 from .padic import r_shape
 from .zp_census import (
     MeasureInterval,
@@ -400,7 +400,7 @@ def _extension_census_crosscheck(*cases):
         units = member.copy()
         np.fill_diagonal(units, False)
         direct = zero * _clique_count(units, 3)
-        direct += sum(_clique_count(units[np.ix_(row, row)], 3) for row in member)
+        direct += sum(_clique_count(_induced(units, row), 3) for row in member)
         records.append(
             _record(
                 "extension_census_crosscheck",
@@ -492,7 +492,8 @@ def run_suite(name: str, **kwargs) -> list:
     """Run one named suite (or "all") and return records in canonical order.
 
     "all" passes each suite only the arguments it takes, and refuses an
-    argument that no suite takes.
+    argument that no suite takes.  A suite that produces no records checked
+    nothing, so it raises ValueError.
     """
     if name == "all":
         unused = set(kwargs) - suite_parameters(name)
@@ -505,7 +506,10 @@ def run_suite(name: str, **kwargs) -> list:
         return records
     if name not in SUITES:
         raise KeyError(name)
-    return canonical_order(SUITES[name](**kwargs))
+    records = SUITES[name](**kwargs)
+    if not records:
+        raise ValueError(f"audit {name} produced no records")
+    return canonical_order(records)
 
 
 def canonical_order(records):

@@ -4,8 +4,12 @@ This module is the authoritative oracle on finite fields: it never consults
 a closed form.  Tuples are counted over the full cartesian power by one
 clique kernel, `_clique_count`, which the Z/p^N sweep in `zp_census` shares:
 the last three coordinates are one float32 matrix product (a GEMM) over the
-q x q compatibility table, and each further coordinate is one loop over
-neighbourhoods.  A census runs in one process; the BLAS product already uses
+q x q compatibility table, masked by the table and summed exactly in int64,
+and each further coordinate is one loop over neighbourhoods.  Since
+(-a)(-b) = ab, negation preserves every table, so the first coordinate runs
+over one element of each {a, -a} pair, weighted 2, and over the fixed
+points of negation, weighted 1: half the GEMM rows at m = 3 and half the
+loop at m >= 4.  A census runs in one process; the BLAS product already uses
 every core.  The budget charges the larger of q^m tuples and the table bytes.
 
 Every field is an `fq.FqField`: a prime p is taken as F_{p^1}, so each table
@@ -81,17 +85,67 @@ def square_table(field) -> np.ndarray:
 # vectorized sweep
 
 
-def _clique_count(B: np.ndarray, m: int) -> int:
+def _closed_paths(S: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Float32 matrix whose entry (i, j) counts the k with S[i, k], S[k, j] and S[i, j].
+
+    One row per index i in `rows`, all by default: the 2-paths from i to j of
+    S[rows] @ S, masked in place by row i of S.  Its sum is the ordered
+    triangles through `rows`, taken without a boolean gather.  Every entry is
+    an integer of at most n, exact in float32 while n < 2^24; callers sum in
+    int64, which is exact.
+    """
+    f = S.astype(np.float32)
+    fr = f[rows]
+    P = fr @ f
+    P *= fr
+    return P
+
+
+def _induced(S: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The sub-table S induces on the indices where the bool vector `row` is true.
+
+    Two `take` calls: at the sizes the clique loop sees they copy several
+    times faster than `S[np.ix_(row, row)]`.
+    """
+    index = np.flatnonzero(row)
+    return S.take(index, 0).take(index, 1)
+
+
+def _require_invariant(B: np.ndarray, neg: np.ndarray) -> None:
+    """Raise unless neg is an involution of the index set with B[neg][:, neg] == B.
+
+    For an involution that is B[neg[a], b] == B[a, neg[b]] for all a, b,
+    compared a block of rows at a time, so the check allocates no n x n copy.
+    """
+    n = B.shape[0]
+    if neg.shape != (n,) or not np.array_equal(neg[neg], np.arange(n)):
+        raise RuntimeError("neg is not an involution of the index set")
+    block = max(1, 2**16 // max(n, 1))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        if not np.array_equal(B[neg[rows]], B[rows][:, neg]):
+            raise RuntimeError("the table is not invariant under neg")
+
+
+def _clique_count(B: np.ndarray, m: int, neg: np.ndarray | None = None) -> int:
     """Number of ordered m-tuples over the index set with all pairwise B true.
 
     B must be symmetric.  The count recurses over induced sub-matrices: the
     first coordinate picks a row, and the rest are counted inside its
-    neighbourhood.  Three coordinates are trace(S^3), one float32 matrix
-    product whose entries are integers of at most n, so it is exact while
-    n < 2^24.
+    neighbourhood.  Three coordinates are the ordered triangles, summed from
+    one float32 matrix product (see `_closed_paths`), exact while n < 2^24.
+
+    neg, when given, is the ring's negation: an involution of the index set
+    with B[neg][:, neg] == B, since (-a)(-b) = ab.  The neighbourhoods of a
+    and neg[a] then induce isomorphic sub-tables, so the first coordinate
+    runs over one representative a < neg[a] of each pair, weighted 2, and
+    over each fixed point a == neg[a], weighted 1.  neg is read only when
+    m >= 3, and then checked: a map that is not such an involution raises
+    RuntimeError.
     """
-    if B.shape[0] >= 2**24:
-        raise ValueError(f"{B.shape[0]} indices: float32 counts are exact only below 2^24")
+    n = B.shape[0]
+    if n >= 2**24:
+        raise ValueError(f"{n} indices: float32 counts are exact only below 2^24")
 
     def g(k: int, S: np.ndarray) -> int:
         if k == 1:
@@ -99,11 +153,17 @@ def _clique_count(B: np.ndarray, m: int) -> int:
         if k == 2:
             return int(np.count_nonzero(S))
         if k == 3:
-            f = S.astype(np.float32)
-            return int((f @ f)[S].sum(dtype=np.int64))
-        return sum(g(k - 1, S[np.ix_(row, row)]) for row in S)
+            return int(_closed_paths(S).sum(dtype=np.int64))
+        return sum(g(k - 1, _induced(S, row)) for row in S)
 
-    return g(m, B)
+    if neg is None or m < 3:
+        return g(m, B)
+    _require_invariant(B, neg)
+    rows = np.flatnonzero(np.arange(n) <= neg)
+    weight = np.where(rows < neg[rows], 2, 1)
+    if m == 3:
+        return int(weight @ _closed_paths(B, rows).sum(axis=1, dtype=np.int64))
+    return sum(int(w) * g(m - 1, _induced(B, B[a])) for a, w in zip(rows, weight))
 
 
 @dataclass(frozen=True)
@@ -140,11 +200,13 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
     then as C(m, k) placements of a nonzero k-tuple.
     """
     zero, member, strict = _census_tables(field, r)
-    nonzero = _clique_count(member, m)
+    exp, log = field.exp_log
+    neg = exp[log[1:] + (field.q - 1) // 2] - 1  # -1 = g^((q-1)/2); index = code - 1
+    nonzero = _clique_count(member, m, neg)
     total = nonzero
     if zero:
-        total += sum(comb(m, k) * (_clique_count(member, k) if k else 1) for k in range(m))
-    return total, nonzero, _clique_count(strict, m)
+        total += sum(comb(m, k) * (_clique_count(member, k, neg) if k else 1) for k in range(m))
+    return total, nonzero, _clique_count(strict, m, neg)
 
 
 def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdown:

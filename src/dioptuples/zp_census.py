@@ -92,7 +92,8 @@ def status_table(p: int, N: int) -> np.ndarray:
             pattern = np.where(j == 1, 1, -1)
         else:  # the unit is seen mod 4 or mod 2: only j = 3 mod 4 is decided
             pattern = np.where((visible == 2) & (j % 4 == 3), -1, 0)
-        st[p**k :: p**k] = np.resize(pattern.astype(np.int8), p ** (N - k) - 1)
+        length = p ** (N - k) - 1
+        st[p**k :: p**k] = np.tile(pattern.astype(np.int8), -(-length // period))[:length]
     st.flags.writeable = False
     return st
 
@@ -139,7 +140,8 @@ def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
     q = p**N
     idx = np.arange(q, dtype=np.int64)
     grid = status_table(p, N)[(np.outer(idx, idx) + r) % q]
-    return _clique_count(grid == 1, m), _clique_count(grid != -1, m)
+    neg = (-idx) % q
+    return _clique_count(grid == 1, m, neg), _clique_count(grid != -1, m, neg)
 
 
 def zp_interval(

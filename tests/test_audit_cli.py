@@ -136,14 +136,14 @@ def test_run_suite_all_passes_each_suite_only_its_arguments(monkeypatch):
 
     def one(pmax=0):
         seen["one"] = pmax
-        return []
+        return [audit._record("one", {"pmax": pmax}, Fr(0), Fr(0))]
 
     def two(N=0, depth=1):
         seen["two"] = (N, depth)
-        return []
+        return [audit._record("two", {"N": N, "depth": depth}, Fr(0), Fr(0))]
 
     monkeypatch.setattr(audit, "SUITES", {"one": one, "two": two})
-    assert run_suite("all", pmax=5, depth=2) == []
+    assert [rec.quantity for rec in run_suite("all", pmax=5, depth=2)] == ["one", "two"]
     assert seen == {"one": 5, "two": (0, 2)}
     with pytest.raises(TypeError, match="seed"):
         run_suite("all", seed=1)
@@ -223,6 +223,9 @@ CLI_CONTRACT = [
     (("census", "zp", "--p", "3", "--m", "3", "-N", "9"), 2, "", "exceeds budget"),
     (("audit", "pairs-zp", "--p", "3", "--budget", "0"), 2, "", "exceeds budget 0"),
     (("measure", "conic", "--p", "5", "--a1", "1"), 0, "-1\n", ""),
+    # an audit that checked nothing fails
+    (("audit", "conic", "--pmax", "2"), 1, "", "audit conic produced no records"),
+    (("audit", "triples-fp", "--pmax", "-1"), 1, "", "audit triples-fp produced no records"),
 ]
 
 
@@ -332,6 +335,16 @@ def test_cli_audit_all_matches_anchor(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7555188612de39a6b2830aedef448f19011947c4d5d28e97af0cbe6977ede18f"
     )
+
+
+def test_cli_replays_every_benchmark_invocation(capsys):
+    # every recorded invocation, each r of every pool included, in this one process
+    recorded = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    assert recorded["invocations"]
+    for invocation, want in recorded["invocations"].items():
+        code, out, _ = run_cli(capsys, *invocation.split())
+        got = (code, hashlib.sha256(out.encode()).hexdigest())
+        assert got == (want["exit"], want["sha256"]), invocation
 
 
 def test_cli_audit_csv(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dioptuples
+from dioptuples import fp_census
 from dioptuples.arith import legendre, squares_mod
 from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
@@ -109,34 +110,100 @@ def test_census_shapes_match_field_brute_force():
         assert (got.total, got.boundary, got.offdiag, got.interior) == field_census_brute(field, r, m), (p, f, r, m)
 
 
+def random_involution(rng, n, fixed):
+    """An involution of range(n) with `fixed` fixed points and the rest in 2-cycles."""
+    pairs = rng.permutation(n)[fixed:].reshape(-1, 2)
+    neg = np.arange(n)
+    neg[pairs[:, 0]], neg[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return neg
+
+
 def test_clique_count_matches_brute_force():
+    # each table also made invariant under a random involution with 0, 1 or 2
+    # fixed points (Z/2^N has two: 0 and 2^(N-1)), counted with and without it
     rng = np.random.default_rng(2024)
+    rng_neg = np.random.default_rng(7)
     for n in range(13):
         upper = np.triu(rng.random((n, n)) < 0.6)
         B = upper | upper.T
         if n % 2:
             np.fill_diagonal(B, False)  # a tuple may then repeat no index
-        for m in range(1, 6):
-            want = sum(
-                all(B[t[i], t[j]] for i in range(m) for j in range(i + 1, m))
-                for t in product(range(n), repeat=m)
-            )
-            assert _clique_count(B, m) == want, (n, m)
+        cases = [(B, None)]
+        for fixed in (0, 1, 2):
+            if fixed <= n and (n - fixed) % 2 == 0:
+                neg = random_involution(rng_neg, n, fixed)
+                cases.append((B | B[np.ix_(neg, neg)], neg))
+        for S, neg in cases:
+            for m in range(1, 6):
+                want = sum(
+                    all(S[t[i], t[j]] for i in range(m) for j in range(i + 1, m))
+                    for t in product(range(n), repeat=m)
+                )
+                assert _clique_count(S, m) == want, (n, m)
+                if neg is not None:
+                    assert _clique_count(S, m, neg) == want, (n, m, neg)
+
+
+# (p, f, m): the benchmark's four census shapes and three smaller ones
+FQ_SHAPES = [(1009, 1, 3), (211, 1, 4), (53, 1, 5), (3, 5, 3), (101, 1, 4), (13, 1, 6), (3, 2, 4)]
+
+
+@pytest.mark.parametrize("p,f,m", FQ_SHAPES)
+def test_census_counts_equal_the_kernel_without_negation(monkeypatch, p, f, m):
+    field = fq_construct(p, f)
+    got = [census(field, r, m, budget=10**10) for r in (1, 2)]
+    kernel, negations = fp_census._clique_count, []
+
+    def without_negation(B, k, neg=None):
+        negations.append(neg)
+        return kernel(B, k)
+
+    monkeypatch.setattr(fp_census, "_clique_count", without_negation)
+    assert [census(field, r, m, budget=10**10) for r in (1, 2)] == got
+    assert negations and all(neg is not None for neg in negations)
+
+
+def run_optimized(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def test_clique_count_refuses_inexact_sizes_under_optimize():
-    # a broadcast view allocates nothing; -O strips bare asserts
+    # broadcast views allocate nothing; -O strips bare asserts; the size is
+    # refused before the negation map is read
     code = (
         "import numpy as np\n"
         "from dioptuples.fp_census import _clique_count\n"
-        "_clique_count(np.broadcast_to(np.zeros(1, bool), (2**24, 2**24)), 3)\n"
+        "B = np.broadcast_to(np.zeros(1, bool), (2**24, 2**24))\n"
+        "for neg in (None, np.broadcast_to(np.zeros(1, int), (2**24,))):\n"
+        "    try:\n"
+        "        _clique_count(B, 3, neg)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    proc = run_optimized(code)
+    assert proc.returncode == 0
+    assert proc.stdout.count("exact only below 2^24") == 2
+
+
+@pytest.mark.parametrize(
+    "neg,message",
+    [([1, 0, 2], "the table is not invariant under neg"), ([1, 2, 0], "neg is not an involution")],
+)
+def test_clique_count_refuses_a_negation_the_table_lacks_under_optimize(neg, message):
+    # B links 0 and 2 but not 1 and 2, so swapping 0 and 1 does not preserve it
+    code = (
+        "import numpy as np\n"
+        "from dioptuples.fp_census import _clique_count\n"
+        "B = np.zeros((3, 3), bool)\n"
+        "B[0, 2] = B[2, 0] = True\n"
+        f"_clique_count(B, 3, np.array({neg}))\n"
     )
+    proc = run_optimized(code)
     assert proc.returncode == 1
-    assert "exact only below 2^24" in proc.stderr
+    assert f"RuntimeError: {message}" in proc.stderr
 
 
 def test_census_refuses_r_zero_mod_p():

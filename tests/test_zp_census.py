@@ -10,6 +10,7 @@ import pytest
 
 import dioptuples
 from dioptuples import closed_forms as cf
+from dioptuples import zp_census
 from dioptuples.arith import squares_mod
 from dioptuples.fp_census import BudgetExceededError
 from dioptuples.padic import ResidueClass, SquareStatus, square_status, r_shape, vp
@@ -84,6 +85,21 @@ def test_union_bound_raises_under_optimize():
 @pytest.mark.parametrize("p,N,r", [(2, 5, 1), (2, 6, 1), (3, 3, 1), (3, 4, 3), (3, 4, 2), (5, 2, 2), (5, 3, 5)])
 def test_pair_fast_path_matches_naive(p, N, r):
     assert _zp_pair_fast(p, r % p**N, N) == _zp_sweep(p, r % p**N, 2, N)
+
+
+@pytest.mark.parametrize("p,N,m", [(3, 6, 3), (3, 4, 4), (2, 5, 3), (5, 3, 3), (2, 4, 4), (3, 5, 4)])
+def test_sweep_counts_equal_the_kernel_without_negation(monkeypatch, p, N, m):
+    # negation fixes 0, and also 2^(N-1) when p = 2
+    got = [_zp_sweep(p, r, m, N) for r in (1, 2)]
+    kernel, negations = zp_census._clique_count, []
+
+    def without_negation(B, k, neg=None):
+        negations.append(neg)
+        return kernel(B, k)
+
+    monkeypatch.setattr(zp_census, "_clique_count", without_negation)
+    assert [_zp_sweep(p, r, m, N) for r in (1, 2)] == got
+    assert negations and all(neg is not None for neg in negations)
 
 
 def brute_interval(p, r, m, N):
