@@ -22,7 +22,7 @@ from .closed_forms import (
     pair_measure,
     tilde3_fp_claimed,
 )
-from .curves import TripleCurve, curve_order, extension_dset, two_descent_equiv
+from .curves import TripleCurve, extension_dset, two_descent_equiv
 from .fp_census import (
     BudgetExceededError,
     CensusBreakdown,

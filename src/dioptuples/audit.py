@@ -24,7 +24,7 @@ from .arith import format_rational, is_prime, legendre
 from .curves import (
     dr_triples_distinct,
     extension_count_envelope,
-    extension_dset,
+    extension_counts,
     two_descent_equiv,
 )
 from .fp_census import BudgetExceededError, _census_tables, _clique_count, _induced, census, conic_sum_direct
@@ -265,18 +265,19 @@ def suite_triples_fp(pmax: int = 31):
 def suite_conic(pmax: int = 13):
     records = []
     for p in _primes_upto(pmax):
-        mismatches = 0
-        cases = 0
-        for a2 in range(1, p):
-            for a1 in range(p):
-                for a0 in range(p):
-                    cases += 1
-                    if conic_sum_direct(a2, a1, a0, p) != cf.conic_sum_closed(a2, a1, a0, p):
-                        mismatches += 1
+        coeffs = np.arange(p)
+        # direct[a2 - 1][a1][a0]: every direct sum of this p from one array pass
+        direct = conic_sum_direct(coeffs[1:, None, None], coeffs[:, None], coeffs, p).tolist()
+        mismatches = sum(
+            direct[a2 - 1][a1][a0] != cf.conic_sum_closed(a2, a1, a0, p)
+            for a2 in range(1, p)
+            for a1 in range(p)
+            for a0 in range(p)
+        )
         records.append(
             _record(
                 "conic_sum",
-                {"p": p, "cases": cases},
+                {"p": p, "cases": (p - 1) * p * p},
                 Fraction(0),
                 mismatches,
                 detail="closed-form vs direct-sum mismatches over all (a2, a1, a0)",
@@ -394,8 +395,7 @@ def _extension_census_crosscheck(*cases):
     # a zero fourth coordinate is compatible with every unit or with none
     records = []
     for p, r in cases:
-        triples = dr_triples_distinct(p, r)
-        ext_total = 6 * sum(len(extension_dset(p, a, b, c, r)) for a, b, c in triples)
+        ext_total = 6 * sum(extension_counts(p, r, dr_triples_distinct(p, r)))
         zero, member, _ = _census_tables(p, r)
         units = member.copy()
         np.fill_diagonal(units, False)
@@ -416,11 +416,9 @@ def _extension_census_crosscheck(*cases):
 def _eqd_item(args):
     p, r = args
     lo, hi = extension_count_envelope(p)
-    violations = []
-    for a, b, c in dr_triples_distinct(p, r):
-        nd = len(extension_dset(p, a, b, c, r, include_boundary=False))
-        if not lo <= 8 * nd <= hi:
-            violations.append((a, b, c, nd))
+    triples = dr_triples_distinct(p, r)
+    counts = extension_counts(p, r, triples, include_boundary=False)
+    violations = [(*abc, nd) for abc, nd in zip(triples, counts) if not lo <= 8 * nd <= hi]
     return _record(
         "extension_count_envelope",
         {"p": p, "r": r, "lo": lo, "hi": hi},

@@ -18,6 +18,12 @@ it equals the doubling image exactly when that class is trivial.  The coset
 structure is verified through the exact count identity
 
     |2E| = [twist trivial] + #{2-torsion points in the coset} + 2 * #{nonboundary d}.
+
+Each sweep is one whole-array pass over F_p with the read-only tables of
+`arith.residue_tables`.  The two sides stay independent: the point-law side
+(points, doubling, the coset walk) reads only the square roots and the
+inverses, and the criterion side (the square criterion, the extension sets,
+the twist) reads only the character.
 """
 
 from __future__ import annotations
@@ -25,7 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .arith import legendre, require_odd_prime, squares_mod
+import numpy as np
+
+from .arith import require_odd_prime, residue_tables, squares_mod
+from .fq import DESK_SCALE_BOUND
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,8 @@ class TripleCurve:
     def __post_init__(self):
         require_odd_prime(self.p)
         p = self.p
+        if p > DESK_SCALE_BOUND:
+            raise ValueError(f"p = {p} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
         a, b, c, r = self.a % p, self.b % p, self.c % p, self.r % p
         if 0 in (a, b, c):
             raise ValueError("triple entries must be nonzero mod p")
@@ -68,76 +79,62 @@ class TripleCurve:
         p, r = self.p, self.r
         return (-r * self.b * self.c % p, -r * self.a * self.c % p, -r * self.a * self.b % p)
 
-    def rhs(self, x: int) -> int:
-        return (x * x * x + self.A * x * x + self.B * x + self.C) % self.p
 
+def curve_points(curve: TripleCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The affine points as arrays (x, y), by one sweep over x; infinity is left implicit.
 
-INFINITY = None  # curve points are None or (x, y) tuples
-
-
-def curve_points(curve: TripleCurve) -> list:
-    """All points, infinity first, by a direct x-sweep."""
+    The cubic is evaluated by Horner's rule, reduced mod p after every
+    product, so every intermediate stays below 3p^2: exact in int64 at
+    desk scale.
+    """
     p = curve.p
-    sqrt_of = [[] for _ in range(p)]
-    for y in range(p):
-        sqrt_of[(y * y) % p].append(y)
-    pts = [INFINITY]
-    for x in range(p):
-        for y in sqrt_of[curve.rhs(x)]:
-            pts.append((x, y))
-    return pts
+    x = np.arange(p, dtype=np.int64)
+    f = (((x + curve.A) * x % p + curve.B) * x + curve.C) % p
+    y = residue_tables(p).root[f]
+    on = y >= 0
+    twin = on & (y != 0)
+    return np.concatenate([x[on], x[twin]]), np.concatenate([y[on], p - y[twin]])
 
 
-def curve_order(curve: TripleCurve) -> int:
-    """|E(F_p)| = 1 + sum_x (1 + chi(f(x))); raises if the Hasse bound fails."""
+def _chord_tangent(curve: TripleCurve, x1, y1, x2, y2):
+    """P + Q over arrays of affine points: (x, y, finite), finite False where P + Q is infinity.
+
+    Where x1 == x2, Q is P or -P: P + (-P), a doubled 2-torsion point
+    included, is infinity, and P + P takes the tangent slope.
+    """
     p = curve.p
-    order = 1 + sum(1 + legendre(curve.rhs(x), p) for x in range(p))
-    if (order - p - 1) ** 2 > 4 * p:
-        raise RuntimeError(f"Hasse bound violated: order {order} at p={p}")
-    return order
-
-
-def double_point(curve: TripleCurve, P):
-    """Chord-tangent doubling on the monic model; 2-torsion maps to infinity."""
-    if P is INFINITY:
-        return INFINITY
-    x, y = P
-    p = curve.p
-    if y == 0:
-        return INFINITY
-    lam = (3 * x * x + 2 * curve.A * x + curve.B) * pow(2 * y, p - 2, p) % p
-    x2 = (lam * lam - curve.A - 2 * x) % p
-    y2 = (lam * (x - x2) - y) % p
-    return (x2, y2)
-
-
-def add_points(curve: TripleCurve, P, Q):
-    """Full chord law; needed once per instance to walk a coset of 2E."""
-    if P is INFINITY:
-        return Q
-    if Q is INFINITY:
-        return P
-    p = curve.p
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return INFINITY
-        return double_point(curve, P)
-    lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+    inv = residue_tables(p).inv
+    chord = x1 != x2
+    tangent = (3 * x1 * x1 + 2 * curve.A * x1 + curve.B) % p * inv[2 * y1 % p]
+    lam = np.where(chord, (y2 - y1) % p * inv[(x2 - x1) % p], tangent) % p
     x3 = (lam * lam - curve.A - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
+    return x3, y3, chord | ((y1 + y2) % p != 0)
 
 
-def doubling_image(curve: TripleCurve) -> set:
-    """2E(F_p) as a point set, by doubling every point."""
-    return {double_point(curve, P) for P in curve_points(curve)}
+def doubling_image(curve: TripleCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The affine points of 2E(F_p) as arrays (x, y), sorted and distinct, by doubling every point.
+
+    Infinity, the double of the 2-torsion, is always in 2E and is left implicit.
+    """
+    x, y = curve_points(curve)
+    x2, y2, finite = _chord_tangent(curve, x, y, x, y)
+    # a Python sort of at most p codes: np.unique imports numpy.ma, and
+    # np.sort pages in 256 KB of vectorized sort code, each raising peak RSS
+    code = np.array(sorted(set((x2[finite] * curve.p + y2[finite]).tolist())), dtype=np.int64)
+    return code // curve.p, code % curve.p
 
 
 def two_torsion_xvals(p: int, a: int, b: int, c: int, r: int) -> set[int]:
     """Original-coordinate X values of the 2-torsion: the d with some factor zero."""
     return {(-r) * pow(t, p - 2, p) % p for t in (a, b, c)}
+
+
+def _extension_rows(p: int, xs, r: int, include_boundary: bool) -> np.ndarray:
+    """Bool table M[i, d] = [xs[i] d + r in the square set], nonzero too unless include_boundary."""
+    chi = residue_tables(p).chi
+    d = np.arange(p, dtype=np.int64)
+    return chi[(np.asarray(xs, dtype=np.int64)[:, None] % p * d + r % p) % p] >= (0 if include_boundary else 1)
 
 
 def extension_dset(p: int, a: int, b: int, c: int, r: int, include_boundary: bool = True) -> set[int]:
@@ -147,32 +144,31 @@ def extension_dset(p: int, a: int, b: int, c: int, r: int, include_boundary: boo
     the strict variant (all three factors nonzero squares), which is the set
     the extension-count bounds are audited against.
     """
-    require_odd_prime(p)
-    sq = squares_mod(p)
-    out = set()
-    for d in range(p):
-        vals = ((a * d + r) % p, (b * d + r) % p, (c * d + r) % p)
-        if all(v in sq for v in vals):
-            if include_boundary or 0 not in vals:
-                out.add(d)
-    return out
+    mask = _extension_rows(p, (a, b, c), r, include_boundary).all(axis=0)
+    return set(np.flatnonzero(mask).tolist())
 
 
-def _twist_class(p: int, a: int, b: int, c: int) -> tuple[int, int, int]:
-    return (legendre(b * c, p), legendre(a * c, p), legendre(a * b, p))
+def extension_counts(p: int, r: int, triples, include_boundary: bool = True) -> list[int]:
+    """len(extension_dset(p, a, b, c, r, include_boundary)) for each (a, b, c) in triples.
+
+    One p x p table M[x, d] serves every triple: the count is the number of
+    d with M[a, d], M[b, d] and M[c, d] all true.
+    """
+    M = _extension_rows(p, range(p), r, include_boundary)
+    index = np.asarray(triples, dtype=np.int64).reshape(-1, 3) % p
+    return M[index].all(axis=1).sum(axis=1).tolist()
 
 
-def _torsion_descent_class(curve: TripleCurve, i: int) -> tuple[int, int, int]:
-    # descent class of the 2-torsion point over root e_i; the i-th coordinate
-    # is the product of the differences to the other two roots
-    p = curve.p
-    e = curve.roots
-    cls = [0, 0, 0]
-    for j in range(3):
-        if j != i:
-            cls[j] = legendre(e[i] - e[j], p)
-    off = [cls[j] for j in range(3) if j != i]
-    cls[i] = off[0] * off[1]
+def _twist_class(chi: np.ndarray, p: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    return tuple(int(chi[t % p]) for t in (b * c, a * c, a * b))
+
+
+def _torsion_descent_class(chi: np.ndarray, curve: TripleCurve, i: int) -> tuple[int, int, int]:
+    # descent class of the 2-torsion point over root e_i: chi(e_i - e_j) at
+    # j != i, and the product of those two at i
+    p, e = curve.p, curve.roots
+    cls = [int(chi[(e[i] - e[j]) % p]) for j in range(3)]
+    cls[i] = cls[(i + 1) % 3] * cls[(i + 2) % 3]
     return tuple(cls)
 
 
@@ -211,55 +207,56 @@ class TwoDescentVerdict:
 def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdict:
     """Verify the square-criterion description of 2E and locate the extension set.
 
-    Two independent sweeps: chord-tangent doubling on one side, quadratic
-    characters on the other.  `criterion_equal` is the headline equivalence;
-    `dset_matches_image` records how the naive (untwisted) reading fares, and
-    the coset fields pin the extension set to its coset of 2E.
+    Two independent sweeps over F_p: chord-tangent doubling of every point on
+    one side, quadratic characters on the other.  `criterion_equal` is the
+    headline equivalence; `dset_matches_image` records how the naive
+    (untwisted) reading fares, and the coset fields pin the extension set to
+    its coset of 2E.  Every field holds Python values, never numpy scalars.
     """
     curve = TripleCurve(p, a, b, c, r)
     a, b, c, r = curve.a, curve.b, curve.c, curve.r
-    order = curve_order(curve)
-    img = doubling_image(curve)
-    image_size = len(img)
+    chi, _, inv = residue_tables(p)
+    pts_x, pts_y = curve_points(curve)
+    order = 1 + len(pts_x)
+    if (order - p - 1) ** 2 > 4 * p:
+        raise RuntimeError(f"Hasse bound violated: order {order} at p={p}")
+    img_x, img_y = doubling_image(curve)
+    image_size = 1 + len(img_x)
     quarter_ok = order % 4 == 0 and image_size == order // 4
 
-    inv_abc = pow(curve.abc, p - 2, p)
-    img_x_monic = {P[0] for P in img if P is not INFINITY}
-    tors_x_monic = set(curve.roots)
-    img_nb_monic = img_x_monic - tors_x_monic
+    inv_abc = int(inv[curve.abc])
+    e = np.array(curve.roots)
+    img_nb_monic = np.zeros(p, dtype=bool)
+    img_nb_monic[img_x] = True
+    img_nb_monic[e] = False
 
     # twisted square criterion, evaluated in monic coordinates: x - e_i all
     # nonzero squares (equivalently bc(aX+r) etc. for X = x/abc)
-    e = curve.roots
-    crit = {
-        x
-        for x in range(p)
-        if all((x - ei) % p != 0 for ei in e)
-        and all(legendre(x - ei, p) == 1 for ei in e)
-    }
-    criterion_equal = crit == img_nb_monic
+    crit = (chi[(np.arange(p)[:, None] - e) % p] == 1).all(axis=1)
+    criterion_equal = bool(np.array_equal(crit, img_nb_monic))
 
-    image_nb = frozenset((x * inv_abc) % p for x in img_nb_monic)
+    image_nb = frozenset((np.flatnonzero(img_nb_monic) * inv_abc % p).tolist())
     tors_x = two_torsion_xvals(p, a, b, c, r)
     dset = extension_dset(p, a, b, c, r, include_boundary=True)
-    dset_nb = frozenset(d for d in dset if d not in tors_x)
-    twist = _twist_class(p, a, b, c)
+    dset_nb = frozenset(dset - tors_x)
+    twist = _twist_class(chi, p, a, b, c)
+    untwisted = 1 if twist == (1, 1, 1) else 0
 
-    torsion_in_fiber = sum(1 for i in range(3) if _torsion_descent_class(curve, i) == twist)
-    coset_ok = 2 * len(dset_nb) + torsion_in_fiber + (1 if twist == (1, 1, 1) else 0) == image_size
+    torsion_in_fiber = sum(1 for i in range(3) if _torsion_descent_class(chi, curve, i) == twist)
+    coset_ok = 2 * len(dset_nb) + torsion_in_fiber + untwisted == image_size
 
-    # walk the witness coset and compare X-images (needs one addition per point)
+    # walk the witness coset P0 + 2E and compare X-images: one chord-law pass
+    # over the affine points of 2E, plus P0 + infinity = P0
     if dset_nb:
-        d0 = min(dset_nb)
-        x0 = d0 * curve.abc % p
-        y0 = next(y for y in range(p) if (y * y) % p == curve.rhs(x0))
-        coset = {add_points(curve, (x0, y0), P) for P in img}
-        coset_x = {(P[0] * inv_abc) % p for P in coset if P is not INFINITY}
-        coset_matches = {d for d in coset_x if d not in tors_x} == set(dset_nb)
+        x0 = min(dset_nb) * curve.abc % p
+        y0 = int(pts_y[np.flatnonzero(pts_x == x0)[0]])
+        coset_x, _, finite = _chord_tangent(curve, x0, y0, img_x, img_y)
+        coset_d = set((np.append(coset_x[finite], x0) * inv_abc % p).tolist())
+        coset_matches = coset_d - tors_x == set(dset_nb)
     else:
-        coset_matches = torsion_in_fiber + (1 if twist == (1, 1, 1) else 0) == image_size
+        coset_matches = torsion_in_fiber + untwisted == image_size
 
-    image_all = {(x * inv_abc) % p for x in img_x_monic}
+    image_all = set((img_x * inv_abc % p).tolist())
     boundary = tuple((d, d in dset, d in image_all) for d in sorted(tors_x))
     return TwoDescentVerdict(
         p=p,

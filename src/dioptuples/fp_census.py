@@ -21,6 +21,10 @@ it is not; tuples with a zero coordinate follow from the nonzero counts.  The
 square set is 0 and the even powers of the primitive element.  It includes 0
 (`x*y + r = 0` satisfies the membership test); the interior/tilde class
 separately demands nonzero products.
+
+The direct character sums `conic_sum_direct` read the character from
+`arith.residue_tables`, never from a closed form, and take coefficient
+arrays, so the `conic` audit gets every sum of one p from one call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from math import comb
 
 import numpy as np
 
-from .arith import require_odd_prime, squares_mod
+from .arith import residue_tables
 from .fq import FqField, fq_construct
 from .padic import require_nonzero_r
 
@@ -244,9 +248,14 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdo
 # direct character sums
 
 
-def conic_sum_direct(a2: int, a1: int, a0: int, p: int) -> int:
-    """Literal sum of chi(a2 c^2 + a1 c + a0) over all c in F_p."""
-    require_odd_prime(p)
-    sq = squares_mod(p)
-    chi = [0] + [1 if x in sq else -1 for x in range(1, p)]
-    return sum(chi[(a2 * c * c + a1 * c + a0) % p] for c in range(p))
+def conic_sum_direct(a2, a1, a0, p: int):
+    """Literal sum of chi(a2 c^2 + a1 c + a0) over all c in F_p.
+
+    The coefficients may be integer arrays: they broadcast, and the result
+    holds one sum per coefficient triple, summed over c one residue at a
+    time, so memory stays at the broadcast size.  Scalar coefficients give a
+    numpy integer.
+    """
+    chi = residue_tables(p).chi
+    a2, a1, a0 = (np.asarray(t, dtype=np.int64) % p for t in (a2, a1, a0))
+    return sum(chi[(a2 * (c * c) + a1 * c + a0) % p] for c in range(p))

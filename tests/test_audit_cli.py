@@ -226,6 +226,8 @@ CLI_CONTRACT = [
     # an audit that checked nothing fails
     (("audit", "conic", "--pmax", "2"), 1, "", "audit conic produced no records"),
     (("audit", "triples-fp", "--pmax", "-1"), 1, "", "audit triples-fp produced no records"),
+    # the census's size bound holds for the curve sweeps too
+    (("ec-check", "--p", "100003", "--a", "1", "--b", "3", "--c", "8", "--r", "1"), 1, "", "desk-scale bound 100000"),
 ]
 
 
@@ -362,16 +364,53 @@ def test_cli_audit_pairs_with_explicit_args(capsys):
     assert all(r["verdict"] == "Agree" for r in rows)
 
 
-def test_cli_ec_check(capsys):
-    code, out, err = run_cli(capsys, "ec-check", "--p", "13", "--a", "1", "--b", "3", "--c", "8", "--r", "1")
-    assert (code, err) == (0, "")
-    assert out == (
+# (p, a, b, c, r) -> the full ec-check stdout, recorded before the curve sweeps
+# became array passes; (7, 1, 2, 3, 3) has no nonboundary extension, so its
+# coset check takes the branch without a witness point
+EC_CHECK_ROWS = {
+    (13, 1, 3, 8, 1): (
         '{"a": 1, "b": 3, "boundary": [[4, false, false], [8, true, false], [12, false, false]], '
         '"c": 8, "coset_identity_ok": true, "coset_xset_matches_dset": true, "criterion_equal": true, '
         '"doubling_image_size": 5, "dset_matches_image": false, "dset_nonboundary": [0, 3], '
         '"image_nonboundary": [6, 10], "order": 20, "p": 13, "quarter_order_ok": true, "r": 1, '
         '"twist": [-1, -1, 1]}\n'
-    )
+    ),
+    (17, 2, 5, 11, 3): (
+        '{"a": 2, "b": 5, "boundary": [[7, false, false], [9, false, true], [13, false, false]], '
+        '"c": 11, "coset_identity_ok": true, "coset_xset_matches_dset": true, "criterion_equal": true, '
+        '"doubling_image_size": 6, "dset_matches_image": false, "dset_nonboundary": [3, 6, 16], '
+        '"image_nonboundary": [5, 11], "order": 24, "p": 17, "quarter_order_ok": true, "r": 3, '
+        '"twist": [1, -1, -1]}\n'
+    ),
+    (29, 1, 4, 9, 2): (
+        '{"a": 1, "b": 4, "boundary": [[3, false, false], [14, false, false], [27, true, true]], '
+        '"c": 9, "coset_identity_ok": true, "coset_xset_matches_dset": true, "criterion_equal": true, '
+        '"doubling_image_size": 6, "dset_matches_image": true, "dset_nonboundary": [7, 23], '
+        '"image_nonboundary": [7, 23], "order": 24, "p": 29, "quarter_order_ok": true, "r": 2, '
+        '"twist": [1, 1, 1]}\n'
+    ),
+    (101, 3, 7, 50, 5): (
+        '{"a": 3, "b": 7, "boundary": [[10, false, false], [32, false, false], [57, false, false]], '
+        '"c": 50, "coset_identity_ok": true, "coset_xset_matches_dset": true, "criterion_equal": true, '
+        '"doubling_image_size": 27, "dset_matches_image": true, '
+        '"dset_nonboundary": [0, 17, 22, 25, 39, 42, 50, 60, 67, 72, 83, 85, 99], '
+        '"image_nonboundary": [0, 17, 22, 25, 39, 42, 50, 60, 67, 72, 83, 85, 99], "order": 108, '
+        '"p": 101, "quarter_order_ok": true, "r": 5, "twist": [1, 1, 1]}\n'
+    ),
+    (7, 1, 2, 3, 3): (
+        '{"a": 1, "b": 2, "boundary": [[2, false, true], [4, true, false], [6, true, false]], '
+        '"c": 3, "coset_identity_ok": true, "coset_xset_matches_dset": true, "criterion_equal": true, '
+        '"doubling_image_size": 2, "dset_matches_image": true, "dset_nonboundary": [], '
+        '"image_nonboundary": [], "order": 8, "p": 7, "quarter_order_ok": true, "r": 3, '
+        '"twist": [-1, -1, 1]}\n'
+    ),
+}
+
+
+def test_cli_ec_check(capsys):
+    for instance, row in EC_CHECK_ROWS.items():
+        argv = [x for flag, v in zip("pabcr", instance) for x in (f"--{flag}", str(v))]
+        assert run_cli(capsys, "ec-check", *argv) == (0, row, ""), instance
     code, _, err = run_cli(capsys, "ec-check", "--p", "13", "--a", "1", "--b", "1", "--c", "8", "--r", "1")
     assert code == 1 and "error" in err
 
@@ -391,6 +430,25 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_oracle_modules_never_import_closed_forms():
+    # the oracles must not consult a closed form; zp_census is exempt while its
+    # series_consistency, a formula-vs-formula check, stays a traced benchmark target
+    src = Path(dioptuples.__file__).parent
+    found = []
+    for name in ("curves", "fp_census", "fq", "padic"):
+        path = src / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                continue
+            if any("closed_forms" in name.split(".") for name in names):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

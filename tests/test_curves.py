@@ -1,35 +1,164 @@
+import json
 import random
+from dataclasses import asdict
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dioptuples.arith import legendre
 from dioptuples.curves import (
     TripleCurve,
-    add_points,
-    curve_order,
+    _chord_tangent,
     curve_points,
-    double_point,
     doubling_image,
     dr_triples_distinct,
     extension_count_envelope,
+    extension_counts,
     extension_dset,
     two_descent_equiv,
     two_torsion_xvals,
 )
 from dioptuples.fp_census import census
 
+# ---------------------------------------------------------------------------
+# scalar reference oracle: one point at a time, plain Python integers; the
+# library's array passes are checked against it
+
+INFINITY = None  # reference points are None or (x, y) tuples
+
+
+def rhs(curve, x):
+    return (x * x * x + curve.A * x * x + curve.B * x + curve.C) % curve.p
+
+
+def reference_points(curve):
+    """All points, infinity first, by a direct x-sweep."""
+    p = curve.p
+    return [INFINITY] + [(x, y) for x in range(p) for y in range(p) if (y * y - rhs(curve, x)) % p == 0]
+
+
+def curve_order(curve):
+    """|E(F_p)| = 1 + sum_x (1 + chi(f(x))); raises if the Hasse bound fails."""
+    p = curve.p
+    order = 1 + sum(1 + legendre(rhs(curve, x), p) for x in range(p))
+    if (order - p - 1) ** 2 > 4 * p:
+        raise RuntimeError(f"Hasse bound violated: order {order} at p={p}")
+    return order
+
+
+def double_point(curve, P):
+    """Chord-tangent doubling on the monic model; 2-torsion maps to infinity."""
+    if P is INFINITY:
+        return INFINITY
+    x, y = P
+    p = curve.p
+    if y == 0:
+        return INFINITY
+    lam = (3 * x * x + 2 * curve.A * x + curve.B) * pow(2 * y, p - 2, p) % p
+    x2 = (lam * lam - curve.A - 2 * x) % p
+    y2 = (lam * (x - x2) - y) % p
+    return (x2, y2)
+
+
+def add_points(curve, P, Q):
+    """Full chord law."""
+    if P is INFINITY:
+        return Q
+    if Q is INFINITY:
+        return P
+    p = curve.p
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return INFINITY
+        return double_point(curve, P)
+    lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+    x3 = (lam * lam - curve.A - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
+    return (x3, y3)
+
+
+def reference_extension_dset(p, a, b, c, r, include_boundary=True):
+    squares = {(x * x) % p for x in range(p)}
+    out = set()
+    for d in range(p):
+        vals = ((a * d + r) % p, (b * d + r) % p, (c * d + r) % p)
+        if all(v in squares for v in vals) and (include_boundary or 0 not in vals):
+            out.add(d)
+    return out
+
+
+def reference_two_descent(p, a, b, c, r):
+    """The verdict from scalar sweeps: Legendre symbols and one point at a time."""
+    curve = TripleCurve(p, a, b, c, r)
+    a, b, c, r = curve.a, curve.b, curve.c, curve.r
+    order = curve_order(curve)
+    img = {double_point(curve, P) for P in reference_points(curve)}
+    image_size = len(img)
+    inv_abc = pow(curve.abc, p - 2, p)
+    img_nb_monic = {P[0] for P in img if P is not INFINITY} - set(curve.roots)
+    e = curve.roots
+    crit = {x for x in range(p) if all(legendre(x - ei, p) == 1 for ei in e)}
+    image_nb = frozenset(x * inv_abc % p for x in img_nb_monic)
+    tors_x = two_torsion_xvals(p, a, b, c, r)
+    dset = reference_extension_dset(p, a, b, c, r)
+    dset_nb = frozenset(dset - tors_x)
+    twist = (legendre(b * c, p), legendre(a * c, p), legendre(a * b, p))
+    untwisted = 1 if twist == (1, 1, 1) else 0
+    torsion_in_fiber = 0
+    for i in range(3):
+        cls = [legendre(e[i] - e[j], p) if j != i else 0 for j in range(3)]
+        cls[i] = cls[(i + 1) % 3] * cls[(i + 2) % 3]
+        torsion_in_fiber += tuple(cls) == twist
+    if dset_nb:
+        x0 = min(dset_nb) * curve.abc % p
+        y0 = next(y for y in range(p) if (y * y) % p == rhs(curve, x0))
+        coset = {add_points(curve, (x0, y0), P) for P in img}
+        coset_x = {P[0] * inv_abc % p for P in coset if P is not INFINITY}
+        coset_matches = coset_x - tors_x == set(dset_nb)
+    else:
+        coset_matches = torsion_in_fiber + untwisted == image_size
+    image_all = {P[0] * inv_abc % p for P in img if P is not INFINITY}
+    return dict(
+        p=p, a=a, b=b, c=c, r=r,
+        order=order,
+        doubling_image_size=image_size,
+        quarter_order_ok=order % 4 == 0 and image_size == order // 4,
+        criterion_equal=crit == img_nb_monic,
+        twist=twist,
+        dset_nonboundary=dset_nb,
+        image_nonboundary=image_nb,
+        dset_matches_image=dset_nb == image_nb,
+        coset_identity_ok=2 * len(dset_nb) + torsion_in_fiber + untwisted == image_size,
+        coset_xset_matches_dset=coset_matches,
+        boundary=tuple((d, d in dset, d in image_all) for d in sorted(tors_x)),
+    )
+
+
+def point_set(xs, ys):
+    return set(zip(xs.tolist(), ys.tolist()))
+
+
+# ---------------------------------------------------------------------------
+
 
 def test_curve_construction_and_roots():
     curve = TripleCurve(13, 1, 3, 8, 1)
     assert set(curve.roots) == {(-24) % 13, (-8) % 13, (-3) % 13}
     for e in curve.roots:
-        assert curve.rhs(e) == 0
+        assert rhs(curve, e) == 0
     with pytest.raises(ValueError):
         TripleCurve(13, 1, 1, 8, 1)  # repeated entry: singular
     with pytest.raises(ValueError):
         TripleCurve(13, 0, 3, 8, 1)
     with pytest.raises(ValueError):
         TripleCurve(13, 1, 3, 8, 0)
+    # the census's size bound: a prime above it is refused before any array is built
+    assert TripleCurve(99991, 1, 3, 8, 1).p == 99991
+    with pytest.raises(ValueError, match="desk-scale bound"):
+        TripleCurve(100003, 1, 3, 8, 1)
 
 
 def test_curve_order_hasse_and_torsion():
@@ -37,7 +166,16 @@ def test_curve_order_hasse_and_torsion():
     order = curve_order(curve)
     assert 7 <= order <= 21  # 13 + 1 ± 2*sqrt(13)
     assert order % 4 == 0
-    assert order == len(curve_points(curve))
+    assert order == 1 + len(curve_points(curve)[0])
+
+
+@pytest.mark.parametrize("p,a,b,c,r", [(13, 1, 3, 8, 1), (17, 2, 5, 11, 3), (5, 1, 2, 3, 1), (101, 3, 7, 50, 5)])
+def test_curve_points_match_the_reference_sweep(p, a, b, c, r):
+    curve = TripleCurve(p, a, b, c, r)
+    xs, ys = curve_points(curve)
+    assert xs.dtype == ys.dtype == np.int64
+    assert len(xs) == len(point_set(xs, ys))
+    assert point_set(xs, ys) == set(reference_points(curve)[1:])
 
 
 def test_doubling_basics_and_closure():
@@ -45,14 +183,14 @@ def test_doubling_basics_and_closure():
     assert double_point(curve, None) is None
     for e in curve.roots:
         assert double_point(curve, (e, 0)) is None
-    for P in curve_points(curve):
+    for P in reference_points(curve):
         Q = double_point(curve, P)
-        assert Q is None or (Q[1] * Q[1]) % curve.p == curve.rhs(Q[0])
+        assert Q is None or (Q[1] * Q[1]) % curve.p == rhs(curve, Q[0])
 
 
 def test_addition_against_scalar_doubling():
     curve = TripleCurve(17, 2, 5, 11, 3)
-    pts = curve_points(curve)
+    pts = reference_points(curve)
     for P in pts:
         assert add_points(curve, P, None) == P
         assert add_points(curve, P, P) == double_point(curve, P)
@@ -65,21 +203,36 @@ def test_addition_against_scalar_doubling():
         assert left == right
 
 
+@pytest.mark.parametrize("p,a,b,c,r", [(13, 1, 3, 8, 1), (17, 2, 5, 11, 3), (29, 1, 4, 9, 2), (7, 1, 2, 3, 3)])
+def test_array_chord_law_matches_scalar_addition(p, a, b, c, r):
+    # every ordered pair of affine points, Q = P and Q = -P included
+    curve = TripleCurve(p, a, b, c, r)
+    xs, ys = curve_points(curve)
+    i, j = np.divmod(np.arange(len(xs) ** 2), len(xs))
+    x3, y3, finite = _chord_tangent(curve, xs[i], ys[i], xs[j], ys[j])
+    for k in range(len(i)):
+        want = add_points(curve, (int(xs[i[k]]), int(ys[i[k]])), (int(xs[j[k]]), int(ys[j[k]])))
+        got = (int(x3[k]), int(y3[k])) if finite[k] else None
+        assert got == want, (k, want, got)
+
+
 def test_quarter_order():
     for p, a, b, c, r in ((13, 1, 3, 8, 1), (17, 2, 5, 11, 3), (29, 4, 9, 20, 2)):
         curve = TripleCurve(p, a, b, c, r)
         order = curve_order(curve)
-        img = doubling_image(curve)
-        assert len(img) == order // 4
-        assert None in img  # infinity is always a double
+        xs, ys = doubling_image(curve)
+        assert 1 + len(xs) == order // 4  # infinity, always a double, is implicit
+        reference = {double_point(curve, P) for P in reference_points(curve)}
+        assert None in reference
+        assert point_set(xs, ys) == reference - {None}
+        assert list(xs * p + ys) == sorted(set((xs * p + ys).tolist()))
 
 
 def test_doubling_image_symmetry():
     curve = TripleCurve(13, 1, 3, 8, 1)
-    img = doubling_image(curve)
-    for P in img:
-        if P is not None:
-            assert (P[0], (-P[1]) % 13) in img
+    img = point_set(*doubling_image(curve))
+    for x, y in img:
+        assert (x, (-y) % 13) in img
 
 
 def test_extension_dset_examples():
@@ -88,6 +241,7 @@ def test_extension_dset_examples():
     assert 0 in dset  # chi(1) = 1
     dset_nr = extension_dset(13, 1, 3, 8, 2)
     assert (0 in dset_nr) == (legendre(2, 13) == 1)
+    assert all(type(d) is int for d in dset)
 
 
 def test_two_torsion_xvals_are_boundary():
@@ -125,6 +279,25 @@ def test_two_descent_random_instances():
         assert v.dset_matches_image == (v.twist == (1, 1, 1)) or not v.dset_nonboundary
 
 
+def _sample_instances():
+    # every admissible instance at p = 13 with a < b < c (the other orders
+    # permute the roots, which the seeded samples cover), and seeded samples
+    yield from ((13, a, b, c, r) for a, b, c in combinations(range(1, 13), 3) for r in range(1, 13))
+    rng = random.Random(1902)
+    for p in (29, 61, 101):
+        for _ in range(25):
+            yield (p, *rng.sample(range(1, p), 3), rng.randrange(1, p))
+
+
+def test_two_descent_matches_the_scalar_reference():
+    for instance in _sample_instances():
+        got = asdict(two_descent_equiv(*instance))
+        want = reference_two_descent(*instance)
+        assert got == want, instance
+        # numpy scalars would print differently, or not serialize at all
+        assert json.dumps(got, default=sorted) == json.dumps(want, default=sorted), instance
+
+
 def test_extension_count_envelope():
     lo, hi = extension_count_envelope(29)
     assert (lo, hi) == (29 - 11 - 8, 29 + 11)
@@ -138,6 +311,23 @@ def test_eqd_envelope_over_small_primes():
         for a, b, c in dr_triples_distinct(p, r):
             nd = len(extension_dset(p, a, b, c, r, include_boundary=False))
             assert lo <= 8 * nd <= hi, (p, r, a, b, c, nd)
+
+
+# the suite_eqd shapes and the census cross-check's cases
+EXTENSION_SHAPES = [(p, r) for p in (13, 17, 29) for r in (1, 2)] + [(13, 1), (13, 2), (17, 1)]
+
+
+@pytest.mark.parametrize("p,r", EXTENSION_SHAPES)
+def test_batched_extension_counts_match_per_triple_sets(p, r):
+    triples = dr_triples_distinct(p, r)
+    for include_boundary in (True, False):
+        counts = extension_counts(p, r, triples, include_boundary)
+        assert all(type(n) is int for n in counts)
+        for (a, b, c), n in zip(triples, counts):
+            dset = extension_dset(p, a, b, c, r, include_boundary)
+            assert dset == reference_extension_dset(p, a, b, c, r, include_boundary), (a, b, c)
+            assert n == len(dset), (a, b, c, include_boundary)
+    assert extension_counts(p, r, []) == []
 
 
 def test_extension_sum_matches_restricted_quadruple_census():

@@ -255,6 +255,19 @@ def test_conic_direct_matches_closed_small():
                     assert conic_sum_direct(a2, a1, a0, p) == conic_sum_closed(a2, a1, a0, p)
 
 
+def test_conic_sum_direct_arrays_match_the_literal_sum():
+    # every (a2, a1, a0) at every p <= 13, a2 = 0 included, in one array call
+    for p in (3, 5, 7, 11, 13):
+        squares = {x * x % p for x in range(p)}
+        coeffs = np.arange(p)
+        got = conic_sum_direct(coeffs[:, None, None], coeffs[:, None], coeffs, p)
+        assert got.shape == (p, p, p)
+        for a2, a1, a0 in product(range(p), repeat=3):
+            values = [(a2 * c * c + a1 * c + a0) % p for c in range(p)]
+            want = sum(0 if v == 0 else 1 if v in squares else -1 for v in values)
+            assert got[a2, a1, a0] == want, (p, a2, a1, a0)
+
+
 def test_z3_structure_check():
     # r = 1 mod 3: every D(r) triple over F_3 has a zero coordinate
     for r in (1, 4):
