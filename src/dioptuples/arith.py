@@ -78,7 +78,7 @@ class ResidueTables(NamedTuple):
     inv: np.ndarray   # the inverse of a unit x, and 0 at x = 0
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)  # one `audit all` reads 24 primes
 def residue_tables(p: int) -> ResidueTables:
     """The character, square-root and inverse tables of F_p, built once per odd prime p."""
     require_odd_prime(p)

@@ -112,12 +112,12 @@ def _chord_tangent(curve: TripleCurve, x1, y1, x2, y2):
     return x3, y3, chord | ((y1 + y2) % p != 0)
 
 
-def doubling_image(curve: TripleCurve) -> tuple[np.ndarray, np.ndarray]:
+def doubling_image(curve: TripleCurve, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affine points of 2E(F_p) as arrays (x, y), sorted and distinct, by doubling every point.
 
+    x, y are the curve's affine points, as `curve_points` gives them.
     Infinity, the double of the 2-torsion, is always in 2E and is left implicit.
     """
-    x, y = curve_points(curve)
     x2, y2, finite = _chord_tangent(curve, x, y, x, y)
     # a Python sort of at most p codes: np.unique imports numpy.ma, and
     # np.sort pages in 256 KB of vectorized sort code, each raising peak RSS
@@ -220,7 +220,7 @@ def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdi
     order = 1 + len(pts_x)
     if (order - p - 1) ** 2 > 4 * p:
         raise RuntimeError(f"Hasse bound violated: order {order} at p={p}")
-    img_x, img_y = doubling_image(curve)
+    img_x, img_y = doubling_image(curve, pts_x, pts_y)
     image_size = 1 + len(img_x)
     quarter_ok = order % 4 == 0 and image_size == order // 4
 

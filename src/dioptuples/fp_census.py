@@ -12,15 +12,15 @@ points of negation, weighted 1: half the GEMM rows at m = 3 and half the
 loop at m >= 4.  A census runs in one process; the BLAS product already uses
 every core.  The budget charges the larger of q^m tuples and the table bytes.
 
-Every field is an `fq.FqField`: a prime p is taken as F_{p^1}, so each table
-has one body for every q.  The kernel counts tuples of nonzero codes only:
-their products come from the field's log/antilog tables of a primitive
-element.  The zero element is one bit.  Since 0*b + r = r, zero is compatible
-with every element, itself included, when r is a square, and with none when
-it is not; tuples with a zero coordinate follow from the nonzero counts.  The
-square set is 0 and the even powers of the primitive element.  It includes 0
-(`x*y + r = 0` satisfies the membership test); the interior/tilde class
-separately demands nonzero products.
+Every field is an `fq.FqField` (a prime p is F_{p^1}), and every table is in
+log coordinates of its primitive element g: index i stands for g^i.  Since
+g^i g^j + r depends on i + j mod (q-1) alone, a table is the read-only Hankel
+view T[i, j] = v[(i + j) mod (q-1)] of one vector, with no q x q product
+table, and negation (-1 = g^((q-1)/2)) is the half turn i -> i + (q-1)/2.
+The zero element is one bit: since 0*b + r = r, zero is compatible with every
+element, itself included, when r is a square, and with none when it is not;
+tuples with a zero coordinate follow from the nonzero counts.  The square set
+includes 0; the interior/tilde class separately demands nonzero products.
 
 The direct character sums `conic_sum_direct` read the character from
 `arith.residue_tables`, never from a closed form, and take coefficient
@@ -39,8 +39,8 @@ from .fq import FqField, fq_construct
 from .padic import require_nonzero_r
 
 DEFAULT_BUDGET = 10**9
-# tracemalloc peak of census(1009, 1, 3) over 1009^2: the census tables plus
-# the float32 matrix and its square
+# tracemalloc peak of census(1009, 1, 3) over 1009^2 is 8.0: the float32 table,
+# half its rows and their product; the charge keeps 12, so no budget verdict moves
 TABLE_BYTES_PER_CELL = 12
 
 
@@ -58,17 +58,9 @@ def field_size(field) -> int:
 
 
 def _mul_table(field) -> np.ndarray:
-    """Codes of the products a*b of nonzero codes a, b, as exp[log a + log b]."""
+    """Codes of the products a*b of nonzero codes a, b: the reference the census tables are tested against."""
     exp, log = _as_field(field).exp_log
-    return exp[log[1:, None] + log[1:]]
-
-
-def _add_r_vector(field, r: int) -> np.ndarray:
-    """Codes of x + r: r is the F_p constant r mod p, so only the lowest base-p digit moves."""
-    field = _as_field(field)
-    codes = np.arange(field.q, dtype=np.int32)
-    low = codes % field.p
-    return codes - low + (low + r % field.p) % field.p
+    return exp[(log[1:, None] + log[1:]) % len(exp)]
 
 
 def square_table(field) -> np.ndarray:
@@ -78,7 +70,7 @@ def square_table(field) -> np.ndarray:
     exp, _ = field.exp_log
     bitmap = np.zeros(q, dtype=bool)
     bitmap[0] = True
-    bitmap[exp[: q - 1 : 2]] = True
+    bitmap[exp[::2]] = True
     count = int(bitmap.sum())
     if count != (q + 1) // 2:
         raise RuntimeError(f"square set of F_{q} has {count} elements")
@@ -188,13 +180,21 @@ class CensusBreakdown:
 
 
 def _census_tables(field, r: int):
-    """(zero, member, strict): whether r is a square, and the nonzero-code tables."""
+    """(zero, member, strict): whether r is a square, and the Hankel tables of the nonzero elements.
+
+    member[i, j] = v[i + j] over v = [g^k + r is a square, 0 included] stored
+    twice, so row i is a window of v; strict also asks g^k + r != 0.
+    """
+    field = _as_field(field)
+    p, n = field.p, field.q - 1
     sq = square_table(field)
-    addr = _add_r_vector(field, r)
-    shifted = addr[_mul_table(field)]  # a*b + r for nonzero a, b
-    member = sq[shifted]  # member[a, b] <=> a*b + r in squares (0 included)
-    strict = member & (shifted != 0)
-    return bool(sq[addr[0]]), member, strict
+    exp, _ = field.exp_log
+    shifted = exp - exp % p + (exp + r % p) % p  # g^k + r: r moves only the lowest base-p digit
+    v = sq[shifted]
+    member, strict = (np.ndarray((n, n), bool, np.concatenate([u, u]), strides=(1, 1))
+                      for u in (v, v & (shifted != 0)))
+    member.flags.writeable = strict.flags.writeable = False
+    return bool(sq[r % p]), member, strict
 
 
 def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
@@ -204,8 +204,8 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
     then as C(m, k) placements of a nonzero k-tuple.
     """
     zero, member, strict = _census_tables(field, r)
-    exp, log = field.exp_log
-    neg = exp[log[1:] + (field.q - 1) // 2] - 1  # -1 = g^((q-1)/2); index = code - 1
+    n = field.q - 1
+    neg = (np.arange(n) + n // 2) % n  # -g^k = g^(k + (q-1)/2)
     nonzero = _clique_count(member, m, neg)
     total = nonzero
     if zero:

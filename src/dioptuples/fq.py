@@ -131,23 +131,22 @@ class FqField:
     def exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         """Log/antilog tables of g, the primitive element with the smallest code.
 
-        exp[k] is the code of g^k for 0 <= k < 2(q-1): the q-1 powers stored
-        twice, so that exp[log[a] + log[b]] is the product of nonzero codes a
-        and b with no modulo.  log[exp[k]] = k for k < q-1.  Zero has no
-        logarithm; log[0] = 0 is a placeholder that no caller reads.  Read-only.
+        exp[k] is the code of g^k for 0 <= k < q-1, each power stored once,
+        so the product of nonzero codes a and b is exp[(log[a] + log[b]) % (q-1)].
+        log[exp[k]] = k.  Zero has no logarithm; log[0] = 0 is a placeholder
+        that no caller reads.  Read-only.
         """
         n = self.q - 1
         one = self.one()
         cofactors = [n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
         g = next(x for x in map(self.decode, range(1, self.q)) if all(x**c != one for c in cofactors))
-        powers = np.empty(n, dtype=np.int32)
+        exp = np.empty(n, dtype=np.int32)
         x = one
         for k in range(n):
-            powers[k] = x.encode()
+            exp[k] = x.encode()
             x = x * g
         log = np.zeros(self.q, dtype=np.int32)
-        log[powers] = np.arange(n)
-        exp = np.concatenate([powers, powers])
+        log[exp] = np.arange(n)
         exp.flags.writeable = log.flags.writeable = False
         return exp, log
 

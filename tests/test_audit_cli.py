@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import dioptuples
 from dioptuples import audit
+from dioptuples.arith import residue_tables
 from dioptuples.audit import (
     AGREE,
     DISAGREE,
@@ -347,6 +349,27 @@ def test_cli_replays_every_benchmark_invocation(capsys):
         code, out, _ = run_cli(capsys, *invocation.split())
         got = (code, hashlib.sha256(out.encode()).hexdigest())
         assert got == (want["exit"], want["sha256"]), invocation
+
+
+def test_benchmark_trace_targets_exist():
+    # bench/spans.py wraps these by name and fails a traced run on a missing one
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "spans.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert targets
+    names = [(mod, name) for mod, fns in targets.items() for name in fns] + [("fp_census", "field_size")]
+    for mod, name in names:
+        module = importlib.import_module(f"dioptuples.{mod}")
+        assert callable(getattr(module, name, None)), f"{mod}.{name}"
+
+
+def test_audit_all_builds_each_residue_table_once():
+    residue_tables.cache_clear()
+    run_suite("all")
+    assert residue_tables.cache_info().misses == 24  # the distinct primes one `audit all` reads
 
 
 def test_cli_audit_csv(capsys):

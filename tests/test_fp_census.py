@@ -14,6 +14,7 @@ from dioptuples.arith import legendre, squares_mod
 from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
+    _census_tables,
     _clique_count,
     _mul_table,
     census,
@@ -292,6 +293,61 @@ def test_mul_table_matches_field_products(p, f):
     assert _mul_table(field).tolist() == want
     if f == 1:
         assert _mul_table(p).tolist() == want
+
+
+# fields of degree 1, 2, 3 and 5; in F_9 and F_25 every r in F_p is a square
+HANKEL_FIELDS = [(7, 1), (13, 1), (101, 1), (3, 2), (5, 2), (3, 3), (3, 5)]
+
+
+def hankel_rs(field):
+    """r = 1, the smallest nonsquare r in F_p (else p - 1), and the smallest r with -r a square."""
+    sq = square_table(field)
+    p = field.p
+    nonsquare = next((r for r in range(1, p) if not sq[r]), p - 1)
+    return sorted({1, nonsquare, next(r for r in range(1, p) if sq[p - r])})
+
+
+@pytest.mark.parametrize("p,f", HANKEL_FIELDS)
+def test_log_coordinate_tables_match_the_product_table(p, f):
+    field = fq_construct(p, f)
+    exp, _ = field.exp_log
+    n = field.q - 1
+    sq = square_table(field)
+    product_codes = _mul_table(field)[np.ix_(exp - 1, exp - 1)]  # row i, column j: g^i * g^j
+    for r in hankel_rs(field):
+        plus_r = np.array([(x + field.elem([r])).encode() for x in field.elements()])
+        shifted = plus_r[product_codes]
+        zero, member, strict = _census_tables(field, r)
+        assert zero == sq[r]
+        assert np.array_equal(member, sq[shifted]), r
+        assert np.array_equal(strict, sq[shifted] & (shifted != 0)), r
+        for table in (member, strict):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = True
+            base = table
+            while getattr(base, "base", None) is not None:
+                base = base.base
+            assert base.size <= 2 * n
+
+
+@pytest.mark.parametrize("p,f", HANKEL_FIELDS)
+def test_census_negation_is_the_half_turn(monkeypatch, p, f):
+    field = fq_construct(p, f)
+    exp, _ = field.exp_log
+    minus_one = field.elem([p - 1])
+    want = [(field.decode(int(code)) * minus_one).encode() for code in exp]
+    kernel, negations = fp_census._clique_count, []
+
+    def record(B, k, neg=None):
+        negations.append(neg)
+        return kernel(B, k, neg)
+
+    monkeypatch.setattr(fp_census, "_clique_count", record)
+    census(field, 1, 3)
+    assert negations
+    for neg in negations:
+        assert exp[neg].tolist() == want  # index k of g^k goes to the index of -g^k
 
 
 def test_square_tables_match_character_and_squares_mod():
