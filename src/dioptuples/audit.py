@@ -27,7 +27,15 @@ from .curves import (
     extension_counts,
     two_descent_equiv,
 )
-from .fp_census import BudgetExceededError, _census_tables, _clique_count, _induced, census, conic_sum_direct
+from .fp_census import (
+    BudgetExceededError,
+    _census_tables,
+    _clique_count,
+    _induced,
+    _largest_fitting,
+    census,
+    conic_sum_direct,
+)
 from .padic import r_shape
 from .zp_census import (
     MeasureInterval,
@@ -113,11 +121,9 @@ def auto_rset(p: int) -> list[int]:
 
 def interval_precision(p: int, m: int, cap: int = 10**8) -> int:
     """Largest N with p^(mN) <= cap."""
-    if p**m > cap:
+    N = _largest_fitting(lambda k: p ** (m * k), cap)
+    if N == 0:
         raise BudgetExceededError(f"census size {p}^{m} at N = 1 exceeds budget {cap}")
-    N = 1
-    while p ** (m * (N + 1)) <= cap:
-        N += 1
     return N
 
 

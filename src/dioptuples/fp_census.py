@@ -1,22 +1,31 @@
 """Exhaustive, formula-independent censuses of D(r) m-tuples over F_p and F_q.
 
 This module is the authoritative oracle on finite fields: it never consults
-a closed form.  Tuples are counted over the full cartesian power by one
-clique kernel, `_clique_count`, which the Z/p^N sweep in `zp_census` shares:
-the last three coordinates are one float32 matrix product (a GEMM) over the
-q x q compatibility table, masked by the table and summed exactly in int64,
-and each further coordinate is one loop over neighbourhoods.  Since
+a closed form.  Tuples are counted over the full cartesian power.  Every
+count of order m <= 3 comes from square-class sums (`_class_triangles`): on
+a table T[x, y] = w(xy) over a finite abelian group G, the map
+(x, y, z) -> (xy, yz, zx) is |G[2]|-to-one onto the (s, t, u) with stu a
+square, so the ordered triangles are c * sum W[a] W[b] W[a ^ b] over the
+c = |G/G^2| square classes, where W[a] sums w over class a.  Over F_q* the
+classes are the squares and the nonsquares, so a census of order <= 3 reads
+one vector of length q - 1 and builds no q x q array; the Z/p^N sweep in
+`zp_census` shares the identity, shell by shell.  Orders m >= 4 go through
+one clique kernel, `_clique_count`, which the Z/p^N sweep also shares: the
+last three coordinates are one float32 matrix product (a GEMM) over the
+compatibility table, masked by the table and summed exactly in int64, and
+each further coordinate is one loop over neighbourhoods.  Since
 (-a)(-b) = ab, negation preserves every table, so the first coordinate runs
 over one element of each {a, -a} pair, weighted 2, and over the fixed
-points of negation, weighted 1: half the GEMM rows at m = 3 and half the
-loop at m >= 4.  A census runs in one process; the BLAS product already uses
-every core.  The budget charges the larger of q^m tuples and the table bytes.
+points of negation, weighted 1.  A census runs in one process; the BLAS
+product already uses every core.  The budget charges the larger of q^m
+tuples and the table bytes.
 
 Every field is an `fq.FqField` (a prime p is F_{p^1}), and every table is in
 log coordinates of its primitive element g: index i stands for g^i.  Since
 g^i g^j + r depends on i + j mod (q-1) alone, a table is the read-only Hankel
 view T[i, j] = v[(i + j) mod (q-1)] of one vector, with no q x q product
-table, and negation (-1 = g^((q-1)/2)) is the half turn i -> i + (q-1)/2.
+table; g^i is a square exactly when i is even, and negation
+(-1 = g^((q-1)/2)) is the half turn i -> i + (q-1)/2.
 The zero element is one bit: since 0*b + r = r, zero is compatible with every
 element, itself included, when r is a square, and with none when it is not;
 tuples with a zero coordinate follow from the nonzero counts.  The square set
@@ -39,13 +48,25 @@ from .fq import FqField, fq_construct
 from .padic import require_nonzero_r
 
 DEFAULT_BUDGET = 10**9
-# tracemalloc peak of census(1009, 1, 3) over 1009^2 is 8.0: the float32 table,
-# half its rows and their product; the charge keeps 12, so no budget verdict moves
+# orders <= 3 build no table; the tracemalloc peak of census(1009, 1, 4) over
+# 1009^2 is 2.3: one neighbourhood's float32 table and its product; the charge
+# keeps 12, so no budget verdict moves
 TABLE_BYTES_PER_CELL = 12
 
 
 class BudgetExceededError(ValueError):
     """Raised when a census would enumerate more residue tuples than allowed."""
+
+
+def _largest_fitting(cost, budget: int) -> int:
+    """The largest k >= 0 with cost(k) <= budget, for a cost that grows with k; 0 when none fits."""
+    lo, hi = 0, 1
+    while cost(hi) <= budget:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # cost(hi) > budget, and cost(lo) <= budget unless lo = 0
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cost(mid) <= budget else (lo, mid)
+    return lo
 
 
 def _as_field(field) -> FqField:
@@ -81,19 +102,17 @@ def square_table(field) -> np.ndarray:
 # vectorized sweep
 
 
-def _closed_paths(S: np.ndarray, rows=slice(None)) -> np.ndarray:
+def _closed_paths(S: np.ndarray) -> np.ndarray:
     """Float32 matrix whose entry (i, j) counts the k with S[i, k], S[k, j] and S[i, j].
 
-    One row per index i in `rows`, all by default: the 2-paths from i to j of
-    S[rows] @ S, masked in place by row i of S.  Its sum is the ordered
-    triangles through `rows`, taken without a boolean gather.  Every entry is
-    an integer of at most n, exact in float32 while n < 2^24; callers sum in
+    The 2-paths from i to j of S @ S, masked in place by S.  Its sum is the
+    ordered triangles, taken without a boolean gather.  Every entry is an
+    integer of at most n, exact in float32 while n < 2^24; callers sum in
     int64, which is exact.
     """
     f = S.astype(np.float32)
-    fr = f[rows]
-    P = fr @ f
-    P *= fr
+    P = f @ f
+    P *= f
     return P
 
 
@@ -137,7 +156,8 @@ def _clique_count(B: np.ndarray, m: int, neg: np.ndarray | None = None) -> int:
     runs over one representative a < neg[a] of each pair, weighted 2, and
     over each fixed point a == neg[a], weighted 1.  neg is read only when
     m >= 3, and then checked: a map that is not such an involution raises
-    RuntimeError.
+    RuntimeError.  The census counts orders <= 3 without this kernel (see
+    `_class_triangles`); it hands it neg at m >= 4 only.
     """
     n = B.shape[0]
     if n >= 2**24:
@@ -157,9 +177,22 @@ def _clique_count(B: np.ndarray, m: int, neg: np.ndarray | None = None) -> int:
     _require_invariant(B, neg)
     rows = np.flatnonzero(np.arange(n) <= neg)
     weight = np.where(rows < neg[rows], 2, 1)
-    if m == 3:
-        return int(weight @ _closed_paths(B, rows).sum(axis=1, dtype=np.int64))
     return sum(int(w) * g(m - 1, _induced(B, B[a])) for a, w in zip(rows, weight))
+
+
+def _class_triangles(W1, W2, W3) -> int:
+    """sum over x, y, z in G of w1(xy) w2(yz) w3(zx), from square-class sums.
+
+    G is a finite abelian group whose c = |G/G^2| square classes are labelled
+    0 .. c-1 so that the label of a product is the XOR of the labels, and
+    W_e[a] sums w_e over class a.  The map (x, y, z) -> (xy, yz, zx) is
+    |G[2]|-to-one onto the (s, t, u) with stu a square, |G[2]| = c, and stu is
+    a square exactly when the label of u is the XOR of those of s and t, so
+    the sum is c * sum over a, b of W1[a] W2[b] W3[a ^ b].  Exact in Python
+    integers.
+    """
+    c = len(W1)
+    return c * sum(W1[a] * W2[b] * W3[a ^ b] for a in range(c) for b in range(c))
 
 
 @dataclass(frozen=True)
@@ -201,16 +234,27 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
     """(total, nonzero, interior) counts of D(r) m-tuples.
 
     Tuples with k nonzero coordinates count only if the zero bit is set, and
-    then as C(m, k) placements of a nonzero k-tuple.
+    then as C(m, k) placements of a nonzero k-tuple.  Orders k <= 3 come from
+    the square-class sums of row 0 of a table, which is its vector v: E and O
+    count the set entries at even and odd logarithms (squares, nonsquares),
+    so order 1 is q-1, order 2 is (q-1)(E+O) and order 3 is 2E^3 + 6EO^2.
+    Orders k >= 4 go through the clique kernel.
     """
     zero, member, strict = _census_tables(field, r)
     n = field.q - 1
     neg = (np.arange(n) + n // 2) % n  # -g^k = g^(k + (q-1)/2)
-    nonzero = _clique_count(member, m, neg)
+
+    def count(table, k):
+        if k > 3:
+            return _clique_count(table, k, neg)
+        W = [int(np.count_nonzero(table[0, c::2])) for c in (0, 1)]
+        return (1, n, n * sum(W), _class_triangles(W, W, W))[k]
+
+    nonzero = count(member, m)
     total = nonzero
     if zero:
-        total += sum(comb(m, k) * (_clique_count(member, k, neg) if k else 1) for k in range(m))
-    return total, nonzero, _clique_count(strict, m, neg)
+        total += sum(comb(m, k) * count(member, k) for k in range(m))
+    return total, nonzero, count(strict, m)
 
 
 def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdown:
@@ -227,10 +271,14 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdo
     r %= field.p  # censuses only ever see r as an element of F_p
     require_nonzero_r(r)
     q = field.q
-    charge = max(q**m, TABLE_BYTES_PER_CELL * q * q)
-    if charge > budget:
+
+    def charge(k):
+        return max(k**m, TABLE_BYTES_PER_CELL * k * k)
+
+    if charge(q) > budget:
         raise BudgetExceededError(
-            f"census charge {charge} (max of {q}^{m} tuples, {TABLE_BYTES_PER_CELL}*{q}^2 table bytes) exceeds budget {budget}"
+            f"census charge {charge(q)} (max of {q}^{m} tuples, {TABLE_BYTES_PER_CELL}*{q}^2 table bytes) "
+            f"exceeds budget {budget}; at m = {m} the fields that fit have q <= {_largest_fitting(charge, budget)}"
         )
     total, nz, interior = _census_counts(field, r, m)
     return CensusBreakdown(

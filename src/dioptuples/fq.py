@@ -9,7 +9,8 @@ Elements are also addressable as integers: (c_0, ..., c_{f-1}) encodes to
 sum c_i * p^i.  Census code enumerates fields through this encoding, and a
 prime field F_p is F_{p^1}, where the code of a residue is the residue.
 Products of codes go through one pair of log/antilog tables of a primitive
-element, built lazily with q - 1 field multiplications and cached read-only.
+element, built lazily from about log2(q) f x f matrix products over F_p and
+cached read-only.
 """
 
 from __future__ import annotations
@@ -135,16 +136,22 @@ class FqField:
         so the product of nonzero codes a and b is exp[(log[a] + log[b]) % (q-1)].
         log[exp[k]] = k.  Zero has no logarithm; log[0] = 0 is a placeholder
         that no caller reads.  Read-only.
+
+        The powers are built by doubling blocks of digit vectors: multiplying
+        by h is the f x f matrix M_h over F_p whose column i is h * x^i, so the
+        block g^0 .. g^(L-1) times M_h for h = g^L is g^L .. g^(2L-1), and
+        squaring M_h moves to the next block.
         """
-        n = self.q - 1
+        n, p, f = self.q - 1, self.p, self.f
         one = self.one()
         cofactors = [n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
         g = next(x for x in map(self.decode, range(1, self.q)) if all(x**c != one for c in cofactors))
-        exp = np.empty(n, dtype=np.int32)
-        x = one
-        for k in range(n):
-            exp[k] = x.encode()
-            x = x * g
+        M = np.array([(g * self.elem([0] * i + [1])).coeffs for i in range(f)], dtype=np.int64).T
+        digits = np.eye(1, f, dtype=np.int64)  # g^0 = 1
+        while len(digits) < n:
+            digits = np.concatenate([digits, digits @ M.T % p])
+            M = M @ M % p
+        exp = (digits[:n] @ p ** np.arange(f)).astype(np.int32)
         log = np.zeros(self.q, dtype=np.int32)
         log[exp] = np.arange(n)
         exp.flags.writeable = log.flags.writeable = False

@@ -9,9 +9,14 @@ measure at every precision; increasing N only tightens it.
 
 For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
 depends only on v_p(t), so counting the selected residues per valuation
-shell and weighting each shell once replaces the p^(2N) sweep.  The fast
-path is property-tested against the general m-tuple sweep at m = 2.  The
-sweep counts tuples with the F_q census's clique kernel, over the status grid.
+shell and weighting each shell once replaces the p^(2N) sweep.  Triples
+come from the F_q census's square-class identity (`_class_triangles`),
+shell by shell: with a = p^k x for a unit x, ab + r depends on xy and on
+min(k + l, N) alone, so each triple of valuation shells is one sum over the
+square classes of the unit group, and no p^(2N) array is built.  Both
+routes are property-tested against the general m-tuple sweep, which counts
+tuples with the F_q census's clique kernel over the status grid and serves
+m >= 4.
 
 The valuation vector (built shell by shell with strided adds) and the status
 table are built once per (p, N) and cached read-only; callers roll them by r.
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .closed_forms import (
     mu_B_beta_q,
     mu_B_tail,
 )
-from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _clique_count
+from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _class_triangles, _clique_count, _largest_fitting
 from .padic import require_nonzero_r
 
 
@@ -144,6 +150,41 @@ def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
     return _clique_count(grid == 1, m, neg), _clique_count(grid != -1, m, neg)
 
 
+def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
+    """(lo, hi) triple counts over Z/p^N from square-class sums, shell by shell.
+
+    Write a = p^k x with x in the unit group G: each a of shell k < N is hit
+    by p^k units, and zero, shell N, by all |G|.  For a in shell k and b in
+    shell l, ab + r = p^s xy + r with s = min(k + l, N), a function w_s of
+    xy, so each shell triple is one `_class_triangles` over G divided by the
+    product of the three hit counts, an exact integer.  The class of a unit
+    is its residue character for odd p, and (x mod 8) >> 1 for p = 2 (mod 4
+    at N = 2, a single class at N = 1): (Z/2^N)* / squares is (Z/8)*.
+    """
+    q = p**N
+    units = np.flatnonzero(np.arange(q) % p)
+    if p == 2:
+        labels = units % min(8, q) >> 1
+    else:
+        labels = np.where(np.isin(units % p, list(squares_mod(p))), 0, 1)
+    c = int(labels.max()) + 1
+    st = status_table(p, N)
+    sums = []  # per s: the lo and hi class sums of w_s
+    for s in range(N + 1):
+        status = st[(p**s * units + r) % q]
+        sums.append([np.bincount(labels[good], minlength=c).tolist() for good in (status == 1, status != -1)])
+    hits = [p**k for k in range(N)] + [len(units)]
+    counts = [0, 0]
+    for k, l, n in product(range(N + 1), repeat=3):
+        W = [sums[min(i + j, N)] for i, j in ((k, l), (l, n), (n, k))]
+        for bound in (0, 1):
+            count, rest = divmod(_class_triangles(*(w[bound] for w in W)), hits[k] * hits[l] * hits[n])
+            if rest:
+                raise RuntimeError(f"shell triple {(k, l, n)} of Z/{p}^{N} has a non-integral count")
+            counts[bound] += count
+    return counts[0], counts[1]
+
+
 def zp_interval(
     p: int,
     r: int,
@@ -153,7 +194,8 @@ def zp_interval(
 ) -> MeasureInterval:
     """Rigorous [lo, hi] bracket of the D(r) m-tuple measure over Z_p.
 
-    Pairs take the valuation-weight fast path; m >= 3 takes the general sweep.
+    Pairs take the valuation-weight fast path, triples the shell route, and
+    m >= 4 the general sweep.
     r must be nonzero; its class mod p^N may vanish.
     """
     require_nonzero_r(r)
@@ -162,10 +204,15 @@ def zp_interval(
     if m < 2 or N < 1:
         raise ValueError("need m >= 2 and N >= 1")
     if p ** (m * N) > budget:
-        raise BudgetExceededError(f"census size {p}^{m * N} exceeds budget {budget}")
+        fits = _largest_fitting(lambda k: p ** (m * k), budget)
+        raise BudgetExceededError(
+            f"census size {p}^{m * N} exceeds budget {budget}; at p = {p}, m = {m} the largest N that fits is {fits}"
+        )
     r = r % p**N
     if m == 2:
         lo, hi = _zp_pair_fast(p, r, N)
+    elif m == 3:
+        lo, hi = _zp_triples(p, r, N)
     else:
         lo, hi = _zp_sweep(p, r, m, N)
     return _interval_from_counts(lo, hi, p ** (m * N), p, N, m)

@@ -1,8 +1,10 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as Fr
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
     _census_tables,
+    _class_triangles,
     _clique_count,
     _mul_table,
     census,
@@ -22,6 +25,7 @@ from dioptuples.fp_census import (
     square_table,
 )
 from dioptuples.fq import fq_construct, quad_char_fq
+from dioptuples.zp_census import zp_interval
 
 
 def reference_census(p, r, m):
@@ -149,10 +153,25 @@ def test_clique_count_matches_brute_force():
 FQ_SHAPES = [(1009, 1, 3), (211, 1, 4), (53, 1, 5), (3, 5, 3), (101, 1, 4), (13, 1, 6), (3, 2, 4)]
 
 
+def kernel_counts(field, r, m):
+    """(total, nonzero, interior) from the clique kernel alone, without negation, at every order."""
+    zero, member, strict = _census_tables(field, r)
+    nonzero = _clique_count(member, m)
+    zero_terms = sum(comb(m, k) * (_clique_count(member, k) if k else 1) for k in range(m))
+    return nonzero + zero * zero_terms, nonzero, _clique_count(strict, m)
+
+
+def census_counts(c):
+    return c.total, c.total - c.boundary, c.interior
+
+
 @pytest.mark.parametrize("p,f,m", FQ_SHAPES)
 def test_census_counts_equal_the_kernel_without_negation(monkeypatch, p, f, m):
     field = fq_construct(p, f)
     got = [census(field, r, m, budget=10**10) for r in (1, 2)]
+    if m == 3:  # square-class sums, no kernel call: the kernel is the oracle
+        assert [census_counts(c) for c in got] == [kernel_counts(field, r, 3) for r in (1, 2)]
+        return
     kernel, negations = fp_census._clique_count, []
 
     def without_negation(B, k, neg=None):
@@ -218,6 +237,18 @@ def test_census_budget():
         census(101, 1, 4, budget=10**6)
     with pytest.raises(ValueError, match="desk-scale"):  # the field refuses it first
         census(100_003, 1, 2, budget=10**11)
+
+
+def test_budget_errors_say_what_fits():
+    # 1000^3 = 10^9 fits at m = 3 and 1001^3 does not; 3^18 fits and 3^21 does not
+    with pytest.raises(BudgetExceededError, match=r"exceeds budget 1000000000; at m = 3 the fields that fit have q <= 1000$"):
+        census(1009, 1, 3)
+    with pytest.raises(BudgetExceededError, match=r"at m = 2 the fields that fit have q <= 0$"):
+        census(5, 1, 2, budget=0)
+    with pytest.raises(BudgetExceededError, match=r"3\^27 exceeds budget 1000000000; at p = 3, m = 3 the largest N that fits is 6$"):
+        zp_interval(3, 1, 3, 9)
+    with pytest.raises(BudgetExceededError, match=r"exceeds budget 8; at p = 2, m = 3 the largest N that fits is 1$"):
+        zp_interval(2, 1, 3, 2, budget=8)
 
 
 def test_census_over_extension_field():
@@ -344,10 +375,57 @@ def test_census_negation_is_the_half_turn(monkeypatch, p, f):
         return kernel(B, k, neg)
 
     monkeypatch.setattr(fp_census, "_clique_count", record)
-    census(field, 1, 3)
+    census(field, 1, 4, budget=10**10)  # orders <= 3 read no negation
     assert negations
     for neg in negations:
         assert exp[neg].tolist() == want  # index k of g^k goes to the index of -g^k
+
+
+# the HANKEL_FIELDS and four more prime fields
+CLASS_SUM_FIELDS = [(7, 1), (11, 1), (13, 1), (101, 1), (211, 1), (1009, 1), (3, 2), (5, 2), (3, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("p,f", CLASS_SUM_FIELDS)
+def test_order_three_censuses_equal_the_kernel(p, f):
+    field = fq_construct(p, f)
+    for r in hankel_rs(field):
+        for m in (2, 3):
+            assert census_counts(census(field, r, m, budget=10**10)) == kernel_counts(field, r, m), (r, m)
+
+
+def test_order_three_censuses_build_no_table():
+    # the peak of the class-sum route is O(q): no q x q table, no GEMM
+    census(1009, 25, 3, budget=10**10)  # builds and caches the log tables
+    tracemalloc.start()
+    try:
+        census(1009, 25, 3, budget=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+def test_class_triangles_match_the_group_sum():
+    # (Z/8)* is the Klein group: x -> (x mod 8) >> 1 labels its classes by XOR
+    rng = np.random.default_rng(5)
+    units = [1, 3, 5, 7]
+    for _ in range(20):
+        w = rng.integers(0, 4, size=(3, 8))
+        want = sum(w[0][x * y % 8] * w[1][y * z % 8] * w[2][z * x % 8] for x, y, z in product(units, repeat=3))
+        W = [[int(w[e][x]) for x in units] for e in range(3)]
+        assert _class_triangles(*W) == want
+
+
+def test_shell_quotients_must_be_integral_under_optimize():
+    # a triangle sum the hit counts of its shells do not divide is refused with asserts stripped
+    code = (
+        "from dioptuples import zp_census\n"
+        "zp_census._class_triangles = lambda *W: 1\n"
+        "zp_census.zp_interval(3, 1, 3, 2)\n"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode == 1
+    assert "RuntimeError: shell triple" in proc.stderr
 
 
 def test_square_tables_match_character_and_squares_mod():

@@ -1,6 +1,6 @@
 import pytest
 
-from dioptuples.arith import legendre
+from dioptuples.arith import is_prime, legendre
 from dioptuples.fq import fq_construct, quad_char_fq
 
 
@@ -65,6 +65,28 @@ def test_log_tables_are_read_only_and_fields_cached():
             assert field.decode(int(exp[k])) == g**k
         assert sorted(exp) == list(range(1, field.q))  # g is primitive
         assert all(log[exp[k]] == k for k in range(field.q - 1))
+
+
+def walked_exp_log(field):
+    """exp and log by q - 1 scalar products with the smallest primitive element: the reference for exp_log."""
+    n = field.q - 1
+    one = field.one()
+    cofactors = [n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
+    g = next(x for x in map(field.decode, range(1, field.q)) if all(x**c != one for c in cofactors))
+    exp, x = [], one
+    for _ in range(n):
+        exp.append(x.encode())
+        x = x * g
+    log = [0] * field.q
+    for k, code in enumerate(exp):
+        log[code] = k
+    return exp, log
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (3, 2), (5, 2), (3, 3), (3, 5), (1009, 1), (99991, 1)])
+def test_exp_log_equals_the_scalar_walk(p, f):
+    exp, log = fq_construct(p, f).exp_log
+    assert (exp.tolist(), log.tolist()) == walked_exp_log(fq_construct(p, f))
 
 
 def test_prime_field_agrees_with_legendre():

@@ -1,6 +1,10 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 from fractions import Fraction as Fr
 from itertools import product
 from pathlib import Path
@@ -18,6 +22,7 @@ from dioptuples.zp_census import (
     _vp_vector,
     _zp_pair_fast,
     _zp_sweep,
+    _zp_triples,
     pair_product_weights,
     series_consistency,
     status_table,
@@ -100,6 +105,51 @@ def test_sweep_counts_equal_the_kernel_without_negation(monkeypatch, p, N, m):
     monkeypatch.setattr(zp_census, "_clique_count", without_negation)
     assert [_zp_sweep(p, r, m, N) for r in (1, 2)] == got
     assert negations and all(neg is not None for neg in negations)
+
+
+# every N up to 7 at p = 2, where the unit classes are one, two and then four;
+# p = 3, 5, 7 while the sweep's q x q grid stays at most 625^2
+SHELL_SHAPES = [(p, N) for p, top in ((2, 7), (3, 5), (5, 4), (7, 3)) for N in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("p,N", SHELL_SHAPES)
+def test_shell_triples_equal_the_sweep(p, N):
+    # r = p and r = p^N: the classes of r mod p and mod p^N that vanish
+    for r in sorted({1, 2, 3, 5, p, 2 * p, p**N}):
+        r %= p**N
+        assert _zp_triples(p, r, N) == _zp_sweep(p, r, 3, N), r
+
+
+def test_shell_route_reads_no_closed_form():
+    # zp_census imports closed forms for series_consistency; the m = 3 route names none of them
+    tree = ast.parse(Path(zp_census.__file__).read_text())
+    closed = {"closed_forms", "cf"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "closed_forms"
+        for alias in node.names
+    }
+    assert "diop2_ok" in closed
+
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from names(const)
+
+    for fn in (zp_census.zp_interval, zp_census._zp_triples, zp_census.status_table, zp_census._interval_from_counts):
+        assert not closed & set(names(inspect.unwrap(fn).__code__)), fn.__name__
+
+
+def test_shell_triples_run_in_linear_memory():
+    zp_interval(3, 25, 3, 6)  # builds and caches the status table
+    tracemalloc.start()
+    try:
+        zp_interval(3, 25, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # the sweep's 729 x 729 int64 grid alone is 4.25 MB
 
 
 def brute_interval(p, r, m, N):
