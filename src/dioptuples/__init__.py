@@ -30,8 +30,8 @@ from .fp_census import (
     conic_sum_direct,
     square_table,
 )
-from .fq import FqElem, FqField, fq_construct, quad_char_fq
-from .padic import ResidueClass, RShape, SquareStatus, r_shape, square_status, vp
+from .fq import FqField, fq_construct
+from .padic import RShape, r_shape, vp
 from .zp_census import (
     MeasureInterval,
     series_consistency,

@@ -1,21 +1,22 @@
 """Finite fields F_q of odd characteristic, q = p^f, at desk scale.
 
-Elements are coefficient vectors over F_p modulo a fixed monic irreducible
-polynomial.  The modulus is chosen deterministically (smallest candidate in
-the lexicographic order on coefficient tuples) so that element encodings are
-reproducible across runs and machines.
+F_q is F_p[x] modulo a fixed monic irreducible polynomial.  The modulus is
+chosen deterministically (smallest candidate in the lexicographic order on
+coefficient tuples) so that element encodings are reproducible across runs
+and machines.
 
-Elements are also addressable as integers: (c_0, ..., c_{f-1}) encodes to
-sum c_i * p^i.  Census code enumerates fields through this encoding, and a
-prime field F_p is F_{p^1}, where the code of a residue is the residue.
-Products of codes go through one pair of log/antilog tables of a primitive
-element, built lazily from about log2(q) f x f matrix products over F_p and
+Elements are addressed as integers: the coefficient vector (c_0, ...,
+c_{f-1}) encodes to sum c_i * p^i.  Census code enumerates fields through
+this encoding, and a prime field F_p is F_{p^1}, where the code of a residue
+is the residue.  All arithmetic is on f x f matrices over F_p: multiplying
+by h = sum h_i x^i is M_h = sum h_i C^i, with C the companion matrix of the
+modulus.  Products of codes go through one pair of log/antilog tables of a
+primitive element, built lazily from about log2(q) such matrix products and
 cached read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,23 +34,16 @@ def _digits(k, p, width):
     return out
 
 
-def _poly_mulmod(a, b, modulus, p):
-    # schoolbook multiply, then reduce by the monic modulus
-    f = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, f - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(f):
-                prod[i - f + j] = (prod[i - f + j] - c * modulus[j]) % p
-    out = prod[:f]
-    out += [0] * (f - len(out))
-    return out
+def _prime_factors(n):
+    # trial division up to sqrt(n)
+    primes, ell = [], 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            primes.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1
+    return primes + [n] * (n > 1)
 
 
 def _poly_rem(a, b, p):
@@ -107,27 +101,6 @@ class FqField:
         self.q = p**f
         self.modulus = find_irreducible(p, f)
 
-    def elem(self, coeffs) -> "FqElem":
-        if isinstance(coeffs, int):
-            return self.decode(coeffs)
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.f:
-            raise ValueError("coefficient vector longer than extension degree")
-        c += [0] * (self.f - len(c))
-        return FqElem(self, tuple(c))
-
-    def decode(self, code: int) -> "FqElem":
-        if not 0 <= code < self.q:
-            raise ValueError(f"element code {code} out of range for q={self.q}")
-        return FqElem(self, tuple(_digits(code, self.p, self.f)))
-
-    def elements(self):
-        for code in range(self.q):
-            yield self.decode(code)
-
-    def one(self) -> "FqElem":
-        return self.elem([1])
-
     @cached_property
     def exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         """Log/antilog tables of g, the primitive element with the smallest code.
@@ -137,16 +110,34 @@ class FqField:
         log[exp[k]] = k.  Zero has no logarithm; log[0] = 0 is a placeholder
         that no caller reads.  Read-only.
 
-        The powers are built by doubling blocks of digit vectors: multiplying
-        by h is the f x f matrix M_h over F_p whose column i is h * x^i, so the
-        block g^0 .. g^(L-1) times M_h for h = g^L is g^L .. g^(2L-1), and
-        squaring M_h moves to the next block.
+        Multiplying by h is the f x f matrix M_h = sum h_i C^i over F_p, C
+        the companion matrix of the modulus, so column i of M_h is h * x^i.
+        g is the first code c with M_c^(n/l) != I for every prime l | n = q-1,
+        the powers taken by square-and-multiply, 16 codes at a time.  The
+        powers of g are built by doubling blocks of digit vectors: the block
+        g^0 .. g^(L-1) times M_h for h = g^L is g^L .. g^(2L-1), and squaring
+        M_h moves to the next block.
         """
         n, p, f = self.q - 1, self.p, self.f
-        one = self.one()
-        cofactors = [n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
-        g = next(x for x in map(self.decode, range(1, self.q)) if all(x**c != one for c in cofactors))
-        M = np.array([(g * self.elem([0] * i + [1])).coeffs for i in range(f)], dtype=np.int64).T
+        C = np.eye(f, k=-1, dtype=np.int64)  # x * x^i = x^(i+1) for i < f-1
+        C[:, -1] = -np.array(self.modulus[:f]) % p  # x^f = -(c_0 + ... + c_{f-1} x^(f-1))
+        powers = [np.eye(f, dtype=np.int64)]  # C^0 .. C^(f-1)
+        while len(powers) < f:
+            powers.append(powers[-1] @ C % p)
+        identity, powers = powers[0], np.array(powers)
+        cofactors = np.array([n // ell for ell in _prime_factors(n)])[:, None, None, None]
+        for start in range(1, self.q, 16):  # codes in order, 16 at a time
+            codes = np.arange(start, min(start + 16, self.q))
+            coeffs = codes[:, None] // p ** np.arange(f) % p
+            Ms = (coeffs @ powers.reshape(f, -1)).reshape(-1, f, f) % p  # M_c for each code c
+            R, S = identity, Ms  # R[l, c] = M_c^(n/l) once every bit is read
+            for b in range(n.bit_length()):
+                R = np.where(cofactors >> b & 1, R @ S % p, R)
+                S = S @ S % p
+            primitive = (R != identity).any(axis=(2, 3)).all(axis=0)
+            if primitive.any():
+                M = Ms[primitive.argmax()]
+                break
         digits = np.eye(1, f, dtype=np.int64)  # g^0 = 1
         while len(digits) < n:
             digits = np.concatenate([digits, digits @ M.T % p])
@@ -160,67 +151,9 @@ class FqField:
     def __repr__(self):
         return f"FqField(p={self.p}, f={self.f}, modulus={self.modulus})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqField)
-            and (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.f, self.modulus))
-
-
-@dataclass(frozen=True)
-class FqElem:
-    field: FqField
-    coeffs: tuple[int, ...]
-
-    def encode(self) -> int:
-        return sum(c * self.field.p**i for i, c in enumerate(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "FqElem") -> "FqElem":
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "FqElem") -> "FqElem":
-        c = _poly_mulmod(
-            list(self.coeffs), list(other.coeffs), list(self.field.modulus), self.field.p
-        )
-        return FqElem(self.field, tuple(c))
-
-    def __pow__(self, n: int) -> "FqElem":
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
 
 @lru_cache(maxsize=128)
 def fq_construct(p: int, f: int) -> FqField:
     """Field with the deterministic smallest irreducible modulus, one per (p, f)."""
     return FqField(p, f)
-
-
-def quad_char_fq(x: FqElem) -> int:
-    """Quadratic character on F_q: 0 at zero, else x^((q-1)/2) mapped to ±1.
-
-    Computed by modular exponentiation, independently of the census square
-    tables.  Agrees with the Legendre symbol on prime fields.
-    """
-    field = x.field
-    if field.p == 2:
-        raise ValueError("characteristic 2 is unsupported")
-    if x.is_zero():
-        return 0
-    y = x ** ((field.q - 1) // 2)
-    if y == field.one():
-        return 1
-    return -1
 

@@ -76,8 +76,14 @@ def _vp_vector(p: int, N: int) -> np.ndarray:
 def status_table(p: int, N: int) -> np.ndarray:
     """Vector of square statuses over Z/p^N: 1 square, -1 nonsquare, 0 undetermined.
 
-    Vectorized restatement of `padic.square_status`; equality with the scalar
-    classifier is asserted by tests.  Read-only, built once per (p, N).
+    The three values say that every Z_p lift of the class is a square, that
+    none is, or that both kinds exist; interval censuses are rigorous because
+    of the third.  A class t = p^k u, u a unit and k < N, is a nonsquare when
+    k is odd.  For even k, u mod p decides it when p is odd.  When p = 2,
+    u mod 8 decides it once N - k >= 3; below that, u = 3 mod 4 seen mod 4 is
+    a nonsquare and the rest is undetermined, as is the zero class.  Tests
+    pin every status against the lifts two levels up.  Read-only, built once
+    per (p, N).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

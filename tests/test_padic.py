@@ -1,10 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from dioptuples.padic import ResidueClass, SquareStatus, r_shape, square_status, vp
+from dioptuples.padic import r_shape, vp
+from dioptuples.zp_census import status_table
 
-SQ = SquareStatus.SQUARE
-NON = SquareStatus.NONSQUARE
-UND = SquareStatus.UNDETERMINED
+SQ, NON, UND = 1, -1, 0  # the status_table codes
 
 
 def test_vp_examples():
@@ -16,70 +17,44 @@ def test_vp_examples():
 
 
 def test_square_status_examples():
-    assert square_status(ResidueClass(2, 5, 17)) == SQ  # unit = 1 mod 8
-    assert square_status(ResidueClass(2, 3, 4)) == UND  # unit of 4(1+2k) seen only mod 2
-    assert square_status(ResidueClass(5, 3, 10)) == NON  # odd valuation for every lift
-    assert square_status(ResidueClass(5, 1, 4)) == SQ  # unit square mod 5, Hensel-liftable
-    assert square_status(ResidueClass(3, 4, 0)) == UND  # zero class carries no unit info
+    assert status_table(2, 5)[17] == SQ  # unit = 1 mod 8
+    assert status_table(2, 3)[4] == UND  # unit of 4(1+2k) seen only mod 2
+    assert status_table(5, 3)[10] == NON  # odd valuation for every lift
+    assert status_table(5, 1)[4] == SQ  # unit square mod 5, Hensel-liftable
+    assert status_table(3, 4)[0] == UND  # zero class carries no unit info
 
 
-def lift_is_square(value, p, M):
-    return any((x * x) % p**M == value for x in range(p**M))
-
-
-@pytest.mark.parametrize("p,N", [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3)])
+@pytest.mark.parametrize("p,N", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
 def test_status_soundness_by_lifting(p, N):
-    # SQUARE: every lift two levels up is a square; NONSQUARE: no lift is.
+    # SQUARE: every lift two levels up is a square; NONSQUARE: no lift is;
+    # UNDETERMINED: some lifts are squares and some are not.
     M = N + 2
+    squares = {x * x % p**M for x in range(p**M)}
+    table = status_table(p, N)
     for value in range(p**N):
-        status = square_status(ResidueClass(p, N, value))
-        lifts = [value + t * p**N for t in range(p**M // p**N)]
-        if status == SQ:
-            assert all(lift_is_square(w, p, M) for w in lifts), (p, N, value)
-        elif status == NON:
-            assert not any(lift_is_square(w, p, M) for w in lifts), (p, N, value)
+        solvable = [value + t * p**N in squares for t in range(p**M // p**N)]
+        if table[value] == SQ:
+            assert all(solvable), (p, N, value)
+        elif table[value] == NON:
+            assert not any(solvable), (p, N, value)
         else:
-            solvable = [lift_is_square(w, p, M) for w in lifts]
-            assert any(solvable) and not all(solvable), (p, N, value)
+            assert table[value] == UND and any(solvable) and not all(solvable), (p, N, value)
 
 
 @pytest.mark.parametrize("p,N", [(2, 5), (3, 4), (5, 3)])
 def test_status_monotone_under_refinement(p, N):
+    coarse, fine = status_table(p, N), status_table(p, N + 1)
     for value in range(p**N):
-        coarse = square_status(ResidueClass(p, N, value))
         for t in range(p):
-            fine = square_status(ResidueClass(p, N + 1, value + t * p**N))
-            if coarse in (SQ, NON):
-                assert fine == coarse, (p, N, value, t)
+            if coarse[value] in (SQ, NON):
+                assert fine[value + t * p**N] == coarse[value], (p, N, value, t)
 
 
 @pytest.mark.parametrize("p,N", [(3, 4), (5, 3), (7, 3), (2, 6), (2, 8)])
 def test_undetermined_mass_bound(p, N):
-    count = sum(
-        1 for v in range(p**N) if square_status(ResidueClass(p, N, v)) == UND
-    )
-    from fractions import Fraction
-
-    mass = Fraction(count, p**N)
+    mass = Fraction(int((status_table(p, N) == UND).sum()), p**N)
     bound = Fraction(2, p ** (N - 3)) if p == 2 else Fraction(2, p ** (N - 2))
     assert mass <= bound
-
-
-def test_residue_class_validation():
-    with pytest.raises(ValueError):
-        ResidueClass(4, 2, 1)
-    with pytest.raises(ValueError):
-        ResidueClass(3, 2, 9)
-    with pytest.raises(ValueError):
-        ResidueClass(3, 0, 0)
-
-
-def test_refine():
-    # a class mod 3^3 refines c when its value reduces to c's value mod 3^2
-    c = ResidueClass(3, 2, 4)
-    fine = ResidueClass(3, 3, 13)
-    assert fine.value % c.p**c.N == c.value
-    assert 14 % c.p**c.N != c.value
 
 
 def test_r_shape_examples():

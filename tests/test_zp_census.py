@@ -17,7 +17,7 @@ from dioptuples import closed_forms as cf
 from dioptuples import zp_census
 from dioptuples.arith import squares_mod
 from dioptuples.fp_census import BudgetExceededError
-from dioptuples.padic import ResidueClass, SquareStatus, square_status, r_shape, vp
+from dioptuples.padic import r_shape, vp
 from dioptuples.zp_census import (
     _vp_vector,
     _zp_pair_fast,
@@ -29,14 +29,6 @@ from dioptuples.zp_census import (
     valuation_class_measure,
     zp_interval,
 )
-
-
-@pytest.mark.parametrize("p,N", [(2, 6), (3, 4), (5, 3), (7, 2)])
-def test_status_table_matches_scalar_classifier(p, N):
-    table = status_table(p, N)
-    code = {SquareStatus.SQUARE: 1, SquareStatus.NONSQUARE: -1, SquareStatus.UNDETERMINED: 0}
-    for v in range(p**N):
-        assert table[v] == code[square_status(ResidueClass(p, N, v))], (p, N, v)
 
 
 @pytest.mark.parametrize("p,N", [(2, 4), (2, 6), (3, 3), (5, 2)])
