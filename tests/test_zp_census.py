@@ -31,6 +31,34 @@ from dioptuples.zp_census import (
 )
 
 
+def scalar_status(p, N, value):
+    """The classification rule, one class at a time: 1 square, -1 not, 0 undetermined.
+
+    A class with p^N | value carries no unit information; an odd valuation
+    rules out every lift; an even one leaves the unit u known mod p^(N-k),
+    which decides odd p by its residue mod p and p = 2 once u is seen mod 8
+    (u = 3 mod 4 already rules out a square).
+    """
+    k = vp(value, p) if value else N
+    if k >= N:
+        return 0
+    if k % 2:
+        return -1
+    unit, visible = value // p**k, N - k
+    if p > 2:
+        return 1 if unit % p in squares_mod(p) else -1
+    if visible >= 3:
+        return 1 if unit % 8 == 1 else -1
+    return -1 if visible == 2 and unit % 4 == 3 else 0
+
+
+@pytest.mark.parametrize("p,N", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_status_table_matches_scalar_classifier(p, N):
+    table = status_table(p, N)
+    for v in range(p**N):
+        assert table[v] == scalar_status(p, N, v), (p, N, v)
+
+
 @pytest.mark.parametrize("p,N", [(2, 4), (2, 6), (3, 3), (5, 2)])
 def test_pair_weights_match_brute_counts(p, N):
     q = p**N
