@@ -9,11 +9,14 @@ square, so the ordered triangles are c * sum W[a] W[b] W[a ^ b] over the
 c = |G/G^2| square classes, where W[a] sums w over class a.  Over F_q* the
 classes are the squares and the nonsquares, so a census of order <= 3 reads
 one vector of length q - 1 and builds no q x q array; the Z/p^N sweep in
-`zp_census` shares the identity, shell by shell.  Orders m >= 4 go through
-one clique kernel, `_clique_count`, which the Z/p^N sweep also shares: the
-last three coordinates are one float32 matrix product (a GEMM) over the
-compatibility table, masked by the table and summed exactly in int64, and
-each further coordinate is one loop over neighbourhoods.  Since
+`zp_census` shares the identity, shell by shell.  Order 4 is its K4 sibling
+(`_class_quadrangles`): K4's three perfect matchings all multiply to
+x1 x2 x3 x4, so the 4-cliques are one class-triangle sum per value of that
+product, in O(q^2) exact integer work and O(q) memory.  Orders m >= 5 go
+through one clique kernel, `_clique_count`, which the Z/p^N sweep also
+shares: the last three coordinates are one float32 matrix product (a GEMM)
+over the compatibility table, masked by the table and summed exactly in
+int64, and each further coordinate is one loop over neighbourhoods.  Since
 (-a)(-b) = ab, negation preserves every table, so the first coordinate runs
 over one element of each {a, -a} pair, weighted 2, and over the fixed
 points of negation, weighted 1.  A census runs in one process; the BLAS
@@ -48,9 +51,9 @@ from .fq import FqField, fq_construct
 from .padic import require_nonzero_r
 
 DEFAULT_BUDGET = 10**9
-# orders <= 3 build no table; the tracemalloc peak of census(1009, 1, 4) over
-# 1009^2 is 2.3: one neighbourhood's float32 table and its product; the charge
-# keeps 12, so no budget verdict moves
+# orders <= 4 build no table; the tracemalloc peak of census(211, 1, 5) over
+# 211^2 is 3.3: the negation check's row blocks, or one neighbourhood's
+# float32 tables and their product; the charge keeps 12, so no budget verdict moves
 TABLE_BYTES_PER_CELL = 12
 
 
@@ -156,8 +159,9 @@ def _clique_count(B: np.ndarray, m: int, neg: np.ndarray | None = None) -> int:
     runs over one representative a < neg[a] of each pair, weighted 2, and
     over each fixed point a == neg[a], weighted 1.  neg is read only when
     m >= 3, and then checked: a map that is not such an involution raises
-    RuntimeError.  The census counts orders <= 3 without this kernel (see
-    `_class_triangles`); it hands it neg at m >= 4 only.
+    RuntimeError.  The census counts orders <= 4 without this kernel (see
+    `_class_triangles` and `_class_quadrangles`); it hands it neg at m >= 5
+    only.
     """
     n = B.shape[0]
     if n >= 2**24:
@@ -193,6 +197,42 @@ def _class_triangles(W1, W2, W3) -> int:
     """
     c = len(W1)
     return c * sum(W1[a] * W2[b] * W3[a ^ b] for a in range(c) for b in range(c))
+
+
+def _class_quadrangles(v: np.ndarray) -> int:
+    """Ordered 4-cliques of the Hankel table T[i, j] = v[(i + j) mod n], n even, from square-class sums.
+
+    In log coordinates the units are Z/n, written additively, and T is
+    w(x + y) with w = v.  The map (x1, x2, x3, x4) -> (a, b, c, s) =
+    (x1 + x2, x1 + x3, x1 + x4, x1 + x2 + x3 + x4) is 2-to-one onto the
+    (a, b, c, s) with a + b + c - s even, since 2 x1 = a + b + c - s.  K4's
+    three perfect matchings each sum to s, so the six pair sums are a, b, c,
+    s - a, s - b and s - c, and the count is 2 * sum over s of
+    sum u_s(a) u_s(b) u_s(c) over the a + b + c of the parity of s, with
+    u_s(a) = v[a] v[s - a].  That inner sum is `_class_triangles`(U_s, U_s,
+    U_s relabelled by the class of s), where U_s = (E_s, O_s) sums u_s over
+    the even and the odd a: X^3 + 3 X Y^2, with X the sum over the a of the
+    parity of s and Y over the others (all three a of that parity, or one
+    and two of the other).  At odd s, a -> s - a swaps the parities, so
+    E_s = O_s and the relabelling is void: the count is
+    2 * sum_s (E_s^3 + 3 E_s O_s^2).  U is read off a Toeplitz view
+    [s, a] = v[s - a] of v stored twice, a block of rows at a time, so
+    nothing of size n^2 is built.  Every pair (a, s - a) is counted once, so
+    sum_s (E_s + O_s) = (sum v)^2; sums that break this or E_s = O_s at odd
+    s raise RuntimeError.  Exact in Python integers.
+    """
+    n = len(v)
+    vv = np.concatenate([v, v])
+    toeplitz = np.ndarray((n, n), bool, vv, n, (1, -1))  # [s, a] = v[s - a]
+    U = np.empty((2, n), np.int64)  # U[c, s]: the a of parity c with v[a] v[s - a]
+    block = max(1, 2**16 // n)
+    for start in range(0, n, block):
+        pairs = toeplitz[start:start + block] & v
+        U[:, start:start + block] = [np.count_nonzero(pairs[:, c::2], axis=1) for c in (0, 1)]
+    if int(U.sum()) != int(np.count_nonzero(v)) ** 2 or not np.array_equal(*U[:, 1::2]):
+        raise RuntimeError("the class sums U_s break sum_s (E_s + O_s) = (sum v)^2 or E_s = O_s at odd s")
+    E, O = U.astype(object)
+    return 2 * int((E * (E * E + 3 * O * O)).sum())
 
 
 @dataclass(frozen=True)
@@ -238,15 +278,18 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
     the square-class sums of row 0 of a table, which is its vector v: E and O
     count the set entries at even and odd logarithms (squares, nonsquares),
     so order 1 is q-1, order 2 is (q-1)(E+O) and order 3 is 2E^3 + 6EO^2.
-    Orders k >= 4 go through the clique kernel.
+    Order 4 is `_class_quadrangles` of v, and orders k >= 5 go through the
+    clique kernel.
     """
     zero, member, strict = _census_tables(field, r)
     n = field.q - 1
     neg = (np.arange(n) + n // 2) % n  # -g^k = g^(k + (q-1)/2)
 
     def count(table, k):
-        if k > 3:
+        if k > 4:
             return _clique_count(table, k, neg)
+        if k == 4:
+            return _class_quadrangles(table[0])
         W = [int(np.count_nonzero(table[0, c::2])) for c in (0, 1)]
         return (1, n, n * sum(W), _class_triangles(W, W, W))[k]
 

@@ -17,6 +17,7 @@ from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
     _census_tables,
+    _class_quadrangles,
     _class_triangles,
     _clique_count,
     _mul_table,
@@ -170,8 +171,8 @@ def census_counts(c):
 def test_census_counts_equal_the_kernel_without_negation(monkeypatch, p, f, m):
     field = fq_construct(p, f)
     got = [census(field, r, m, budget=10**10) for r in (1, 2)]
-    if m == 3:  # square-class sums, no kernel call: the kernel is the oracle
-        assert [census_counts(c) for c in got] == [kernel_counts(field, r, 3) for r in (1, 2)]
+    if m <= 4:  # square-class sums, no kernel call: the kernel is the oracle
+        assert [census_counts(c) for c in got] == [kernel_counts(field, r, m) for r in (1, 2)]
         return
     kernel, negations = fp_census._clique_count, []
 
@@ -376,7 +377,7 @@ def test_census_negation_is_the_half_turn(monkeypatch, p, f):
         return kernel(B, k, neg)
 
     monkeypatch.setattr(fp_census, "_clique_count", record)
-    census(field, 1, 4, budget=10**10)  # orders <= 3 read no negation
+    census(field, 1, 5, budget=10**12)  # orders <= 4 read no negation
     assert negations
     for neg in negations:
         assert exp[neg].tolist() == want  # index k of g^k goes to the index of -g^k
@@ -404,6 +405,66 @@ def test_order_three_censuses_build_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 10**5
+
+
+@pytest.mark.parametrize("p,f", [field for field in CLASS_SUM_FIELDS if field != (1009, 1)])
+def test_class_quadrangles_equal_the_kernel(p, f):
+    field = fq_construct(p, f)
+    for r in hankel_rs(field):
+        _, member, strict = _census_tables(field, r)
+        for table in (member, strict):
+            assert _class_quadrangles(table[0]) == _clique_count(table, 4), r
+
+
+def test_class_quadrangles_equal_the_kernel_on_random_hankel_tables():
+    # the identity holds for every vector v of even length, not only census ones
+    rng = np.random.default_rng(11)
+    for n in range(2, 24, 2):
+        for density in (0.3, 0.7, 1.0):
+            v = rng.random(n) < density
+            table = np.ndarray((n, n), bool, np.concatenate([v, v]), strides=(1, 1))
+            assert _class_quadrangles(v) == _clique_count(table, 4), (n, v)
+
+
+def test_order_four_census_at_1009_is_pinned():
+    # computed by the clique kernel before order 4 took the class-sum route
+    c = census(1009, 1, 4, budget=10**13)
+    assert (c.total, c.boundary, c.offdiag, c.interior) == (16710370237, 515148481, 191469082, 16003752674)
+
+
+def test_order_four_censuses_build_no_table():
+    # the class sums read v a block of rows at a time: no q x q table, no GEMM
+    census(1009, 25, 4, budget=10**13)  # builds and caches the log tables
+    tracemalloc.start()
+    try:
+        census(1009, 25, 4, budget=10**13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1009**2 // 4
+
+
+@pytest.mark.parametrize(
+    "rows,v",
+    [
+        # row counts that drop every pair leave sum_s (E_s + O_s) short of (sum v)^2
+        ("np.zeros(len(a), int)", [1, 1, 1, 1]),
+        # row counts read upside down keep that sum but give s = 1 the E_s != O_s of s = 2
+        ("count(a[::-1], axis=1)", [1, 1, 0, 0]),
+    ],
+    ids=["sum", "parity"],
+)
+def test_class_quadrangles_refuse_inconsistent_class_sums_under_optimize(rows, v):
+    code = (
+        "import numpy as np\n"
+        "from dioptuples import fp_census\n"
+        "count = np.count_nonzero\n"
+        f"np.count_nonzero = lambda a, axis=None: count(a) if axis is None else {rows}\n"
+        f"fp_census._class_quadrangles(np.array({v}, bool))\n"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode == 1
+    assert "RuntimeError: the class sums U_s break sum_s (E_s + O_s) = (sum v)^2 or E_s = O_s at odd s" in proc.stderr
 
 
 def test_class_triangles_match_the_group_sum():
