@@ -1,4 +1,4 @@
-"""Exact integer helpers: primality, Legendre symbol, square sets, residue tables, rational formatting.
+"""Exact integer helpers: primality, Legendre symbol, residue tables, rational formatting.
 
 All measures in this package are `fractions.Fraction` values; helpers here
 keep the "num/den" wire format in one place.
@@ -62,12 +62,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else 1
-
-
-@lru_cache(maxsize=None)
-def squares_mod(p: int) -> frozenset:
-    """The square set of Z/pZ, 0 included: the one source every census uses."""
-    return frozenset((x * x) % p for x in range(p))
 
 
 class ResidueTables(NamedTuple):

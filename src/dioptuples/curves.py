@@ -33,7 +33,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import require_odd_prime, residue_tables, squares_mod
+from .arith import require_odd_prime, residue_tables
 from .fq import DESK_SCALE_BOUND
 
 
@@ -291,13 +291,13 @@ def extension_count_envelope(p: int) -> tuple[int, int]:
 
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:
     """All D(r) triples over F_p with distinct nonzero entries (sorted ascending)."""
-    sq = squares_mod(p)
+    chi = residue_tables(p).chi.tolist()  # Python ints: the loop reads no numpy scalar
     out = []
     for a in range(1, p):
         for b in range(a + 1, p):
-            if (a * b + r) % p not in sq:
+            if chi[(a * b + r) % p] < 0:
                 continue
             for c in range(b + 1, p):
-                if (a * c + r) % p in sq and (b * c + r) % p in sq:
+                if chi[(a * c + r) % p] >= 0 and chi[(b * c + r) % p] >= 0:
                     out.append((a, b, c))
     return out

@@ -16,12 +16,12 @@ product, in O(q^2) exact integer work and O(q) memory.  Orders m >= 5 go
 through one clique kernel, `_clique_count`, which the Z/p^N sweep also
 shares: the last three coordinates are one float32 matrix product (a GEMM)
 over the compatibility table, masked by the table and summed exactly in
-int64, and each further coordinate is one loop over neighbourhoods.  Since
-(-a)(-b) = ab, negation preserves every table, so the first coordinate runs
-over one element of each {a, -a} pair, weighted 2, and over the fixed
-points of negation, weighted 1.  A census runs in one process; the BLAS
-product already uses every core.  The budget charges the larger of q^m
-tuples and the table bytes.
+int64, and each further coordinate is one loop over neighbourhoods.  The
+kernel counts every tuple; each caller halves its first coordinate by its
+own negation: since (-a)(-b) = ab, a and -a induce one sub-table, so the
+census takes the rows a < (q-1)/2 of the half turn below, weighted 2.  A
+census runs in one process; the BLAS product already uses every core.  The
+budget charges the q^m tuples.
 
 Every field is an `fq.FqField` (a prime p is F_{p^1}), and every table is in
 log coordinates of its primitive element g: index i stands for g^i.  Since
@@ -51,10 +51,6 @@ from .fq import FqField, fq_construct
 from .padic import require_nonzero_r
 
 DEFAULT_BUDGET = 10**9
-# orders <= 4 build no table; the tracemalloc peak of census(211, 1, 5) over
-# 211^2 is 3.3: the negation check's row blocks, or one neighbourhood's
-# float32 tables and their product; the charge keeps 12, so no budget verdict moves
-TABLE_BYTES_PER_CELL = 12
 
 
 class BudgetExceededError(ValueError):
@@ -129,59 +125,32 @@ def _induced(S: np.ndarray, row: np.ndarray) -> np.ndarray:
     return S.take(index, 0).take(index, 1)
 
 
-def _require_invariant(B: np.ndarray, neg: np.ndarray) -> None:
-    """Raise unless neg is an involution of the index set with B[neg][:, neg] == B.
-
-    For an involution that is B[neg[a], b] == B[a, neg[b]] for all a, b,
-    compared a block of rows at a time, so the check allocates no n x n copy.
-    """
-    n = B.shape[0]
-    if neg.shape != (n,) or not np.array_equal(neg[neg], np.arange(n)):
-        raise RuntimeError("neg is not an involution of the index set")
-    block = max(1, 2**16 // max(n, 1))
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        if not np.array_equal(B[neg[rows]], B[rows][:, neg]):
-            raise RuntimeError("the table is not invariant under neg")
-
-
-def _clique_count(B: np.ndarray, m: int, neg: np.ndarray | None = None) -> int:
+def _clique_count(B: np.ndarray, m: int) -> int:
     """Number of ordered m-tuples over the index set with all pairwise B true.
 
     B must be symmetric.  The count recurses over induced sub-matrices: the
     first coordinate picks a row, and the rest are counted inside its
     neighbourhood.  Three coordinates are the ordered triangles, summed from
     one float32 matrix product (see `_closed_paths`), exact while n < 2^24.
-
-    neg, when given, is the ring's negation: an involution of the index set
-    with B[neg][:, neg] == B, since (-a)(-b) = ab.  The neighbourhoods of a
-    and neg[a] then induce isomorphic sub-tables, so the first coordinate
-    runs over one representative a < neg[a] of each pair, weighted 2, and
-    over each fixed point a == neg[a], weighted 1.  neg is read only when
-    m >= 3, and then checked: a map that is not such an involution raises
-    RuntimeError.  The census counts orders <= 4 without this kernel (see
-    `_class_triangles` and `_class_quadrangles`); it hands it neg at m >= 5
-    only.
+    Callers halve the first coordinate by their ring's negation (see
+    `_census_counts` and `zp_census._zp_sweep`).  The census counts orders
+    <= 4 without this kernel (see `_class_triangles` and `_class_quadrangles`).
     """
     n = B.shape[0]
     if n >= 2**24:
         raise ValueError(f"{n} indices: float32 counts are exact only below 2^24")
+    return _cliques(B, m)
 
-    def g(k: int, S: np.ndarray) -> int:
-        if k == 1:
-            return S.shape[0]
-        if k == 2:
-            return int(np.count_nonzero(S))
-        if k == 3:
-            return int(_closed_paths(S).sum(dtype=np.int64))
-        return sum(g(k - 1, _induced(S, row)) for row in S)
 
-    if neg is None or m < 3:
-        return g(m, B)
-    _require_invariant(B, neg)
-    rows = np.flatnonzero(np.arange(n) <= neg)
-    weight = np.where(rows < neg[rows], 2, 1)
-    return sum(int(w) * g(m - 1, _induced(B, B[a])) for a, w in zip(rows, weight))
+def _cliques(S: np.ndarray, k: int) -> int:
+    """`_clique_count`'s recursion, at module level: a nested one would leave a reference cycle per call."""
+    if k == 1:
+        return S.shape[0]
+    if k == 2:
+        return int(np.count_nonzero(S))
+    if k == 3:
+        return int(_closed_paths(S).sum(dtype=np.int64))
+    return sum(_cliques(_induced(S, row), k - 1) for row in S)
 
 
 def _class_triangles(W1, W2, W3) -> int:
@@ -215,20 +184,21 @@ def _class_quadrangles(v: np.ndarray) -> int:
     parity of s and Y over the others (all three a of that parity, or one
     and two of the other).  At odd s, a -> s - a swaps the parities, so
     E_s = O_s and the relabelling is void: the count is
-    2 * sum_s (E_s^3 + 3 E_s O_s^2).  U is read off a Toeplitz view
-    [s, a] = v[s - a] of v stored twice, a block of rows at a time, so
-    nothing of size n^2 is built.  Every pair (a, s - a) is counted once, so
+    2 * sum_s (E_s^3 + 3 E_s O_s^2).  E and O are the int64 convolutions of
+    the even and the odd part of v with v, folded mod n, so nothing of size
+    n^2 is built.  Every pair (a, s - a) is counted once, so
     sum_s (E_s + O_s) = (sum v)^2; sums that break this or E_s = O_s at odd
     s raise RuntimeError.  Exact in Python integers.
     """
     n = len(v)
-    vv = np.concatenate([v, v])
-    toeplitz = np.ndarray((n, n), bool, vv, n, (1, -1))  # [s, a] = v[s - a]
+    w = v.astype(np.int64)
     U = np.empty((2, n), np.int64)  # U[c, s]: the a of parity c with v[a] v[s - a]
-    block = max(1, 2**16 // n)
-    for start in range(0, n, block):
-        pairs = toeplitz[start:start + block] & v
-        U[:, start:start + block] = [np.count_nonzero(pairs[:, c::2], axis=1) for c in (0, 1)]
+    for c in (0, 1):
+        part = w.copy()
+        part[1 - c::2] = 0
+        full = np.convolve(part, w)  # full[t]: the a of parity c with v[a] v[t - a], 0 <= t - a < n
+        U[c] = full[:n]
+        U[c, :-1] += full[n:]
     if int(U.sum()) != int(np.count_nonzero(v)) ** 2 or not np.array_equal(*U[:, 1::2]):
         raise RuntimeError("the class sums U_s break sum_s (E_s + O_s) = (sum v)^2 or E_s = O_s at odd s")
     E, O = U.astype(object)
@@ -283,11 +253,10 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
     """
     zero, member, strict = _census_tables(field, r)
     n = field.q - 1
-    neg = (np.arange(n) + n // 2) % n  # -g^k = g^(k + (q-1)/2)
 
     def count(table, k):
-        if k > 4:
-            return _clique_count(table, k, neg)
+        if k > 4:  # rows a and a + n/2 (-g^a) induce one sub-table, relabelled
+            return 2 * sum(_clique_count(_induced(table, row), k - 1) for row in table[: n // 2])
         if k == 4:
             return _class_quadrangles(table[0])
         W = [int(np.count_nonzero(table[0, c::2])) for c in (0, 1)]
@@ -314,14 +283,10 @@ def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdo
     r %= field.p  # censuses only ever see r as an element of F_p
     require_nonzero_r(r)
     q = field.q
-
-    def charge(k):
-        return max(k**m, TABLE_BYTES_PER_CELL * k * k)
-
-    if charge(q) > budget:
+    if q**m > budget:
+        fits = _largest_fitting(lambda k: k**m, budget)
         raise BudgetExceededError(
-            f"census charge {charge(q)} (max of {q}^{m} tuples, {TABLE_BYTES_PER_CELL}*{q}^2 table bytes) "
-            f"exceeds budget {budget}; at m = {m} the fields that fit have q <= {_largest_fitting(charge, budget)}"
+            f"census size {q}^{m} exceeds budget {budget}; at m = {m} the fields that fit have q <= {fits}"
         )
     total, nz, interior = _census_counts(field, r, m)
     return CensusBreakdown(

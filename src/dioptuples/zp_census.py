@@ -16,7 +16,9 @@ min(k + l, N) alone, so each triple of valuation shells is one sum over the
 square classes of the unit group, and no p^(2N) array is built.  Both
 routes are property-tested against the general m-tuple sweep, which counts
 tuples with the F_q census's clique kernel over the status grid and serves
-m >= 4.
+m >= 4.  Since (-a)(-b) = ab, a and -a induce one sub-grid, so the sweep
+takes its first coordinate over one a of each {a, -a} pair, weighted 2, and
+over the fixed points of negation (0, and 2^(N-1) when p = 2), weighted 1.
 
 The valuation vector (built shell by shell with strided adds) and the status
 table are built once per (p, N) and cached read-only; callers roll them by r.
@@ -31,7 +33,7 @@ from itertools import product
 
 import numpy as np
 
-from .arith import is_prime, require_odd_prime, squares_mod
+from .arith import is_prime, require_odd_prime, residue_tables
 from .closed_forms import (
     diop2_ok,
     mu_A_k_q,
@@ -39,7 +41,7 @@ from .closed_forms import (
     mu_B_beta_q,
     mu_B_tail,
 )
-from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _class_triangles, _clique_count, _largest_fitting
+from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _class_triangles, _clique_count, _induced, _largest_fitting
 from .padic import require_nonzero_r
 
 
@@ -92,14 +94,13 @@ def status_table(p: int, N: int) -> np.ndarray:
     # pattern for the remaining j depends on j mod p (mod 8 when p = 2)
     period = 8 if p == 2 else p
     j = np.arange(1, period + 1) % period
-    square = np.isin(j, list(squares_mod(p)))
     st = np.zeros(p**N, dtype=np.int8)
     for k in range(N):
         visible = N - k  # the unit is known mod p^(N-k)
         if k % 2:
             pattern = np.full(period, -1)
         elif p != 2:
-            pattern = np.where(square, 1, -1)
+            pattern = np.where(residue_tables(p).chi[j] >= 0, 1, -1)
         elif visible >= 3:
             pattern = np.where(j == 1, 1, -1)
         else:  # the unit is seen mod 4 or mod 2: only j = 3 mod 4 is decided
@@ -152,8 +153,11 @@ def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
     q = p**N
     idx = np.arange(q, dtype=np.int64)
     grid = status_table(p, N)[(np.outer(idx, idx) + r) % q]
-    neg = (-idx) % q
-    return _clique_count(grid == 1, m, neg), _clique_count(grid != -1, m, neg)
+    # each a <= q/2 stands for {a, -a}; 2a = 0 marks the fixed points of negation
+    reps = [(a, 1 if 2 * a % q == 0 else 2) for a in range(q // 2 + 1)]
+    return tuple(
+        sum(w * _clique_count(_induced(B, B[a]), m - 1) for a, w in reps) for B in (grid == 1, grid != -1)
+    )
 
 
 def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
@@ -172,7 +176,7 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
     if p == 2:
         labels = units % min(8, q) >> 1
     else:
-        labels = np.where(np.isin(units % p, list(squares_mod(p))), 0, 1)
+        labels = np.where(residue_tables(p).chi[units % p] == 1, 0, 1)
     c = int(labels.max()) + 1
     st = status_table(p, N)
     sums = []  # per s: the lo and hi class sums of w_s

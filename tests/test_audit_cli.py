@@ -276,14 +276,14 @@ def test_cli_census_budget_exit_code(capsys):
 
 
 def test_cli_census_table_memory_exceeds_budget(capsys):
-    # 30011^2 tuples fit the default budget, but the q x q tables would take gigabytes
+    # 30011^2 tuples fit the default budget, and an m = 2 census builds no q x q table
     tracemalloc.start()
     try:
         code, _, err = run_cli(capsys, "census", "fp", "--p", "30011", "--m", "2")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2 and "table bytes" in err
+    assert (code, err) == (0, "")
     assert peak < 10**6
 
 

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import dioptuples
-from dioptuples import fp_census
-from dioptuples.arith import legendre, squares_mod
+from dioptuples.arith import legendre
 from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
@@ -117,38 +116,19 @@ def test_census_shapes_match_field_brute_force():
         assert (got.total, got.boundary, got.offdiag, got.interior) == field_census_brute(field, r, m), (p, f, r, m)
 
 
-def random_involution(rng, n, fixed):
-    """An involution of range(n) with `fixed` fixed points and the rest in 2-cycles."""
-    pairs = rng.permutation(n)[fixed:].reshape(-1, 2)
-    neg = np.arange(n)
-    neg[pairs[:, 0]], neg[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
-    return neg
-
-
 def test_clique_count_matches_brute_force():
-    # each table also made invariant under a random involution with 0, 1 or 2
-    # fixed points (Z/2^N has two: 0 and 2^(N-1)), counted with and without it
     rng = np.random.default_rng(2024)
-    rng_neg = np.random.default_rng(7)
     for n in range(13):
         upper = np.triu(rng.random((n, n)) < 0.6)
         B = upper | upper.T
         if n % 2:
             np.fill_diagonal(B, False)  # a tuple may then repeat no index
-        cases = [(B, None)]
-        for fixed in (0, 1, 2):
-            if fixed <= n and (n - fixed) % 2 == 0:
-                neg = random_involution(rng_neg, n, fixed)
-                cases.append((B | B[np.ix_(neg, neg)], neg))
-        for S, neg in cases:
-            for m in range(1, 6):
-                want = sum(
-                    all(S[t[i], t[j]] for i in range(m) for j in range(i + 1, m))
-                    for t in product(range(n), repeat=m)
-                )
-                assert _clique_count(S, m) == want, (n, m)
-                if neg is not None:
-                    assert _clique_count(S, m, neg) == want, (n, m, neg)
+        for m in range(1, 6):
+            want = sum(
+                all(B[t[i], t[j]] for i in range(m) for j in range(i + 1, m))
+                for t in product(range(n), repeat=m)
+            )
+            assert _clique_count(B, m) == want, (n, m)
 
 
 # (p, f, m): the benchmark's four census shapes and three smaller ones
@@ -168,21 +148,12 @@ def census_counts(c):
 
 
 @pytest.mark.parametrize("p,f,m", FQ_SHAPES)
-def test_census_counts_equal_the_kernel_without_negation(monkeypatch, p, f, m):
+def test_census_counts_equal_the_kernel_without_negation(p, f, m):
+    # the census takes square-class sums at m <= 4 and halves the first
+    # coordinate by negation at m >= 5; the kernel counts every tuple
     field = fq_construct(p, f)
-    got = [census(field, r, m, budget=10**10) for r in (1, 2)]
-    if m <= 4:  # square-class sums, no kernel call: the kernel is the oracle
-        assert [census_counts(c) for c in got] == [kernel_counts(field, r, m) for r in (1, 2)]
-        return
-    kernel, negations = fp_census._clique_count, []
-
-    def without_negation(B, k, neg=None):
-        negations.append(neg)
-        return kernel(B, k)
-
-    monkeypatch.setattr(fp_census, "_clique_count", without_negation)
-    assert [census(field, r, m, budget=10**10) for r in (1, 2)] == got
-    assert negations and all(neg is not None for neg in negations)
+    for r in (1, 2):
+        assert census_counts(census(field, r, m, budget=10**10)) == kernel_counts(field, r, m), r
 
 
 def run_optimized(code):
@@ -193,39 +164,19 @@ def run_optimized(code):
 
 
 def test_clique_count_refuses_inexact_sizes_under_optimize():
-    # broadcast views allocate nothing; -O strips bare asserts; the size is
-    # refused before the negation map is read
+    # a broadcast view allocates nothing; -O strips bare asserts
     code = (
         "import numpy as np\n"
         "from dioptuples.fp_census import _clique_count\n"
         "B = np.broadcast_to(np.zeros(1, bool), (2**24, 2**24))\n"
-        "for neg in (None, np.broadcast_to(np.zeros(1, int), (2**24,))):\n"
-        "    try:\n"
-        "        _clique_count(B, 3, neg)\n"
-        "    except ValueError as exc:\n"
-        "        print(exc)\n"
+        "try:\n"
+        "    _clique_count(B, 3)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
     )
     proc = run_optimized(code)
     assert proc.returncode == 0
-    assert proc.stdout.count("exact only below 2^24") == 2
-
-
-@pytest.mark.parametrize(
-    "neg,message",
-    [([1, 0, 2], "the table is not invariant under neg"), ([1, 2, 0], "neg is not an involution")],
-)
-def test_clique_count_refuses_a_negation_the_table_lacks_under_optimize(neg, message):
-    # B links 0 and 2 but not 1 and 2, so swapping 0 and 1 does not preserve it
-    code = (
-        "import numpy as np\n"
-        "from dioptuples.fp_census import _clique_count\n"
-        "B = np.zeros((3, 3), bool)\n"
-        "B[0, 2] = B[2, 0] = True\n"
-        f"_clique_count(B, 3, np.array({neg}))\n"
-    )
-    proc = run_optimized(code)
-    assert proc.returncode == 1
-    assert f"RuntimeError: {message}" in proc.stderr
+    assert proc.stdout.count("exact only below 2^24") == 1
 
 
 def test_census_refuses_r_zero_mod_p():
@@ -365,22 +316,14 @@ def test_log_coordinate_tables_match_the_product_table(p, f):
 
 
 @pytest.mark.parametrize("p,f", HANKEL_FIELDS)
-def test_census_negation_is_the_half_turn(monkeypatch, p, f):
+def test_census_negation_is_the_half_turn(p, f):
+    # the census halves its first coordinate by -g^k = g^(k + (q-1)/2)
     field = fq_construct(p, f)
     exp, _ = field.exp_log
+    n = field.q - 1
     minus_one = elem(field, [p - 1])
-    want = [(decode(field, int(code)) * minus_one).encode() for code in exp]
-    kernel, negations = fp_census._clique_count, []
-
-    def record(B, k, neg=None):
-        negations.append(neg)
-        return kernel(B, k, neg)
-
-    monkeypatch.setattr(fp_census, "_clique_count", record)
-    census(field, 1, 5, budget=10**12)  # orders <= 4 read no negation
-    assert negations
-    for neg in negations:
-        assert exp[neg].tolist() == want  # index k of g^k goes to the index of -g^k
+    for k in range(n):
+        assert exp[(k + n // 2) % n] == (decode(field, int(exp[k])) * minus_one).encode(), k
 
 
 # the HANKEL_FIELDS and four more prime fields
@@ -433,7 +376,7 @@ def test_order_four_census_at_1009_is_pinned():
 
 
 def test_order_four_censuses_build_no_table():
-    # the class sums read v a block of rows at a time: no q x q table, no GEMM
+    # the class sums are two length-q convolutions: no q x q table, no GEMM
     census(1009, 25, 4, budget=10**13)  # builds and caches the log tables
     tracemalloc.start()
     try:
@@ -445,21 +388,21 @@ def test_order_four_censuses_build_no_table():
 
 
 @pytest.mark.parametrize(
-    "rows,v",
+    "convolution,v",
     [
-        # row counts that drop every pair leave sum_s (E_s + O_s) short of (sum v)^2
-        ("np.zeros(len(a), int)", [1, 1, 1, 1]),
-        # row counts read upside down keep that sum but give s = 1 the E_s != O_s of s = 2
-        ("count(a[::-1], axis=1)", [1, 1, 0, 0]),
+        # convolutions that drop every pair leave sum_s (E_s + O_s) short of (sum v)^2
+        ("0 * convolve(a, b)", [1, 1, 1, 1]),
+        # a part read one place late keeps that sum but gives s = 1 E_s = 1 and O_s = 0
+        ("convolve(np.roll(a, 1), b)", [1, 1, 0, 0]),
     ],
     ids=["sum", "parity"],
 )
-def test_class_quadrangles_refuse_inconsistent_class_sums_under_optimize(rows, v):
+def test_class_quadrangles_refuse_inconsistent_class_sums_under_optimize(convolution, v):
     code = (
         "import numpy as np\n"
         "from dioptuples import fp_census\n"
-        "count = np.count_nonzero\n"
-        f"np.count_nonzero = lambda a, axis=None: count(a) if axis is None else {rows}\n"
+        "convolve = np.convolve\n"
+        f"np.convolve = lambda a, b: {convolution}\n"
         f"fp_census._class_quadrangles(np.array({v}, bool))\n"
     )
     proc = run_optimized(code)
@@ -496,7 +439,7 @@ def test_square_tables_match_character_and_squares_mod():
         want = [quad_char_fq(x) != -1 for x in elements(field)]
         assert square_table(field).tolist() == want
     for p in (3, 5, 7, 11, 13, 101):
-        assert set(map(int, square_table(p).nonzero()[0])) == squares_mod(p)
+        assert set(map(int, square_table(p).nonzero()[0])) == {x * x % p for x in range(p)}
 
 
 def test_census_over_f27_matches_field_arithmetic():

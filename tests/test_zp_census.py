@@ -15,8 +15,7 @@ import pytest
 import dioptuples
 from dioptuples import closed_forms as cf
 from dioptuples import zp_census
-from dioptuples.arith import squares_mod
-from dioptuples.fp_census import BudgetExceededError
+from dioptuples.fp_census import BudgetExceededError, _clique_count
 from dioptuples.padic import r_shape, vp
 from dioptuples.zp_census import (
     _vp_vector,
@@ -46,7 +45,7 @@ def scalar_status(p, N, value):
         return -1
     unit, visible = value // p**k, N - k
     if p > 2:
-        return 1 if unit % p in squares_mod(p) else -1
+        return 1 if unit % p in {x * x % p for x in range(p)} else -1
     if visible >= 3:
         return 1 if unit % 8 == 1 else -1
     return -1 if visible == 2 and unit % 4 == 3 else 0
@@ -113,18 +112,13 @@ def test_pair_fast_path_matches_naive(p, N, r):
 
 
 @pytest.mark.parametrize("p,N,m", [(3, 6, 3), (3, 4, 4), (2, 5, 3), (5, 3, 3), (2, 4, 4), (3, 5, 4)])
-def test_sweep_counts_equal_the_kernel_without_negation(monkeypatch, p, N, m):
-    # negation fixes 0, and also 2^(N-1) when p = 2
-    got = [_zp_sweep(p, r, m, N) for r in (1, 2)]
-    kernel, negations = zp_census._clique_count, []
-
-    def without_negation(B, k, neg=None):
-        negations.append(neg)
-        return kernel(B, k)
-
-    monkeypatch.setattr(zp_census, "_clique_count", without_negation)
-    assert [_zp_sweep(p, r, m, N) for r in (1, 2)] == got
-    assert negations and all(neg is not None for neg in negations)
+def test_sweep_counts_equal_the_kernel_without_negation(p, N, m):
+    # the sweep takes one a of each {a, -a}; negation fixes 0, and also 2^(N-1) when p = 2
+    q = p**N
+    for r in (1, 2):
+        a = np.arange(q)
+        grid = status_table(p, N)[(a[:, None] * a + r) % q]
+        assert _zp_sweep(p, r, m, N) == (_clique_count(grid == 1, m), _clique_count(grid != -1, m)), r
 
 
 # every N up to 7 at p = 2, where the unit classes are one, two and then four;
@@ -232,7 +226,7 @@ def reduction_consistency(p, r, m, N):
     product + r vanishes mod p (checked by explicit enumeration)."""
     q = p**N
     st = status_table(p, N)
-    squares = squares_mod(p)
+    squares = {x * x % p for x in range(p)}
     for tup in product(range(q), repeat=m):
         pairs = [(tup[i] * tup[j] + r) % q for i in range(m) for j in range(i + 1, m)]
         if all(st[s] == 1 for s in pairs) and all(s % p for s in pairs):
