@@ -31,7 +31,6 @@ from .fp_census import (
     BudgetExceededError,
     _census_tables,
     _clique_count,
-    _induced,
     _largest_fitting,
     census,
     conic_sum_direct,
@@ -405,8 +404,7 @@ def _extension_census_crosscheck(*cases):
         zero, member, _ = _census_tables(p, r)
         units = member.copy()
         np.fill_diagonal(units, False)
-        direct = zero * _clique_count(units, 3)
-        direct += sum(_clique_count(_induced(units, row), 3) for row in member)
+        direct = zero * _clique_count(units, 3) + _clique_count(units, 3, member)
         records.append(
             _record(
                 "extension_census_crosscheck",

@@ -13,15 +13,17 @@ one vector of length q - 1 and builds no q x q array; the Z/p^N sweep in
 (`_class_quadrangles`): K4's three perfect matchings all multiply to
 x1 x2 x3 x4, so the 4-cliques are one class-triangle sum per value of that
 product, in O(q^2) exact integer work and O(q) memory.  Orders m >= 5 go
-through one clique kernel, `_clique_count`, which the Z/p^N sweep also
-shares: the last three coordinates are one float32 matrix product (a GEMM)
-over the compatibility table, masked by the table and summed exactly in
-int64, and each further coordinate is one loop over neighbourhoods.  The
-kernel counts every tuple; each caller halves its first coordinate by its
-own negation: since (-a)(-b) = ab, a and -a induce one sub-table, so the
-census takes the rows a < (q-1)/2 of the half turn below, weighted 2.  A
-census runs in one process; the BLAS product already uses every core.  The
-budget charges the q^m tuples.
+through one level-synchronous clique kernel, `_clique_count`, which the
+Z/p^N sweep also shares: a frontier holds one bool row per prefix, the index
+set its next coordinate may take, and each further coordinate is one row
+gather over the whole frontier; the last three coordinates are the ordered
+triangles inside each frontier row, one batched float32 matrix product per
+row size, masked by the gathered sub-tables and summed exactly in int64.
+The kernel counts the tuples inside each row of a mask; each caller halves
+its first coordinate by its own negation: since (-a)(-b) = ab, a and -a
+induce one sub-table, so the census passes the rows a < (q-1)/2 of the half
+turn below as the masks, weighted 2.  A census runs in one process; the BLAS
+product already uses every core.  The budget charges the q^m tuples.
 
 Every field is an `fq.FqField` (a prime p is F_{p^1}), and every table is in
 log coordinates of its primitive element g: index i stands for g^i.  Since
@@ -42,6 +44,7 @@ arrays, so the `conic` audit gets every sum of one p from one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -101,56 +104,89 @@ def square_table(field) -> np.ndarray:
 # vectorized sweep
 
 
-def _closed_paths(S: np.ndarray) -> np.ndarray:
-    """Float32 matrix whose entry (i, j) counts the k with S[i, k], S[k, j] and S[i, j].
+# Work bounds of the clique kernel: the cells of one batched product (its
+# float32 sub-tables, their product and the int64 gather index stay near
+# 1 MB), and the rows of one frontier chunk before the next level runs.
+PRODUCT_CELLS = 2**16
+FRONTIER_ROWS = 2**13
 
-    The 2-paths from i to j of S @ S, masked in place by S.  Its sum is the
-    ordered triangles, taken without a boolean gather.  Every entry is an
-    integer of at most n, exact in float32 while n < 2^24; callers sum in
-    int64, which is exact.
+
+def _extend(B: np.ndarray, F: np.ndarray):
+    """The frontier F one coordinate deeper, in chunks of at most FRONTIER_ROWS rows (or one parent row).
+
+    Row (P, y) of the next frontier, for each y set in row P, is F[P] & B[y]:
+    one row gather per chunk.  A parent row has at most n set entries.
     """
-    f = S.astype(np.float32)
-    P = f @ f
-    P *= f
-    return P
+    step = max(1, FRONTIER_ROWS // max(1, F.shape[1]))
+    for lo in range(0, len(F), step):
+        P, Y = np.nonzero(F[lo : lo + step])
+        chunk = F[lo : lo + step].take(P, 0)
+        chunk &= B[Y]
+        yield chunk
 
 
-def _induced(S: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The sub-table S induces on the indices where the bool vector `row` is true.
+def _batched_triangles(Bf: np.ndarray, F: np.ndarray) -> int:
+    """Ordered triangles of the C-ordered float32 table Bf inside the index set of each row of F, summed.
 
-    Two `take` calls: at the sizes the clique loop sees they copy several
-    times faster than `S[np.ix_(row, row)]`.
+    The rows are grouped by popcount s with `np.bincount` (`np.unique` would
+    import numpy.ma), and the s x s sub-tables of a group are gathered by one
+    `take` into one float32 batched matmul, PRODUCT_CELLS cells at a time.
+    Entry (i, j) of S @ S counts the 2-paths from i to j, at most s < 2^24,
+    so it is exact in float32; masked by S and summed in int64, it counts the
+    ordered triangles exactly.
     """
-    index = np.flatnonzero(row)
-    return S.take(index, 0).take(index, 1)
+    n = F.shape[1]
+    sizes = np.count_nonzero(F, axis=1)
+    order = np.argsort(sizes, kind="stable")
+    total = start = 0
+    for s, count in enumerate(np.bincount(sizes).tolist()):
+        rows = order[start : start + count]
+        start += count
+        if not s:  # an empty index set holds no triangle
+            continue
+        step = max(1, PRODUCT_CELLS // (s * s))
+        for i in range(0, count, step):
+            index = np.nonzero(F[rows[i : i + step]])[1].reshape(-1, s)
+            S = Bf.take(index[:, :, None] * n + index[:, None, :])
+            P = np.matmul(S, S)
+            P *= S
+            total += int(P.sum(dtype=np.int64))
+    return total
 
 
-def _clique_count(B: np.ndarray, m: int) -> int:
-    """Number of ordered m-tuples over the index set with all pairwise B true.
+def _clique_count(B: np.ndarray, m: int, masks: np.ndarray | None = None) -> int:
+    """Ordered m-tuples with all pairwise B true inside the index set of each row of `masks`, summed over the rows.
 
-    B must be symmetric.  The count recurses over induced sub-matrices: the
-    first coordinate picks a row, and the rest are counted inside its
-    neighbourhood.  Three coordinates are the ordered triangles, summed from
-    one float32 matrix product (see `_closed_paths`), exact while n < 2^24.
-    Callers halve the first coordinate by their ring's negation (see
-    `_census_counts` and `zp_census._zp_sweep`).  The census counts orders
-    <= 4 without this kernel (see `_class_triangles` and `_class_quadrangles`).
+    B must be symmetric; `masks` is a bool array with one row per index set,
+    and None means the whole index set.  The count is level-synchronous: the
+    frontier holds one row per prefix, the index set its next coordinate may
+    take, and each level extends every prefix by one coordinate in one row
+    gather (`_extend`), FRONTIER_ROWS rows at a time.  The last three
+    coordinates are the ordered triangles inside each frontier row, one
+    batched float32 product per row size (`_batched_triangles`), exact while
+    n < 2^24.  Callers halve the first coordinate by their ring's negation
+    and pass its representatives as `masks` (see `_census_counts` and
+    `zp_census._zp_sweep`).  The census counts orders <= 4 without this
+    kernel (see `_class_triangles` and `_class_quadrangles`).
     """
     n = B.shape[0]
     if n >= 2**24:
         raise ValueError(f"{n} indices: float32 counts are exact only below 2^24")
-    return _cliques(B, m)
-
-
-def _cliques(S: np.ndarray, k: int) -> int:
-    """`_clique_count`'s recursion, at module level: a nested one would leave a reference cycle per call."""
-    if k == 1:
-        return S.shape[0]
-    if k == 2:
-        return int(np.count_nonzero(S))
-    if k == 3:
-        return int(_closed_paths(S).sum(dtype=np.int64))
-    return sum(_cliques(_induced(S, row), k - 1) for row in S)
+    if m >= 3:
+        levels, leaf = m - 3, partial(_batched_triangles, np.ascontiguousarray(B, np.float32))
+    else:  # one coordinate is a popcount, and two are one level of row gathers
+        levels, leaf = m - 1, np.count_nonzero
+    total = 0
+    stack = [iter([np.ones((1, n), bool) if masks is None else masks])]  # one chunk iterator per level
+    while stack:
+        F = next(stack[-1], None)
+        if F is None:
+            stack.pop()
+        elif len(stack) <= levels:
+            stack.append(_extend(B, F))
+        else:
+            total += int(leaf(F))
+    return total
 
 
 def _class_triangles(W1, W2, W3) -> int:
@@ -256,7 +292,7 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
 
     def count(table, k):
         if k > 4:  # rows a and a + n/2 (-g^a) induce one sub-table, relabelled
-            return 2 * sum(_clique_count(_induced(table, row), k - 1) for row in table[: n // 2])
+            return 2 * _clique_count(table, k - 1, table[: n // 2])
         if k == 4:
             return _class_quadrangles(table[0])
         W = [int(np.count_nonzero(table[0, c::2])) for c in (0, 1)]

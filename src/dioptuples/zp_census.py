@@ -9,7 +9,9 @@ measure at every precision; increasing N only tightens it.
 
 For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
 depends only on v_p(t), so counting the selected residues per valuation
-shell and weighting each shell once replaces the p^(2N) sweep.  Triples
+shell and weighting each shell once replaces the p^(2N) sweep.  The ab of
+shell k or deeper are the multiples of p^k, so each shell count is the
+difference of two strided counts of the selected values of ab + r.  Triples
 come from the F_q census's square-class identity (`_class_triangles`),
 shell by shell: with a = p^k x for a unit x, ab + r depends on xy and on
 min(k + l, N) alone, so each triple of valuation shells is one sum over the
@@ -17,11 +19,13 @@ square classes of the unit group, and no p^(2N) array is built.  Both
 routes are property-tested against the general m-tuple sweep, which counts
 tuples with the F_q census's clique kernel over the status grid and serves
 m >= 4.  Since (-a)(-b) = ab, a and -a induce one sub-grid, so the sweep
-takes its first coordinate over one a of each {a, -a} pair, weighted 2, and
-over the fixed points of negation (0, and 2^(N-1) when p = 2), weighted 1.
+makes two kernel calls, whose masks are the grid rows of the fixed points of
+negation (0, and 2^(N-1) when p = 2), weighted 1, and of one a of each
+{a, -a} pair, weighted 2.
 
 The valuation vector (built shell by shell with strided adds) and the status
-table are built once per (p, N) and cached read-only; callers roll them by r.
+table are built once per (p, N) and cached read-only; callers read them at
+the values ab + r and never roll a copy by r.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .closed_forms import (
     mu_B_beta_q,
     mu_B_tail,
 )
-from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _class_triangles, _clique_count, _induced, _largest_fitting
+from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _class_triangles, _clique_count, _largest_fitting
 from .padic import require_nonzero_r
 
 
@@ -123,13 +127,16 @@ def pair_product_weights(p: int, N: int) -> tuple[int, ...]:
     return (*((j + 1) * unit for j in range(N)), N * unit + p**N)
 
 
-def _pair_count(p: int, N: int, mask: np.ndarray) -> int:
-    """#{(a, b) in (Z/p^N)^2 : mask[ab]}, summed shell by shell."""
-    shells = np.bincount(_vp_vector(p, N)[mask], minlength=N + 1)
-    if mask[0]:  # t = 0 is the zero class, not valuation 0
-        shells[0] -= 1
-        shells[N] += 1
-    return sum(int(n) * w for n, w in zip(shells, pair_product_weights(p, N)))
+def _pair_count(p: int, N: int, r: int, good: np.ndarray) -> int:
+    """#{(a, b) in (Z/p^N)^2 : good[ab + r]}, for a bool vector good over Z/p^N, summed shell by shell.
+
+    The products ab in shell k or deeper are the multiples of p^k, so their
+    good values are those of good[r % p^k :: p^k]; shell k counts the
+    difference of consecutive such counts (shell N, ab = 0, is good[r]), and
+    each is weighted by `pair_product_weights`.
+    """
+    deeper = [int(np.count_nonzero(good[r % p**k :: p**k])) for k in range(N + 1)] + [0]
+    return sum((deeper[k] - deeper[k + 1]) * w for k, w in enumerate(pair_product_weights(p, N)))
 
 
 def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: int, m: int) -> MeasureInterval:
@@ -145,8 +152,8 @@ def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: i
 
 
 def _zp_pair_fast(p: int, r: int, N: int) -> tuple[int, int]:
-    shifted = np.roll(status_table(p, N), -r)  # shifted[t] = status of t + r
-    return _pair_count(p, N, shifted == 1), _pair_count(p, N, shifted != -1)
+    st = status_table(p, N)
+    return _pair_count(p, N, r, st == 1), _pair_count(p, N, r, st != -1)
 
 
 def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
@@ -154,9 +161,11 @@ def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
     idx = np.arange(q, dtype=np.int64)
     grid = status_table(p, N)[(np.outer(idx, idx) + r) % q]
     # each a <= q/2 stands for {a, -a}; 2a = 0 marks the fixed points of negation
-    reps = [(a, 1 if 2 * a % q == 0 else 2) for a in range(q // 2 + 1)]
+    half = idx[: q // 2 + 1]
+    fixed = 2 * half % q == 0
     return tuple(
-        sum(w * _clique_count(_induced(B, B[a]), m - 1) for a, w in reps) for B in (grid == 1, grid != -1)
+        _clique_count(B, m - 1, B[half[fixed]]) + 2 * _clique_count(B, m - 1, B[half[~fixed]])
+        for B in (grid == 1, grid != -1)
     )
 
 
@@ -245,8 +254,7 @@ def valuation_class_measure(p: int, r: int, target_valuation: int, N: int) -> Fr
     shell[0] = False  # ab + r = 0 lies in no shell
     if (shell & (st == 0)).any():
         raise RuntimeError("class membership is undetermined at this precision")
-    # indexed by ab: the squares of the shell, moved back by r
-    return Fraction(_pair_count(p, N, np.roll(shell & (st == 1), -r)), q * q)
+    return Fraction(_pair_count(p, N, r, shell & (st == 1)), q * q)
 
 
 @dataclass(frozen=True)

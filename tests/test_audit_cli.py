@@ -512,6 +512,25 @@ def test_cli_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "census fp --m 5 --p 53",
+    "census zp --m 4 --p 3 -N 3",
+])
+def test_kernel_censuses_leave_numpy_ma_unimported(argv):
+    # np.unique imports numpy.ma, which costs a fresh process about 15 ms
+    code = (
+        "import sys\n"
+        "from dioptuples.cli import main\n"
+        f"code = main({argv.split()!r})\n"
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "0 False\n")
+
+
 def reference_quadruple_count(p, r):
     """Ordered (a, b, c, d): a, b, c distinct pairwise-D(r) units, d any residue
     with ad + r, bd + r, cd + r all squares (0 included); plain loops."""

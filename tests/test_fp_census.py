@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dioptuples
+from dioptuples import fp_census
 from dioptuples.arith import legendre
 from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
@@ -129,6 +130,48 @@ def test_clique_count_matches_brute_force():
                 for t in product(range(n), repeat=m)
             )
             assert _clique_count(B, m) == want, (n, m)
+
+
+def brute_masked_cliques(B, m, masks):
+    """Ordered m-tuples inside each row's index set with all pairwise B true, summed over the rows, by loops."""
+    return sum(
+        all(B[t[i], t[j]] for i in range(m) for j in range(i + 1, m))
+        for row in masks
+        for t in product(np.flatnonzero(row).tolist(), repeat=m)
+    )
+
+
+def random_masks(rng, n):
+    """Mask rows of equal popcount (one batch), of unequal popcount, and all false."""
+    equal = [rng.permutation(n) < n // 2 for _ in range(3)]
+    unequal = [rng.permutation(n) < k for k in range(n + 1)]
+    return np.array([*equal, *unequal, np.zeros(n, bool)], dtype=bool)
+
+
+def test_clique_count_with_masks_matches_brute_force():
+    # symmetric tables with loops on the diagonal, so a tuple may repeat an index
+    rng = np.random.default_rng(16)
+    for n in range(10):
+        upper = np.triu(rng.random((n, n)) < 0.7)
+        B = upper | upper.T
+        masks = random_masks(rng, n)
+        for m in range(1, 6):
+            assert _clique_count(B, m, masks) == brute_masked_cliques(B, m, masks), (n, m)
+            assert _clique_count(B, m, masks[:0]) == 0, (n, m)
+
+
+def test_clique_count_is_independent_of_its_work_bounds(monkeypatch):
+    # one frontier row and one sub-table per chunk exercise every chunk boundary
+    rng = np.random.default_rng(17)
+    n = 9
+    upper = np.triu(rng.random((n, n)) < 0.8)
+    B = upper | upper.T
+    masks = random_masks(rng, n)
+    want = {m: _clique_count(B, m, masks) for m in range(1, 7)}
+    monkeypatch.setattr(fp_census, "FRONTIER_ROWS", 1)
+    monkeypatch.setattr(fp_census, "PRODUCT_CELLS", 1)
+    assert {m: _clique_count(B, m, masks) for m in range(1, 7)} == want
+    assert want[5] == brute_masked_cliques(B, 5, masks)
 
 
 # (p, f, m): the benchmark's four census shapes and three smaller ones

@@ -134,6 +134,13 @@ def test_shell_triples_equal_the_sweep(p, N):
         assert _zp_triples(p, r, N) == _zp_sweep(p, r, 3, N), r
 
 
+@pytest.mark.parametrize("p,N", SHELL_SHAPES)
+def test_pair_fast_path_equals_the_sweep(p, N):
+    for r in sorted({1, 2, 3, 5, p, 2 * p, p ** (N - 1), p**N}):
+        r %= p**N
+        assert _zp_pair_fast(p, r, N) == _zp_sweep(p, r, 2, N), r
+
+
 def test_shell_route_reads_no_closed_form():
     # zp_census imports closed forms for series_consistency; the m = 3 route names none of them
     tree = ast.parse(Path(zp_census.__file__).read_text())
@@ -269,6 +276,19 @@ def test_valuation_class_measure_matches_block_formulas():
                     else:
                         want = cf.mu_B_beta(shape, v)
                     assert got == want, (p, r, v)
+
+
+@pytest.mark.parametrize("p,N", [(3, 3), (3, 4), (5, 3), (7, 3)])
+def test_valuation_class_measure_matches_brute_pair_count(p, N):
+    q = p**N
+    a = np.arange(q)
+    values = (a[:, None] * a) % q  # ab; ab + r is read per r below
+    st = status_table(p, N)
+    for r in sorted({1, 2, 3, p, 2 * p, p * p, 3 * p * p}):
+        t = (values + r) % q
+        for v in range(N - 2):
+            hit = (t != 0) & (_vp_vector(p, N)[t] == v) & (st[t] == 1)
+            assert valuation_class_measure(p, r, v, N) == Fr(int(hit.sum()), q * q), (r, v)
 
 
 def test_valuation_class_measure_validation():
