@@ -6,11 +6,15 @@ arguments produce byte-identical output.  Diagnostics go to stderr.  Every
 command refuses a flag it does not read.  Exit codes, all decided in `main`:
 0 success (and no gating Disagree in audits); 1 bad input of any kind (usage
 errors included), a gating Disagree, or a failed ec-check; 2 budget exceeded.
+
+Arguments are read against one table, `_COMMANDS`, which `-h`/`--help` prints
+as usage.  A flag's value follows it (`--p 5`, `-N 5`) or is attached
+(`--p=5`, `-N5`), and may be negative (`--alpha -1`).  An abbreviated
+(`--prec`) or repeated flag is refused, never guessed at.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import inspect
@@ -30,33 +34,12 @@ from .padic import r_shape
 from .zp_census import zp_interval
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise, so `main` gives them the exit code of any bad input."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def _given(args, flags, taken, command: str) -> dict:
-    """The `flags` set on the command line; raise for one `command` does not read."""
-    given = {flag: value for flag in flags if (value := getattr(args, flag)) is not None}
+def _given(given: dict, taken, command: str) -> None:
+    """Raise for a flag in `given` that `command` does not read."""
     refused = [f"--{flag.replace('_', '-')}" for flag in given if flag not in taken]
     if refused:
         raise ValueError(f"{command} takes no {', '.join(refused)}")
-    return given
 
-
-def _print_value(value, decimal: bool) -> None:
-    out = format_rational(value)
-    if decimal:
-        out += f" ({float(value):.12g})"
-    print(out)
-
-
-# measure flag -> its default
-_MEASURE_FLAGS = {
-    "p": 3, "q": 3, "r": 1, "m": 2, "k": 0, "beta": 0, "alpha": 0, "chi_s": 1, "a2": 1, "a1": 0, "a0": 0,
-}
 
 # measure quantity -> its evaluator, whose parameters are the flags it reads
 _MEASURES = {
@@ -79,11 +62,12 @@ _MEASURES = {
 }
 
 
-def _measure(args) -> int:
-    evaluate = _MEASURES[args.quantity]
+def _measure(quantity, opts, given) -> int:
+    evaluate = _MEASURES[quantity]
     taken = inspect.signature(evaluate).parameters
-    given = _given(args, _MEASURE_FLAGS, taken, f"measure {args.quantity}")
-    _print_value(evaluate(**{flag: given.get(flag, _MEASURE_FLAGS[flag]) for flag in taken}), args.decimal)
+    _given(given, {*taken, "decimal"}, f"measure {quantity}")
+    value = evaluate(**{flag: opts[flag] for flag in taken})
+    print(format_rational(value) + (f" ({float(value):.12g})" if opts["decimal"] else ""))
     return 0
 
 
@@ -101,125 +85,182 @@ def _emit(rows: list[dict], fmt: str) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _ignore_jobs(args, runs: str) -> None:
+def _ignore_jobs(jobs: int, runs: str) -> None:
     """`--jobs N` stays accepted; every command runs in one process."""
-    if args.jobs > 1:
-        print(f"note: {runs} runs in one process; --jobs {args.jobs} is ignored", file=sys.stderr)
+    if jobs > 1:
+        print(f"note: {runs} runs in one process; --jobs {jobs} is ignored", file=sys.stderr)
 
 
-def _census(args) -> int:
-    _ignore_jobs(args, "a census")
-    taken = ("f",) if args.mode == "fp" else ("precision",)
-    given = _given(args, ("f", "precision"), taken, f"census {args.mode}")
-    if args.mode == "fp":
-        row = asdict(census(fq_construct(args.p, given.get("f", 1)), args.r, args.m, budget=args.budget))
+def _census(mode, opts, given) -> int:
+    _ignore_jobs(opts["jobs"], "a census")
+    _given(given, set(opts) - {"precision" if mode == "fp" else "f"}, f"census {mode}")
+    p, r, m, budget = opts["p"], opts["r"], opts["m"], opts["budget"]
+    if mode == "fp":
+        row = asdict(census(fq_construct(p, opts["f"]), r, m, budget=budget))
     else:
-        N = given.get("precision", 4)
-        interval = zp_interval(args.p, args.r, args.m, N, budget=args.budget)
+        N = opts["precision"]
+        interval = zp_interval(p, r, m, N, budget=budget)
         row = {
-            "p": args.p,
-            "r": args.r,
-            "m": args.m,
+            "p": p,
+            "r": r,
+            "m": m,
             "N": N,
             "lo": format_rational(interval.lo),
             "hi": format_rational(interval.hi),
             "width": format_rational(interval.width),
         }
-    _emit([row], args.format)
+    _emit([row], opts["format"])
     return 0
+
+
+# audit flag -> the suite keyword it sets, where the two names differ
+_SUITE_KEYWORD = {"p": "ps", "precision": "N", "budget": "cap"}
+
+
+def _audit(suite, opts, given) -> int:
+    _ignore_jobs(opts["jobs"], "an audit")
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    keywords = {"format", "jobs", *suite_parameters(suite)}
+    _given(given, {flag for flag in opts if _SUITE_KEYWORD.get(flag, flag) in keywords}, f"audit {suite}")
+    kwargs = {_SUITE_KEYWORD.get(flag, flag): value for flag, value in given.items() if flag not in ("format", "jobs")}
+    records = run_suite(suite, **kwargs)
+    _emit([rec.to_dict() for rec in records], opts["format"])
+    return exit_code_for(records)
+
+
+def _ec_check(_, opts, given) -> int:
+    verdict = two_descent_equiv(*(opts[flag] for flag in "pabcr"))
+    row = {field: sorted(v) if isinstance(v, frozenset) else v for field, v in asdict(verdict).items()}
+    print(json.dumps(row, sort_keys=True))
+    return 0 if verdict.ok else 1
 
 
 def _int_list(text):
     return tuple(int(x) for x in text.split(","))
 
 
-# audit flag -> (the suite keyword it sets, the conversion of its value)
-_AUDIT_FLAGS = {
-    "p": ("ps", _int_list),
-    "rset": ("rset", lambda text: None if text == "auto" else _int_list(text)),
-    "pmax": ("pmax", int),
-    "precision": ("N", int),
-    "seed": ("seed", int),
-    "budget": ("cap", lambda budget: min(10**8, budget)),
+_REQUIRED = object()  # the default of a flag that must be given
+_FORMAT = (("json", "csv"), "json")  # a tuple converts a value by choice from it
+
+# command -> (its positional argument, that argument's choices (None: any),
+#             {flag: (conversion of its value (None: a switch), default)})
+_COMMANDS = {
+    "measure": ("quantity", _MEASURES, {
+        **{flag: (int, default) for flag, default in dict(
+            p=3, q=3, r=1, m=2, k=0, beta=0, alpha=0, chi_s=1, a2=1, a1=0, a0=0,
+        ).items()},
+        "decimal": (None, False),
+    }),
+    "census": ("mode", ("fp", "zp"), {
+        "p": (int, _REQUIRED), "f": (int, 1), "r": (int, 1), "m": (int, 2), "precision": (int, 4),
+        "format": _FORMAT, "budget": (int, DEFAULT_BUDGET), "jobs": (int, 1),
+    }),
+    "audit": ("suite", None, {
+        "p": (_int_list, None), "rset": (lambda text: None if text == "auto" else _int_list(text), None),
+        "pmax": (int, None), "precision": (int, None), "seed": (int, None), "format": _FORMAT,
+        "jobs": (int, 1), "budget": (lambda text: min(10**8, int(text)), None),
+    }),
+    "ec-check": (None, None, dict.fromkeys("pabcr", (int, _REQUIRED))),
 }
 
-
-def _audit(args) -> int:
-    _ignore_jobs(args, "an audit")
-    if args.suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    keywords = suite_parameters(args.suite)
-    taken = [flag for flag, (keyword, _) in _AUDIT_FLAGS.items() if keyword in keywords]
-    given = _given(args, _AUDIT_FLAGS, taken, f"audit {args.suite}")
-    kwargs = {_AUDIT_FLAGS[flag][0]: _AUDIT_FLAGS[flag][1](value) for flag, value in given.items()}
-    records = run_suite(args.suite, **kwargs)
-    _emit([rec.to_dict() for rec in records], args.format)
-    return exit_code_for(records)
+_HANDLERS = {"measure": _measure, "census": _census, "audit": _audit, "ec-check": _ec_check}
 
 
-def _ec_check(args) -> int:
-    verdict = two_descent_equiv(args.p, args.a, args.b, args.c, args.r)
-    row = {field: sorted(v) if isinstance(v, frozenset) else v for field, v in asdict(verdict).items()}
-    print(json.dumps(row, sort_keys=True))
-    return 0 if verdict.ok else 1
+def _usage(commands) -> str:
+    """One line per command; a flag not required is bracketed, with its default if it has one."""
+    lines = ["usage:"]
+    for command in commands:
+        positional, choices, flags = _COMMANDS[command]
+        words = [f"  dioptuples {command}", "{" + ",".join(choices) + "}" if choices else (positional or "").upper()]
+        for flag, (convert, default) in flags.items():
+            word = f"--{flag.replace('_', '-')}" + ("/-N" if flag == "precision" else "")
+            if convert is not None:
+                word += f" {flag.upper()}" if default in (None, _REQUIRED) else f"={default}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines.append(" ".join(filter(None, words)))
+    return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="dioptuples",
-        description="Exact D(r) tuple densities and their brute-force audits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choose(name: str, text: str, choices):
+    if text not in choices:
+        raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return text
 
-    m = sub.add_parser("measure", help="print a closed-form value exactly")
-    m.add_argument("quantity", choices=_MEASURES)
-    for flag, default in _MEASURE_FLAGS.items():
-        m.add_argument(f"--{flag.replace('_', '-')}", type=int, help=f"default {default}")
-    m.add_argument("--decimal", action="store_true", help="append a decimal approximation")
-    m.set_defaults(func=_measure)
 
-    c = sub.add_parser("census", help="run an exhaustive census")
-    c.add_argument("mode", choices=["fp", "zp"])
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--f", type=int, help="extension degree, fp mode only (default 1)")
-    c.add_argument("--r", type=int, default=1)
-    c.add_argument("--m", type=int, default=2)
-    c.add_argument("--precision", "-N", type=int, help="precision, zp mode only (default 4)")
-    c.add_argument("--format", choices=["json", "csv"], default="json")
-    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    c.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-    c.set_defaults(func=_census)
+def _is_word(token: str) -> bool:
+    """A positional argument or a flag's value, not a flag: "-1" is a word."""
+    return token[:1] != "-" or token[1:].isdigit()
 
-    a = sub.add_parser("audit", help="run a formula-vs-oracle audit suite")
-    a.add_argument("suite")
-    a.add_argument("--p", type=str, help="comma-separated prime list")
-    a.add_argument("--rset", type=str, help='comma-separated r list, or "auto"')
-    a.add_argument("--pmax", type=int)
-    a.add_argument("--precision", "-N", type=int)
-    a.add_argument("--seed", type=int)
-    a.add_argument("--format", choices=["json", "csv"], default="json")
-    a.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-    a.add_argument("--budget", type=int, help="caps the pairs-zp censuses at min(10^8, budget)")
-    a.set_defaults(func=_audit)
 
-    e = sub.add_parser("ec-check", help="two-descent verdict for one instance")
-    e.add_argument("--p", type=int, required=True)
-    e.add_argument("--a", type=int, required=True)
-    e.add_argument("--b", type=int, required=True)
-    e.add_argument("--c", type=int, required=True)
-    e.add_argument("--r", type=int, required=True)
-    e.set_defaults(func=_ec_check)
-
-    return parser
+def _parse(argv: list[str]):
+    """(command, its positional argument, {flag: value} for each flag given)."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    positional, choices, flags = _COMMANDS[_choose("command", argv[0], _COMMANDS)]
+    names = {f"--{flag.replace('_', '-')}": flag for flag in flags} | ({"-N": "precision"} if "precision" in flags else {})
+    words, given, extra = [], {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            words += tokens
+            continue
+        if _is_word(token):
+            words.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if not eq:  # --p, -N or -N5
+            name, value = (token, None) if token[:2] == "--" else (token[:2], token[2:] or None)
+        flag = names.get(name)
+        if flag is None:
+            longer = [spelled for spelled in names if spelled.startswith(name) and len(name) > 2]
+            if longer:
+                raise ValueError(f"flag {name} is abbreviated; write {' or '.join(longer)} in full")
+            extra.append(token)
+            continue
+        if flag in given:
+            raise ValueError(f"argument {name}: given more than once")
+        convert = flags[flag][0]
+        if convert is None:
+            if value is not None:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            given[flag] = True
+            continue
+        if value is None:
+            value = next(tokens, None)
+            if value is None or not _is_word(value):
+                raise ValueError(f"argument {name}: expected one argument")
+        if isinstance(convert, tuple):
+            given[flag] = _choose(name, value, convert)
+            continue
+        try:
+            given[flag] = convert(value)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+    missing = [positional] if positional and not words else []
+    missing += [f"--{flag}" for flag, (_, default) in flags.items() if default is _REQUIRED and flag not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    choice = words.pop(0) if positional else None
+    if choices is not None:
+        _choose(positional, choice, choices)
+    if extra or words:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra + words)}")
+    return argv[0], choice, given
 
 
 def main(argv=None) -> int:
     # what import left behind lives to exit: collections skip it, so whether a
     # command pays a generation-1 pass over it no longer depends on import
     gc.freeze()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_usage(argv[:1] if argv[0] in _COMMANDS else _COMMANDS))
+        return 0
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        command, choice, given = _parse(argv)
+        opts = {flag: default for flag, (_, default) in _COMMANDS[command][2].items()} | given
+        return _HANDLERS[command](choice, opts, given)
     except BudgetExceededError as exc:  # a ValueError too, so it comes first
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -230,6 +230,16 @@ CLI_CONTRACT = [
     (("audit", "triples-fp", "--pmax", "-1"), 1, "", "audit triples-fp produced no records"),
     # the census's size bound holds for the curve sweeps too
     (("ec-check", "--p", "100003", "--a", "1", "--b", "3", "--c", "8", "--r", "1"), 1, "", "desk-scale bound 100000"),
+    # usage errors, in the wording argparse gave them
+    ((), 1, "", "the following arguments are required: command"),
+    (("frob",), 1, "", "argument command: invalid choice: 'frob' (choose from 'measure', 'census', 'audit', 'ec-check')"),
+    (("census", "fp", "--p", "5", "--nosuch", "1"), 1, "", "unrecognized arguments: --nosuch 1"),
+    (("census", "fp", "--p"), 1, "", "argument --p: expected one argument"),
+    (("census", "fp", "--p", "five"), 1, "", "argument --p: invalid int value: 'five'"),
+    (("census", "fp", "--p", "5", "--format", "xml"), 1, "", "argument --format: invalid choice: 'xml'"),
+    # a flag is spelled in full and given once, never guessed at
+    (("census", "zp", "--p", "3", "--prec", "4"), 1, "", "flag --prec is abbreviated; write --precision in full"),
+    (("census", "fp", "--p", "5", "--p", "7"), 1, "", "argument --p: given more than once"),
 ]
 
 
@@ -239,6 +249,25 @@ def test_cli_exit_code_contract(capsys, argv, code, out, err_part):
     assert (got_code, got_out) == (code, out)
     assert err_part in err
     assert err.startswith("error: ") if code else err == ""
+
+
+def test_cli_attached_values_read_like_spaced_ones(capsys):
+    for attached, spaced in [
+        ("census fp --p=5", "census fp --p 5"),
+        ("census zp --p 3 -N3", "census zp --p 3 -N 3"),
+        ("audit pairs-zp --p=3,5", "audit pairs-zp --p 3,5"),
+        ("audit z2 -N6", "audit z2 -N 6"),
+    ]:
+        code, out, err = run_cli(capsys, *spaced.split())
+        assert (code, err) == (0, "") and out, spaced
+        assert run_cli(capsys, *attached.split()) == (0, out, ""), attached
+
+
+def test_cli_help_names_every_command(capsys):
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "")
+    for command in ("measure", "census", "audit", "ec-check"):
+        assert f"dioptuples {command} " in out, command
 
 
 def test_cli_census_fp_json(capsys):
@@ -529,6 +558,22 @@ def test_kernel_censuses_leave_numpy_ma_unimported(argv):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stderr) == (0, "0 False\n")
+
+
+@pytest.mark.parametrize("argv", ["census fp --m 3 --p 5", "audit z2"])
+def test_cli_leaves_argparse_gettext_and_locale_unimported(argv):
+    # building an argparse parser cost each invocation about 3.5 ms, more than a small census
+    code = (
+        "import sys\n"
+        "from dioptuples.cli import main\n"
+        f"code = main({argv.split()!r})\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n")
 
 
 def reference_quadruple_count(p, r):
