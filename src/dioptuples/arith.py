@@ -90,7 +90,9 @@ def residue_tables(p: int) -> ResidueTables:
 
 def format_rational(x) -> str:
     """Canonical string for exact values: "num/den", or "num" when den == 1."""
-    f = Fraction(x)
+    if type(x) is int:  # not bool, whose str is "True"
+        return str(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -515,10 +515,9 @@ def run_suite(name: str, **kwargs) -> list:
 
 
 def canonical_order(records):
-    return sorted(
-        records,
-        key=lambda r: (r.quantity, json.dumps(r.to_dict()["params"], sort_keys=True)),
-    )
+    """Sorted by quantity, then by the JSON of the params as `to_dict` prints them."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return sorted(records, key=lambda r: (r.quantity, encode({k: str(v) for k, v in r.params.items()})))
 
 
 def exit_code_for(records) -> int:

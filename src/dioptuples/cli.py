@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import gc
 import inspect
-import io
 import json
 import os
 import sys
@@ -72,17 +71,15 @@ def _measure(quantity, opts, given) -> int:
 
 
 def _emit(rows: list[dict], fmt: str) -> None:
+    # line by line, never one joined string: a single large write to a pipe
+    # whose reader has left can end without the BrokenPipeError `entry` reports
+    encode = json.JSONEncoder(sort_keys=True).encode
     if fmt == "json":
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+        sys.stdout.writelines(encode(row) + "\n" for row in rows)
         return
-    buf = io.StringIO()
-    fields = sorted({k for row in rows for k in row})
-    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer = csv.DictWriter(sys.stdout, fieldnames=sorted({k for row in rows for k in row}))
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: json.dumps(v, sort_keys=True) if isinstance(v, dict) else v for k, v in row.items()})
-    sys.stdout.write(buf.getvalue())
+    writer.writerows({k: encode(v) if isinstance(v, dict) else v for k, v in row.items()} for row in rows)
 
 
 def _ignore_jobs(jobs: int, runs: str) -> None:

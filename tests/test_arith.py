@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dioptuples.arith import format_rational, is_prime, legendre, odd_prime_power
@@ -59,6 +60,9 @@ def test_format_rational():
     assert format_rational(Fraction(7, 12)) == "7/12"
     assert format_rational(Fraction(37)) == "37"
     assert format_rational(Fraction(-5, 16)) == "-5/16"
+    # ints (bool and numpy ints too) and Fractions, each formatted as its Fraction is
+    for x in (0, -3, 42, 10**30, True, np.int64(-7), Fraction(6, 3), Fraction(-9, 4)):
+        assert format_rational(x) == str(Fraction(x)), repr(x)
 
 
 def test_rational_canonical_form_and_algebra():

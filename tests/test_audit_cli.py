@@ -409,6 +409,15 @@ def test_cli_audit_csv(capsys):
     assert len(lines) == 3
 
 
+def test_cli_audit_all_csv_matches_anchor(capsys):
+    # the CSV bytes of `audit all`, dict cells (params, interval oracles) included
+    code, out, _ = run_cli(capsys, "audit", "all", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b337c48a3c687c5bd4a0615a729650098846099a3df4c18c4ebc83777e56f5a"
+    )
+
+
 def test_cli_audit_pairs_with_explicit_args(capsys):
     code, out, _ = run_cli(capsys, "audit", "pairs-zp", "--p", "3,5", "--rset", "1,2")
     assert code == 0
@@ -525,6 +534,25 @@ def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, ""), module
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_python_m_exits_1_when_the_reader_leaves_mid_output(fmt):
+    # `audit all | head -c 100`: 1135 lines overflow the pipe, so a later write
+    # fails; one joined write of them all could end with exit 0 instead
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dioptuples", "audit", "all", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 def test_cli_import_loads_no_process_pool():
