@@ -13,19 +13,27 @@ from typing import NamedTuple
 import numpy as np
 
 
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk scale), cached per n."""
-    if n < 2:
-        return False
+def smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division over 2 and the odd numbers (desk scale)."""
     if n % 2 == 0:
-        return n == 2
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+@lru_cache(maxsize=None)
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test (desk scale), cached per n."""
+    return n >= 2 and smallest_factor(n) == n
+
+
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def require_odd_prime(p: int) -> None:
@@ -37,15 +45,7 @@ def odd_prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^f with p an odd prime, or raise ValueError."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"expected an odd prime power, got {q}")
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 2
-    else:
-        return q, 1
-    f = 0
-    m = q
+    p, f, m = smallest_factor(q), 0, q
     while m % p == 0:
         m //= p
         f += 1

@@ -27,20 +27,14 @@ from .curves import (
     extension_counts,
     two_descent_equiv,
 )
-from .fp_census import (
-    BudgetExceededError,
-    _census_tables,
-    _clique_count,
-    _largest_fitting,
-    census,
-    conic_sum_direct,
-)
+from .fp_census import _census_tables, _clique_count, census, conic_sum_direct
 from .padic import r_shape
 from .zp_census import (
     MeasureInterval,
     series_consistency,
     valuation_class_measure,
     zp_interval,
+    zp_precision,
 )
 
 AGREE = "Agree"
@@ -118,14 +112,6 @@ def auto_rset(p: int) -> list[int]:
     return [1, n, p, p * n, p * p, p * p * n, p**3]
 
 
-def interval_precision(p: int, m: int, cap: int = 10**8) -> int:
-    """Largest N with p^(mN) <= cap."""
-    N = _largest_fitting(lambda k: p ** (m * k), cap)
-    if N == 0:
-        raise BudgetExceededError(f"census size {p}^{m} at N = 1 exceeds budget {cap}")
-    return N
-
-
 def _pmap(fn, items):
     # one serial map, kept as a function only because the benchmark's traced
     # run (bench/spans.py) times `audit._pmap` by name
@@ -137,10 +123,10 @@ def _pmap(fn, items):
 
 
 def _pairs_zp_item(args):
-    p, r, cap = args
+    p, r, budget = args
     shape = r_shape(r, p)
-    N = interval_precision(p, 2, cap)
-    interval = zp_interval(p, r, 2, N)
+    N = max(1, zp_precision(p, 2, budget))  # below p^2 the census itself refuses
+    interval = zp_interval(p, r, 2, N, budget)
     return [
         _record(
             "pair_density_zp",
@@ -158,8 +144,8 @@ def _pairs_zp_item(args):
     ]
 
 
-def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, cap=10**8):
-    items = [(p, r, cap) for p in ps for r in (rset if rset is not None else auto_rset(p))]
+def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=10**8):
+    items = [(p, r, budget) for p in ps for r in (rset if rset is not None else auto_rset(p))]
     return [rec for recs in _pmap(_pairs_zp_item, items) for rec in recs]
 
 
@@ -451,7 +437,7 @@ def _asymptotics_item(args):
             Fraction(0 if gap <= bound else 1),
             detail=f"|density - 1/8 - (6+3chi)/8p| = {format_rational(gap)} vs 10/p^2",
         )
-    result = census(p, r, 4, budget=2 * 10**8)
+    result = census(p, r, 4)
     density = Fraction(result.total, p**4)
     gap = abs(density - Fraction(1, 64))
     ok = gap * gap <= Fraction(1, p)  # gap <= 1/sqrt(p), exactly

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, smallest_factor
 
 DESK_SCALE_BOUND = 100_000
 
@@ -35,15 +35,13 @@ def _digits(k, p, width):
 
 
 def _prime_factors(n):
-    # trial division up to sqrt(n)
-    primes, ell = [], 2
-    while ell * ell <= n:
-        if n % ell == 0:
-            primes.append(ell)
-            while n % ell == 0:
-                n //= ell
-        ell += 1
-    return primes + [n] * (n > 1)
+    primes = []
+    while n > 1:
+        ell = smallest_factor(n)
+        primes.append(ell)
+        while n % ell == 0:
+            n //= ell
+    return primes
 
 
 def _poly_rem(a, b, p):

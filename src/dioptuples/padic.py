@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, legendre
+from .arith import legendre, require_prime
 
 
 def vp(n: int, p: int) -> int:
@@ -44,8 +44,7 @@ def require_nonzero_r(r: int) -> None:
 def r_shape(r: int, p: int) -> RShape:
     """Package r = p^alpha * s with its quadratic characters."""
     require_nonzero_r(r)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     alpha = vp(r, p)
     s = r // p**alpha
     if p == 2:

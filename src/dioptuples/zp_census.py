@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .arith import is_prime, require_odd_prime, residue_tables
+from .arith import require_odd_prime, require_prime, residue_tables
 from .closed_forms import (
     diop2_ok,
     mu_A_k_q,
@@ -91,8 +91,7 @@ def status_table(p: int, N: int) -> np.ndarray:
     pin every status against the lifts two levels up.  Read-only, built once
     per (p, N).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     # shell k is t = p^k j, for j >= 1 along st[p**k::p**k]; the j divisible
     # by p are multiples of p^(k+1), which the next shell overwrites, so the
     # pattern for the remaining j depends on j mod p (mod 8 when p = 2)
@@ -204,6 +203,11 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
     return counts[0], counts[1]
 
 
+def zp_precision(p: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
+    """The largest N whose census charge p^(mN) fits the budget; 0 when N = 1 does not."""
+    return _largest_fitting(lambda k: p ** (m * k), budget)
+
+
 def zp_interval(
     p: int,
     r: int,
@@ -218,12 +222,11 @@ def zp_interval(
     r must be nonzero; its class mod p^N may vanish.
     """
     require_nonzero_r(r)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if m < 2 or N < 1:
         raise ValueError("need m >= 2 and N >= 1")
-    if p ** (m * N) > budget:
-        fits = _largest_fitting(lambda k: p ** (m * k), budget)
+    fits = zp_precision(p, m, budget)
+    if N > fits:
         raise BudgetExceededError(
             f"census size {p}^{m * N} exceeds budget {budget}; at p = {p}, m = {m} the largest N that fits is {fits}"
         )

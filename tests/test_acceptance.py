@@ -16,7 +16,6 @@ from dioptuples.audit import (
     auto_rset,
     ec_instances,
     exit_code_for,
-    interval_precision,
     run_suite,
 )
 from dioptuples.curves import (
@@ -32,6 +31,7 @@ from dioptuples.zp_census import (
     series_consistency,
     valuation_class_measure,
     zp_interval,
+    zp_precision,
 )
 from test_curves import curve_order  # the scalar reference oracle
 
@@ -55,7 +55,7 @@ def test_criterion_02_pair_theorem_sweep():
     t0 = time.monotonic()
     checked = 0
     for p in (3, 5, 7, 11, 13):
-        N = interval_precision(p, 2, 10**8)
+        N = zp_precision(p, 2, 10**8)
         assert p ** (2 * N) <= 10**8
         for r in auto_rset(p):
             shape = r_shape(r, p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dioptuples.arith import format_rational, is_prime, legendre, odd_prime_power
+from dioptuples.arith import format_rational, is_prime, legendre, odd_prime_power, smallest_factor
 
 
 def brute_legendre(a, p):
@@ -52,6 +52,34 @@ def test_odd_prime_power():
     for bad in (1, 2, 8, 12, 15, 45):
         with pytest.raises(ValueError):
             odd_prime_power(bad)
+
+
+def test_trial_division_agrees_with_a_sieve():
+    n_max = 10**4
+    spf = list(range(n_max))  # smallest prime factor, for n >= 2
+    for k in range(2, int(n_max**0.5) + 1):
+        if spf[k] == k:
+            for j in range(k * k, n_max, k):
+                spf[j] = min(spf[j], k)
+    powers = {p**f: (p, f) for p in range(3, n_max) if spf[p] == p for f in range(1, 10) if p**f < n_max}
+    for n in range(n_max):
+        assert is_prime(n) == (n >= 2 and spf[n] == n), n
+        if n >= 2:
+            assert smallest_factor(n) == spf[n], n
+        if n < 3 or n % 2 == 0:
+            with pytest.raises(ValueError, match="expected an odd prime power"):
+                odd_prime_power(n)
+        elif n in powers:
+            assert odd_prime_power(n) == powers[n], n
+        else:
+            with pytest.raises(ValueError, match="is not a prime power"):
+                odd_prime_power(n)
+
+
+def test_odd_prime_power_refuses_a_small_factor_at_once():
+    # the factor 3 leaves a cofactor above 10^30, which trial division could not factor
+    with pytest.raises(ValueError, match="is not a prime power"):
+        odd_prime_power(3 * (10**30 + 57))
 
 
 def test_format_rational():

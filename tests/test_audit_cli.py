@@ -21,13 +21,12 @@ from dioptuples.audit import (
     INCONCLUSIVE,
     auto_rset,
     exit_code_for,
-    interval_precision,
     run_suite,
     smallest_nonresidue,
     verdict_for,
 )
 from dioptuples.cli import main
-from dioptuples.zp_census import MeasureInterval
+from dioptuples.zp_census import MeasureInterval, zp_precision
 
 
 def test_smallest_nonresidue_and_auto_rset():
@@ -39,11 +38,11 @@ def test_smallest_nonresidue_and_auto_rset():
 
 
 def test_interval_precision():
-    assert interval_precision(3, 2) == 8  # 3^16 <= 1e8 < 3^18
-    assert interval_precision(5, 2) == 5
-    assert interval_precision(7, 2) == 4
-    assert interval_precision(11, 2) == 3
-    assert interval_precision(13, 2) == 3
+    assert zp_precision(3, 2, 10**8) == 8  # 3^16 <= 1e8 < 3^18
+    assert zp_precision(5, 2, 10**8) == 5
+    assert zp_precision(7, 2, 10**8) == 4
+    assert zp_precision(11, 2, 10**8) == 3
+    assert zp_precision(13, 2, 10**8) == 3
 
 
 def test_verdict_rules():
@@ -68,7 +67,7 @@ def test_suite_z2():
 
 
 def test_suite_pairs_zp_small():
-    records = run_suite("pairs-zp", ps=(3,), cap=3**10)
+    records = run_suite("pairs-zp", ps=(3,), budget=3**10)
     assert records and all(r.verdict == AGREE for r in records)
     quantities = {r.quantity for r in records}
     assert quantities == {"pair_density_zp", "pair_density_block_series"}
@@ -224,6 +223,8 @@ CLI_CONTRACT = [
     (("census", "fp", "--p", "3", "-N", "9"), 1, "", "census fp takes no --precision"),
     (("census", "zp", "--p", "3", "--m", "3", "-N", "9"), 2, "", "exceeds budget"),
     (("audit", "pairs-zp", "--p", "3", "--budget", "0"), 2, "", "exceeds budget 0"),
+    (("census", "zp", "--p", "9"), 1, "", "9 is not prime"),
+    (("measure", "pair-ok", "--q", "15"), 1, "", "15 is not a prime power"),
     (("measure", "conic", "--p", "5", "--a1", "1"), 0, "-1\n", ""),
     # an audit that checked nothing fails
     (("audit", "conic", "--pmax", "2"), 1, "", "audit conic produced no records"),
@@ -240,6 +241,9 @@ CLI_CONTRACT = [
     # a flag is spelled in full and given once, never guessed at
     (("census", "zp", "--p", "3", "--prec", "4"), 1, "", "flag --prec is abbreviated; write --precision in full"),
     (("census", "fp", "--p", "5", "--p", "7"), 1, "", "argument --p: given more than once"),
+    (("measure", "pair", "--decimal=1"), 1, "", "argument --decimal: ignored explicit argument '1'"),
+    # after "--" every token is a word, so a flag there is left over
+    (("census", "fp", "--p", "5", "--", "--r", "2"), 1, "", "unrecognized arguments: --r 2"),
 ]
 
 
@@ -261,6 +265,20 @@ def test_cli_attached_values_read_like_spaced_ones(capsys):
         code, out, err = run_cli(capsys, *spaced.split())
         assert (code, err) == (0, "") and out, spaced
         assert run_cli(capsys, *attached.split()) == (0, out, ""), attached
+
+
+def test_cli_double_dash_ends_the_flags(capsys):
+    want = run_cli(capsys, "measure", "pair", "--p", "5")
+    assert want[0] == 0 and want[1]
+    assert run_cli(capsys, "measure", "--p", "5", "--", "pair") == want
+
+
+def test_cli_audit_budget_is_the_pairs_census_budget(capsys):
+    # used as given: 3^18 <= 10^9 < 3^20, so the census runs at N = 9
+    code, out, err = run_cli(capsys, "audit", "pairs-zp", "--p", "3", "--rset", "1", "--budget", "1000000000")
+    assert (code, err) == (0, "")
+    precisions = [json.loads(line)["params"].get("N") for line in out.splitlines()]
+    assert precisions == [None, "9"]  # the block-series record has no N
 
 
 def test_cli_help_names_every_command(capsys):

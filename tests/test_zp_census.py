@@ -196,6 +196,19 @@ def test_triple_sweep_matches_brute(p, N, r):
     assert (interval.lo, interval.hi) == (lo, hi)
 
 
+@pytest.mark.parametrize("p,N,r", [(p, N, r) for p, N in ((2, 2), (3, 2), (5, 1)) for r in sorted({1, 2, p})])
+def test_quadruple_sweep_matches_brute(p, N, r):
+    interval = zp_interval(p, r, 4, N)
+    assert (interval.lo, interval.hi) == brute_interval(p, r, 4, N)
+
+
+def test_quadruple_interval_budget():
+    # the census refuses exactly when N exceeds zp_precision: 3^8 fits, 3^12 does not
+    assert zp_interval(3, 1, 4, 2, budget=3**8) == zp_interval(3, 1, 4, 2)
+    with pytest.raises(BudgetExceededError, match="census size 3\\^12 exceeds budget 177147; .* the largest N that fits is 2"):
+        zp_interval(3, 1, 4, 3, budget=3**11)
+
+
 def test_interval_contains_true_values():
     assert Fr(1, 3) in zp_interval(2, 1, 2, 8)
     assert Fr(7, 12) in zp_interval(3, 1, 2, 6)
