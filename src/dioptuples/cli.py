@@ -83,7 +83,9 @@ def _emit(rows: list[dict], fmt: str) -> None:
 
 
 def _ignore_jobs(jobs: int, runs: str) -> None:
-    """`--jobs N` stays accepted; every command runs in one process."""
+    """`--jobs N` stays accepted for N >= 1; every command runs in one process."""
+    if jobs < 1:
+        raise ValueError(f"argument --jobs: must be at least 1, got {jobs}")
     if jobs > 1:
         print(f"note: {runs} runs in one process; --jobs {jobs} is ignored", file=sys.stderr)
 

@@ -51,10 +51,10 @@ class TripleCurve:
     C: int = field(init=False)
 
     def __post_init__(self):
-        require_odd_prime(self.p)
         p = self.p
-        if p > DESK_SCALE_BOUND:
+        if p > DESK_SCALE_BOUND:  # before the prime test, whose trial division a huge p would stall
             raise ValueError(f"p = {p} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
+        require_odd_prime(p)
         a, b, c, r = self.a % p, self.b % p, self.c % p, self.r % p
         if 0 in (a, b, c):
             raise ValueError("triple entries must be nonzero mod p")

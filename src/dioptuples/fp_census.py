@@ -1,20 +1,20 @@
 """Exhaustive, formula-independent censuses of D(r) m-tuples over F_p and F_q.
 
 This module is the authoritative oracle on finite fields: it never consults
-a closed form.  Tuples are counted over the full cartesian power.  Every
-count of order m <= 3 comes from square-class sums (`_class_triangles`): on
-a table T[x, y] = w(xy) over a finite abelian group G, the map
-(x, y, z) -> (xy, yz, zx) is |G[2]|-to-one onto the (s, t, u) with stu a
-square, so the ordered triangles are c * sum W[a] W[b] W[a ^ b] over the
-c = |G/G^2| square classes, where W[a] sums w over class a.  Over F_q* the
-classes are the squares and the nonsquares, so a census of order <= 3 reads
-one vector of length q - 1 and builds no q x q array; the Z/p^N sweep in
-`zp_census` shares the identity, shell by shell.  Order 4 is its K4 sibling
-(`_class_quadrangles`): K4's three perfect matchings all multiply to
-x1 x2 x3 x4, so the 4-cliques are one class-triangle sum per value of that
-product, in O(q^2) exact integer work and O(q) memory.  Orders m >= 5 go
-through one level-synchronous clique kernel, `_clique_count`, which the
-Z/p^N sweep also shares: a frontier holds one bool row per prefix, the index
+a closed form.  Tuples are counted over the full cartesian power.  Orders
+m <= 4 go through one square-class engine, `_class_triangles`: on a table
+T[x, y] = w(xy) over a finite abelian group G, the map (x, y, z) ->
+(xy, yz, zx) is |G[2]|-to-one onto the (s, t, u) with stu a square, so the
+ordered triangles are c * sum W[a] W[b] W[a ^ b] over the c = |G/G^2|
+square classes, where W[a] sums w over class a; the engine takes stacks of
+class sums and gives one exact count per entry.  Over F_q* the classes are
+the squares and the nonsquares, so order 3 reads one vector of length q - 1
+and builds no q x q array.  Order 4 (`_class_quadrangles`) is one stacked
+call, one entry per value of x1 x2 x3 x4, the product of each of K4's three
+perfect matchings, in O(q^2) exact integer work and O(q) memory; the Z/p^N
+shell triples of `zp_census` are the engine's third caller.  Orders m >= 5
+go through one level-synchronous clique kernel, `_clique_count`, shared with
+the Z/p^N sweep: a frontier holds one bool row per prefix, the index
 set its next coordinate may take, and each further coordinate is one row
 gather over the whole frontier; the last three coordinates are the ordered
 triangles inside each frontier row, one batched float32 matrix product per
@@ -189,17 +189,21 @@ def _clique_count(B: np.ndarray, m: int, masks: np.ndarray | None = None) -> int
     return total
 
 
-def _class_triangles(W1, W2, W3) -> int:
-    """sum over x, y, z in G of w1(xy) w2(yz) w3(zx), from square-class sums.
+def _class_triangles(W1, W2, W3) -> np.ndarray | int:
+    """sum over x, y, z in G of w1(xy) w2(yz) w3(zx), from square-class sums, per stack entry.
 
     G is a finite abelian group whose c = |G/G^2| square classes are labelled
     0 .. c-1 so that the label of a product is the XOR of the labels, and
-    W_e[a] sums w_e over class a.  The map (x, y, z) -> (xy, yz, zx) is
-    |G[2]|-to-one onto the (s, t, u) with stu a square, |G[2]| = c, and stu is
-    a square exactly when the label of u is the XOR of those of s and t, so
-    the sum is c * sum over a, b of W1[a] W2[b] W3[a ^ b].  Exact in Python
-    integers.
+    W_e[..., a] sums w_e over class a; the leading axes stack independent
+    sums.  The map (x, y, z) -> (xy, yz, zx) is |G[2]|-to-one onto the
+    (s, t, u) with stu a square, |G[2]| = c, and stu is a square exactly when
+    the label of u is the XOR of those of s and t, so each sum is
+    c * sum over a, b of W1[a] W2[b] W3[a ^ b].  Exact in Python integers:
+    an object array of counts, or one int for unstacked sums.
     """
+    W1, W2, W3 = (np.asarray(W, object) for W in (W1, W2, W3))
+    # classes first, so W[a] is the column of class a, and a Python int when unstacked
+    W1, W2, W3 = (W.transpose(-1, *range(W.ndim - 1)) for W in (W1, W2, W3))
     c = len(W1)
     return c * sum(W1[a] * W2[b] * W3[a ^ b] for a in range(c) for b in range(c))
 
@@ -210,21 +214,16 @@ def _class_quadrangles(v: np.ndarray) -> int:
     In log coordinates the units are Z/n, written additively, and T is
     w(x + y) with w = v.  The map (x1, x2, x3, x4) -> (a, b, c, s) =
     (x1 + x2, x1 + x3, x1 + x4, x1 + x2 + x3 + x4) is 2-to-one onto the
-    (a, b, c, s) with a + b + c - s even, since 2 x1 = a + b + c - s.  K4's
-    three perfect matchings each sum to s, so the six pair sums are a, b, c,
-    s - a, s - b and s - c, and the count is 2 * sum over s of
-    sum u_s(a) u_s(b) u_s(c) over the a + b + c of the parity of s, with
-    u_s(a) = v[a] v[s - a].  That inner sum is `_class_triangles`(U_s, U_s,
-    U_s relabelled by the class of s), where U_s = (E_s, O_s) sums u_s over
-    the even and the odd a: X^3 + 3 X Y^2, with X the sum over the a of the
-    parity of s and Y over the others (all three a of that parity, or one
-    and two of the other).  At odd s, a -> s - a swaps the parities, so
-    E_s = O_s and the relabelling is void: the count is
-    2 * sum_s (E_s^3 + 3 E_s O_s^2).  E and O are the int64 convolutions of
-    the even and the odd part of v with v, folded mod n, so nothing of size
-    n^2 is built.  Every pair (a, s - a) is counted once, so
-    sum_s (E_s + O_s) = (sum v)^2; sums that break this or E_s = O_s at odd
-    s raise RuntimeError.  Exact in Python integers.
+    (a, b, c, s) with a + b + c - s even, and K4's three perfect matchings
+    each sum to s, so the six pair sums are a, b, c, s - a, s - b and s - c.
+    So the count sums one stacked `_class_triangles` call over the n stacks
+    U_s = (E_s, O_s), the sums of u_s(a) = v[a] v[s - a] over the even and
+    the odd a, whose c = 2 is the map's 2; the parity of s would relabel the
+    third class, but at odd s, a -> s - a swaps the parities, so E_s = O_s.
+    E and O are the int64 convolutions of the even and the odd part of v
+    with v, folded mod n: nothing of size n^2 is built.  Since
+    sum_s (E_s + O_s) = (sum v)^2, sums that break it or E_s = O_s at odd s
+    raise RuntimeError.
     """
     n = len(v)
     w = v.astype(np.int64)
@@ -237,8 +236,8 @@ def _class_quadrangles(v: np.ndarray) -> int:
         U[c, :-1] += full[n:]
     if int(U.sum()) != int(np.count_nonzero(v)) ** 2 or not np.array_equal(*U[:, 1::2]):
         raise RuntimeError("the class sums U_s break sum_s (E_s + O_s) = (sum v)^2 or E_s = O_s at odd s")
-    E, O = U.astype(object)
-    return 2 * int((E * (E * E + 3 * O * O)).sum())
+    U = U.T.astype(object)
+    return int(_class_triangles(U, U, U).sum())
 
 
 @dataclass(frozen=True)
@@ -283,9 +282,9 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
     then as C(m, k) placements of a nonzero k-tuple.  Orders k <= 3 come from
     the square-class sums of row 0 of a table, which is its vector v: E and O
     count the set entries at even and odd logarithms (squares, nonsquares),
-    so order 1 is q-1, order 2 is (q-1)(E+O) and order 3 is 2E^3 + 6EO^2.
-    Order 4 is `_class_quadrangles` of v, and orders k >= 5 go through the
-    clique kernel.
+    so order 1 is q-1, order 2 is (q-1)(E+O) and order 3 is `_class_triangles`
+    of (E, O).  Order 4 is `_class_quadrangles` of v, and orders k >= 5 go
+    through the clique kernel.
     """
     zero, member, strict = _census_tables(field, r)
     n = field.q - 1
@@ -296,7 +295,7 @@ def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
         if k == 4:
             return _class_quadrangles(table[0])
         W = [int(np.count_nonzero(table[0, c::2])) for c in (0, 1)]
-        return (1, n, n * sum(W), _class_triangles(W, W, W))[k]
+        return _class_triangles(W, W, W) if k == 3 else (1, n, n * sum(W))[k]
 
     nonzero = count(member, m)
     total = nonzero

@@ -88,12 +88,12 @@ class FqField:
     """F_{p^f} with odd p; immutable after construction."""
 
     def __init__(self, p: int, f: int):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"characteristic must be an odd prime, got {p}")
         if f < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**f > DESK_SCALE_BOUND:
+        if p**f > DESK_SCALE_BOUND:  # before the prime test, whose trial division a huge p would stall
             raise ValueError(f"q = {p}^{f} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"characteristic must be an odd prime, got {p}")
         self.p = p
         self.f = f
         self.q = p**f

@@ -12,10 +12,10 @@ depends only on v_p(t), so counting the selected residues per valuation
 shell and weighting each shell once replaces the p^(2N) sweep.  The ab of
 shell k or deeper are the multiples of p^k, so each shell count is the
 difference of two strided counts of the selected values of ab + r.  Triples
-come from the F_q census's square-class identity (`_class_triangles`),
-shell by shell: with a = p^k x for a unit x, ab + r depends on xy and on
-min(k + l, N) alone, so each triple of valuation shells is one sum over the
-square classes of the unit group, and no p^(2N) array is built.  Both
+go through the F_q census's square-class engine (`_class_triangles`): with
+a = p^k x for a unit x, ab + r depends on xy and on min(k + l, N) alone, so
+each triple of valuation shells is one class sum over the unit group, one
+stacked engine call per first shell, and no p^(2N) array is built.  Both
 routes are property-tested against the general m-tuple sweep, which counts
 tuples with the F_q census's clique kernel over the status grid and serves
 m >= 4.  Since (-a)(-b) = ab, a and -a induce one sub-grid, so the sweep
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -174,10 +173,11 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
     Write a = p^k x with x in the unit group G: each a of shell k < N is hit
     by p^k units, and zero, shell N, by all |G|.  For a in shell k and b in
     shell l, ab + r = p^s xy + r with s = min(k + l, N), a function w_s of
-    xy, so each shell triple is one `_class_triangles` over G divided by the
-    product of the three hit counts, an exact integer.  The class of a unit
-    is its residue character for odd p, and (x mod 8) >> 1 for p = 2 (mod 4
-    at N = 2, a single class at N = 1): (Z/2^N)* / squares is (Z/8)*.
+    xy, so each shell triple is one `_class_triangles` sum over G divided by
+    the product of the three hit counts, an exact integer; each first shell
+    k is one stacked call over every (l, n, bound).  The class of a unit is
+    its residue character for odd p, and (x mod 8) >> 1 for p = 2 (mod 4 at
+    N = 2, a single class at N = 1): (Z/2^N)* / squares is (Z/8)*.
     """
     q = p**N
     units = np.flatnonzero(np.arange(q) % p)
@@ -187,20 +187,19 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
         labels = np.where(residue_tables(p).chi[units % p] == 1, 0, 1)
     c = int(labels.max()) + 1
     st = status_table(p, N)
-    sums = []  # per s: the lo and hi class sums of w_s
-    for s in range(N + 1):
-        status = st[(p**s * units + r) % q]
-        sums.append([np.bincount(labels[good], minlength=c).tolist() for good in (status == 1, status != -1)])
-    hits = [p**k for k in range(N)] + [len(units)]
-    counts = [0, 0]
-    for k, l, n in product(range(N + 1), repeat=3):
-        W = [sums[min(i + j, N)] for i, j in ((k, l), (l, n), (n, k))]
-        for bound in (0, 1):
-            count, rest = divmod(_class_triangles(*(w[bound] for w in W)), hits[k] * hits[l] * hits[n])
-            if rest:
-                raise RuntimeError(f"shell triple {(k, l, n)} of Z/{p}^{N} has a non-integral count")
-            counts[bound] += count
-    return counts[0], counts[1]
+    statuses = (st[(p**s * units + r) % q] for s in range(N + 1))  # sums[s, bound]: the lo and hi class sums of w_s
+    sums = np.array([[np.bincount(labels[good], minlength=c) for good in (t == 1, t != -1)] for t in statuses])
+    hits = np.array([p**k for k in range(N)] + [len(units)], object)
+    l, n = np.ogrid[: N + 1, : N + 1]  # the second and third shells of a triple
+    counts = 0
+    for k in range(N + 1):
+        hit = (hits[k] * hits[l] * hits[n])[..., None]
+        total = _class_triangles(*(sums[np.minimum(i + j, N)] for i, j in ((k, l), (l, n), (n, k))))
+        if (total % hit).any():
+            l0, n0 = np.argwhere(total % hit)[0, :2].tolist()
+            raise RuntimeError(f"shell triple {(k, l0, n0)} of Z/{p}^{N} has a non-integral count")
+        counts += (total // hit).sum((0, 1))
+    return int(counts[0]), int(counts[1])
 
 
 def zp_precision(p: int, m: int, budget: int = DEFAULT_BUDGET) -> int:

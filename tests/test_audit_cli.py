@@ -343,6 +343,20 @@ def test_cli_census_jobs_runs_in_one_process(capsys):
         assert err2 == "note: a census runs in one process; --jobs 2 is ignored\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "fp", "--p", "3", "--m", "2", "--jobs", "0"),
+        ("census", "fp", "--p", "3", "--m", "2", "--jobs", "-4"),
+        ("audit", "z2", "--jobs", "0"),
+    ],
+)
+def test_cli_refuses_jobs_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --jobs: must be at least 1, got {argv[-1]}\n"
+
+
 def test_cli_audit_jobs_runs_in_one_process(capsys):
     code, out, err = run_cli(capsys, "audit", "all")
     assert (code, err) == (0, "")
@@ -532,12 +546,27 @@ def test_oracle_modules_never_import_closed_forms():
     assert found == []
 
 
-def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples"):
+def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples", timeout=60):
     env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "fp", "--p", "2305843009213693951", "--m", "2"),
+        ("ec-check", "--p", "2305843009213693951", "--a", "1", "--b", "2", "--c", "3", "--r", "1"),
+    ],
+    ids=["census", "ec-check"],
+)
+def test_desk_scale_bound_refuses_a_huge_prime_at_once(argv):
+    # 2^61 - 1 is prime, so trial division before the bound check would run for hours
+    proc = run_module(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "exceeds the desk-scale bound 100000" in proc.stderr
 
 
 def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():

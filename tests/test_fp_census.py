@@ -453,15 +453,54 @@ def test_class_quadrangles_refuse_inconsistent_class_sums_under_optimize(convolu
     assert "RuntimeError: the class sums U_s break sum_s (E_s + O_s) = (sum v)^2 or E_s = O_s at odd s" in proc.stderr
 
 
-def test_class_triangles_match_the_group_sum():
-    # (Z/8)* is the Klein group: x -> (x mod 8) >> 1 labels its classes by XOR
+# finite abelian groups as products of cyclic factors in log coordinates; the
+# 2-groups (Z/8)* and (Z/16)* are also read as residues, x = (-1)^e 5^f mod 2^k
+GROUP_SHAPES = {
+    "Z3": ((3,), None),
+    "Z6": ((6,), None),
+    "Z4xZ3": ((4, 3), None),
+    "units8": ((2, 2), 8),
+    "units16": ((2, 4), 16),
+    "Z2xZ2xZ2": ((2, 2, 2), None),
+}
+
+
+@pytest.mark.parametrize("orders,modulus", GROUP_SHAPES.values(), ids=GROUP_SHAPES)
+def test_class_triangles_match_the_group_sum(orders, modulus):
+    # a class label is the vector of parity bits of the even-order factors
+    logs = list(product(*map(range, orders)))
+    even = [i for i, n in enumerate(orders) if n % 2 == 0]
+    labels = [sum((x[i] % 2) << bit for bit, i in enumerate(even)) for x in logs]
+    if modulus:
+        G = [(-1) ** e * 5**f % modulus for e, f in logs]
+        assert sorted(G) == list(range(1, modulus, 2))
+
+        def mul(x, y):
+            return x * y % modulus
+
+    else:
+        G = logs
+
+        def mul(x, y):
+            return tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
     rng = np.random.default_rng(5)
-    units = [1, 3, 5, 7]
-    for _ in range(20):
-        w = rng.integers(0, 4, size=(3, 8))
-        want = sum(w[0][x * y % 8] * w[1][y * z % 8] * w[2][z * x % 8] for x, y, z in product(units, repeat=3))
-        W = [[int(w[e][x]) for x in units] for e in range(3)]
+    for _ in range(10):
+        w = [dict(zip(G, rng.integers(0, 4, len(G)).tolist())) for _ in range(3)]
+        want = sum(w[0][mul(x, y)] * w[1][mul(y, z)] * w[2][mul(z, x)] for x, y, z in product(G, repeat=3))
+        W = [[sum(we[x] for x, a in zip(G, labels) if a == c) for c in range(2 ** len(even))] for we in w]
         assert _class_triangles(*W) == want
+
+
+def test_class_triangles_stack_over_leading_axes():
+    # one count per stack entry, exact past int64 (the products reach 2^120)
+    rng = np.random.default_rng(7)
+    W = rng.integers(0, 2**40, size=(3, 2, 3, 4))
+    got = _class_triangles(*W)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[_class_triangles(*W[:, i, j].tolist()) for j in range(3)] for i in range(2)]
+    W1, W2, W3 = W[:, 1, 2].tolist()
+    assert got[1, 2] == 4 * sum(W1[a] * W2[b] * W3[a ^ b] for a in range(4) for b in range(4))
 
 
 def test_shell_quotients_must_be_integral_under_optimize():

@@ -162,6 +162,15 @@ def test_shell_route_reads_no_closed_form():
         assert not closed & set(names(inspect.unwrap(fn).__code__)), fn.__name__
 
 
+def test_shell_triples_make_one_engine_call_per_first_shell(monkeypatch):
+    # a stacked call per first shell k: N + 1 calls, not one per shell triple and bound
+    calls = []
+    engine = zp_census._class_triangles
+    monkeypatch.setattr(zp_census, "_class_triangles", lambda *W: calls.append(W) or engine(*W))
+    zp_interval(3, 1, 3, 6)
+    assert 0 < len(calls) <= 7
+
+
 def test_shell_triples_run_in_linear_memory():
     zp_interval(3, 25, 3, 6)  # builds and caches the status table
     tracemalloc.start()
