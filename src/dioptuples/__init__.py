@@ -6,7 +6,6 @@ from types import ModuleType as _ModuleType
 from .arith import format_rational, is_prime, legendre
 from .closed_forms import (
     conic_sum_closed,
-    diop2_ok,
     diop2_ok_claimed,
     diop2_z2,
     diop2_zp,
@@ -20,6 +19,7 @@ from .closed_forms import (
     mu_B_beta,
     mu_B_beta_claimed,
     pair_measure,
+    series_consistency,
     tilde3_fp_claimed,
 )
 from .curves import TripleCurve, extension_dset, two_descent_equiv
@@ -34,7 +34,6 @@ from .fq import FqField, fq_construct
 from .padic import RShape, r_shape, vp
 from .zp_census import (
     MeasureInterval,
-    series_consistency,
     valuation_class_measure,
     zp_interval,
 )

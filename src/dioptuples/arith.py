@@ -14,7 +14,10 @@ import numpy as np
 
 
 def smallest_factor(n: int) -> int:
-    """The smallest prime factor of n >= 2, by trial division over 2 and the odd numbers (desk scale)."""
+    """The smallest prime factor of n >= 2, by trial division over 2 and the odd numbers.
+
+    Desk scale only: `fq` factors q - 1 with it, q at most 10^5.
+    """
     if n % 2 == 0:
         return 2
     f = 3
@@ -25,10 +28,43 @@ def smallest_factor(n: int) -> int:
     return n
 
 
+# Miller-Rabin to the first 13 prime bases decides every n below the bound,
+# which is the least strong pseudoprime to all 13 (Sorenson and Webster,
+# Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk scale), cached per n."""
-    return n >= 2 and smallest_factor(n) == n
+    """Deterministic primality test, cached per n.
+
+    A factor among the Miller-Rabin bases decides n at any size; any other
+    n must lie below PRIMALITY_BOUND, where those bases are proven to
+    suffice, or ValueError is raised.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is past the proven primality bound {PRIMALITY_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def require_prime(p: int) -> None:
@@ -41,15 +77,26 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p}")
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, exactly, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def odd_prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^f with p an odd prime, or raise ValueError."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"expected an odd prime power, got {q}")
-    p, f, m = smallest_factor(q), 0, q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
+    for f in range(q.bit_length(), 0, -1):  # f = 1 always has the root q
+        p = _iroot(q, f)
+        if p**f == q:
+            break
+    # f is the largest exponent with q = p^f, so q is a prime power exactly when p is prime
+    if not is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return p, f
 

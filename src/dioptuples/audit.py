@@ -4,9 +4,8 @@ Each suite sweeps a parameter family, evaluates claimed closed forms against
 the matching exhaustive oracle, and emits one record per quantity.  Records
 marked must_agree gate the process exit code; adjudication records document
 discrepancies in known-suspect statements and never gate.  Verdicts are
-recomputable from the record fields alone.  Every suite runs serially in one
-process: `all` does about 0.2 s of suite work, and a two-worker process pool
-made it slower (0.44 s against 0.34 s per fresh process on a 2-core machine).
+recomputable from the record fields alone.  Every formula a record compares
+against comes from `closed_forms`.  Every suite runs serially in one process.
 """
 
 from __future__ import annotations
@@ -21,21 +20,10 @@ import numpy as np
 
 from . import closed_forms as cf
 from .arith import format_rational, is_prime, legendre
-from .curves import (
-    dr_triples_distinct,
-    extension_count_envelope,
-    extension_counts,
-    two_descent_equiv,
-)
+from .curves import dr_triples_distinct, extension_counts, two_descent_equiv
 from .fp_census import _census_tables, _clique_count, census, conic_sum_direct
 from .padic import r_shape
-from .zp_census import (
-    MeasureInterval,
-    series_consistency,
-    valuation_class_measure,
-    zp_interval,
-    zp_precision,
-)
+from .zp_census import MeasureInterval, valuation_class_measure, zp_interval, zp_precision
 
 AGREE = "Agree"
 DISAGREE = "Disagree"
@@ -137,7 +125,7 @@ def _pairs_zp_item(args):
         _record(
             "pair_density_block_series",
             {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
-            series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10).block_sum,
+            cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10).block_sum,
             cf.diop2_zp(shape),
             detail="valuation-block sum with exact geometric tail vs closed form",
         ),
@@ -320,7 +308,7 @@ def suite_ok_series(qs=(3, 5, 7, 9, 25, 27), alpha_max: int = 6):
     for q in qs:
         for alpha in range(alpha_max + 1):
             for chi_s in (1, -1):
-                verdict = series_consistency(q, alpha, chi_s, alpha + 6)
+                verdict = cf.series_consistency(q, alpha, chi_s, alpha + 6)
                 records.append(
                     _record(
                         "pair_density_ok_series",
@@ -337,7 +325,7 @@ def suite_ok_series(qs=(3, 5, 7, 9, 25, 27), alpha_max: int = 6):
                 _record(
                     "pair_density_ok_vs_zp",
                     {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
-                    cf.diop2_ok(p, shape.alpha, shape.chi_s),
+                    cf.pair_measure(p, shape.alpha, shape.chi_s),
                     cf.diop2_zp(shape),
                     detail="residue-field specialization q = p against the p-adic form",
                 )
@@ -405,7 +393,7 @@ def _extension_census_crosscheck(*cases):
 
 def _eqd_item(args):
     p, r = args
-    lo, hi = extension_count_envelope(p)
+    lo, hi = cf.extension_count_envelope(p)
     triples = dr_triples_distinct(p, r)
     counts = extension_counts(p, r, triples, include_boundary=False)
     violations = [(*abc, nd) for abc, nd in zip(triples, counts) if not lo <= 8 * nd <= hi]
@@ -427,8 +415,7 @@ def _asymptotics_item(args):
     if kind == "m3":
         result = census(p, r, 3)
         density = Fraction(result.total, p**3)
-        target = Fraction(1, 8) + Fraction(6 + 3 * legendre(r, p), 8 * p)
-        gap = abs(density - target)
+        gap = abs(density - cf.triple_density_leading(p, r))
         bound = Fraction(10, p * p)
         return _record(
             "triple_density_envelope",
@@ -439,7 +426,7 @@ def _asymptotics_item(args):
         )
     result = census(p, r, 4)
     density = Fraction(result.total, p**4)
-    gap = abs(density - Fraction(1, 64))
+    gap = abs(density - cf.main_term(4))
     ok = gap * gap <= Fraction(1, p)  # gap <= 1/sqrt(p), exactly
     return _record(
         "quadruple_density_main_term",

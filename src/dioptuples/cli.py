@@ -40,12 +40,13 @@ def _given(given: dict, taken, command: str) -> None:
         raise ValueError(f"{command} takes no {', '.join(refused)}")
 
 
-# measure quantity -> its evaluator, whose parameters are the flags it reads
+# measure quantity -> its evaluator, whose parameters are the flags it reads;
+# the one ledger of the names under which the closed forms are printed
 _MEASURES = {
     "z2-pair": cf.diop2_z2,
     "pair": lambda p, r: cf.diop2_zp(r_shape(r, p)),
     "pair-stated": lambda p, r: cf.diop2_zp_claimed(r_shape(r, p)),
-    "pair-ok": cf.diop2_ok,
+    "pair-ok": cf.pair_measure,
     "pair-ok-stated": cf.diop2_ok_claimed,
     "block-a": lambda p, r, k: cf.mu_A_k(r_shape(r, p), k),
     "block-b": lambda p, r, beta: cf.mu_B_beta(r_shape(r, p), beta),
@@ -57,7 +58,7 @@ _MEASURES = {
     "offdiag-fp": cf.count_offdiag_claimed,
     "conic": cf.conic_sum_closed,
     "main-term": cf.main_term,
-    "ram3": cf.ram3_mtuple_claimed,
+    "ram3": cf.diopm_z3_claimed,
 }
 
 

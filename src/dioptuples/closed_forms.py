@@ -21,16 +21,21 @@ valuation whose value is a square:
     beta > alpha, beta even:   (alpha+1)(q-1)^2 / (2 q^(beta+2))
     beta odd:                  0
 
-Summing the geometric tail in closed form gives `pair_measure`.  The claimed
+Summing the geometric tail in closed form gives `pair_measure`, and
+`series_consistency` checks that sum against it exactly.  The claimed
 variants differ in the beta > alpha numerator ((q-1)(q^(alpha+1)-1)) and in
 the orientation of the two beta = alpha branches; the interval censuses
 adjudicate pointwise.
+
+Every formula an audit record compares against lives here, each under one
+name; no oracle consults one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .arith import legendre, odd_prime_power
 from .padic import RShape
@@ -182,6 +187,35 @@ def pair_measure(q: int, alpha: int, chi_s: int) -> Fraction:
     return base - Fraction(1, (q + 1) ** 2 * q**alpha)
 
 
+@dataclass(frozen=True)
+class SeriesVerdict:
+    """Outcome of summing valuation-block closed forms against the pair density."""
+
+    q: int
+    alpha: int
+    chi_s: int
+    beta_max: int
+    block_sum: Fraction
+    closed_form: Fraction
+
+
+def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesVerdict:
+    """Sum the valuation-block densities with an exact geometric tail and
+    compare against the assembled five-case closed form, exactly.
+
+    The blocks of odd valuation are empty, so the sum runs over even beta.
+    """
+    if beta_max < alpha + 4:
+        raise ValueError("need beta_max >= alpha + 4")
+    if alpha == 0:
+        kmax = beta_max // 2
+        total = sum(mu_A_k_q(q, chi_s, k) for k in range(kmax + 1)) + mu_A_tail(q, kmax + 1)
+    else:
+        evens = range(0, beta_max + 1, 2)
+        total = sum(mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens) + mu_B_tail(q, alpha, evens[-1] + 2)
+    return SeriesVerdict(q, alpha, chi_s, beta_max, total, pair_measure(q, alpha, chi_s))
+
+
 def _pair_measure_claimed_tail(q: int, alpha: int) -> Fraction:
     # shared alpha-even tail of the claimed five-case expression
     D = 2 * (q + 1) ** 2
@@ -240,11 +274,6 @@ def diop2_zp_claimed(shape: RShape) -> Fraction:
     if shape.p == 2:
         raise ValueError("p = 2 is handled by diop2_z2 (r = 1 only)")
     return pair_measure_claimed(shape.p, shape.alpha, shape.chi_s, even_branch_plus_is_linear=True)
-
-
-def diop2_ok(q: int, alpha: int, chi_s: int) -> Fraction:
-    """Validated pair density over a local ring with residue field F_q."""
-    return pair_measure(q, alpha, chi_s)
 
 
 def diop2_ok_claimed(q: int, alpha: int, chi_s: int) -> Fraction:
@@ -321,11 +350,6 @@ def diopm_z3_consistent(m: int) -> Fraction:
     )
 
 
-def ram3_mtuple_claimed(m: int) -> Fraction:
-    """Stated m-tuple density for totally ramified 3-adic extensions (same expression)."""
-    return diopm_z3_claimed(m)
-
-
 # ---------------------------------------------------------------------------
 # F_p triples: stated counts and densities
 
@@ -386,6 +410,18 @@ def diop3_fp_claimed(p: int, r: int) -> Fraction:
     )
 
 
+def extension_count_envelope(p: int) -> tuple[int, int]:
+    """Integer envelope [p - ceil(2 sqrt p) - 8, p + ceil(2 sqrt p)] for 8 * #{d}.
+
+    Outward-rounded integer form of the stated p/8 - sqrt(p)/4 - 1 and
+    p/8 + sqrt(p)/4 bounds on the number of d extending a distinct-entry
+    D(r) triple over F_p.
+    """
+    s = isqrt(4 * p)
+    ceil_2sqrt = s if s * s == 4 * p else s + 1
+    return p - ceil_2sqrt - 8, p + ceil_2sqrt
+
+
 # ---------------------------------------------------------------------------
 # quadratic character sums
 
@@ -412,3 +448,8 @@ def main_term(m: int) -> Fraction:
     if m < 2:
         raise ValueError("m must be >= 2")
     return Fraction(1, 2 ** comb(m, 2))
+
+
+def triple_density_leading(p: int, r: int) -> Fraction:
+    """The stated F_p triple density to order 1/p: main_term(3) + (6 + 3 chi(r))/(8p)."""
+    return main_term(3) + Fraction(6 + 3 * _require_unit_r(p, r), 8 * p)

@@ -29,7 +29,6 @@ the twist) reads only the character.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class TripleCurve:
 
     def __post_init__(self):
         p = self.p
-        if p > DESK_SCALE_BOUND:  # before the prime test, whose trial division a huge p would stall
+        if p > DESK_SCALE_BOUND:  # before the prime test, so that every huge p gets this message
             raise ValueError(f"p = {p} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
         require_odd_prime(p)
         a, b, c, r = self.a % p, self.b % p, self.c % p, self.r % p
@@ -276,17 +275,6 @@ def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdi
         coset_xset_matches_dset=coset_matches,
         boundary=boundary,
     )
-
-
-def extension_count_envelope(p: int) -> tuple[int, int]:
-    """Integer envelope [p - ceil(2 sqrt p) - 8, p + ceil(2 sqrt p)] for 8 * #{d}.
-
-    Outward-rounded integer form of the stated p/8 - sqrt(p)/4 - 1 and
-    p/8 + sqrt(p)/4 extension-count bounds.
-    """
-    s = isqrt(4 * p)
-    ceil_2sqrt = s if s * s == 4 * p else s + 1
-    return p - ceil_2sqrt - 8, p + ceil_2sqrt
 
 
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:

@@ -90,7 +90,8 @@ class FqField:
     def __init__(self, p: int, f: int):
         if f < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**f > DESK_SCALE_BOUND:  # before the prime test, whose trial division a huge p would stall
+        # f against the bound's bit length first, since p**f for a huge f would stall
+        if f >= DESK_SCALE_BOUND.bit_length() and abs(p) > 1 or p**f > DESK_SCALE_BOUND:
             raise ValueError(f"q = {p}^{f} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
         if p == 2 or not is_prime(p):
             raise ValueError(f"characteristic must be an odd prime, got {p}")

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction as Fr
 
 from dioptuples import closed_forms as cf
+from dioptuples.closed_forms import extension_count_envelope, series_consistency
 from dioptuples.arith import legendre
 from dioptuples.audit import (
     AGREE,
@@ -20,19 +21,13 @@ from dioptuples.audit import (
 )
 from dioptuples.curves import (
     dr_triples_distinct,
-    extension_count_envelope,
     extension_dset,
     two_descent_equiv,
     TripleCurve,
 )
 from dioptuples.fp_census import census, conic_sum_direct
 from dioptuples.padic import r_shape
-from dioptuples.zp_census import (
-    series_consistency,
-    valuation_class_measure,
-    zp_interval,
-    zp_precision,
-)
+from dioptuples.zp_census import valuation_class_measure, zp_interval, zp_precision
 from test_curves import curve_order  # the scalar reference oracle
 
 
@@ -222,7 +217,7 @@ def test_criterion_13_residue_field_specialization():
     for p in (3, 5, 7, 11, 13):
         for r in auto_rset(p):
             shape = r_shape(r, p)
-            assert cf.diop2_ok(p, shape.alpha, shape.chi_s) == cf.diop2_zp(shape), (p, r)
+            assert cf.pair_measure(p, shape.alpha, shape.chi_s) == cf.diop2_zp(shape), (p, r)
     checked = 0
     for q in (3, 5, 7, 9, 25, 27):
         for alpha in range(7):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dioptuples.arith import format_rational, is_prime, legendre, odd_prime_power, smallest_factor
+from dioptuples.arith import PRIMALITY_BOUND, format_rational, is_prime, legendre, odd_prime_power, smallest_factor
 
 
 def brute_legendre(a, p):
@@ -80,6 +80,39 @@ def test_odd_prime_power_refuses_a_small_factor_at_once():
     # the factor 3 leaves a cofactor above 10^30, which trial division could not factor
     with pytest.raises(ValueError, match="is not a prime power"):
         odd_prime_power(3 * (10**30 + 57))
+
+
+def strong_probable_prime(n, a):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+@pytest.mark.parametrize(
+    "n,factors,fooled",
+    [
+        (3215031751, (151, 751, 28351), (2, 3, 5, 7)),
+        (3825123056546413051, (149491, 747451, 34233211), (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n, factors, fooled):
+    # each passes Miller-Rabin at every base in `fooled`, and has no factor up to 41
+    assert n == factors[0] * factors[1] * factors[2]
+    assert all(strong_probable_prime(n, a) for a in fooled)
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="is not a prime power"):
+        odd_prime_power(n)
+
+
+def test_huge_primes_and_the_proven_bound():
+    p = 2**61 - 1
+    assert is_prime(p) and odd_prime_power(p) == (p, 1)
+    assert odd_prime_power(p**3) == (p, 3)  # past the bound, found by its cube root
+    # the bound is itself a strong pseudoprime to all 13 bases, so it is refused
+    assert all(strong_probable_prime(PRIMALITY_BOUND, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    with pytest.raises(ValueError, match="past the proven primality bound"):
+        is_prime(PRIMALITY_BOUND)
+    assert not is_prime(3 * PRIMALITY_BOUND)  # a small factor decides at any size
 
 
 def test_format_rational():

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import dioptuples
 from dioptuples import audit
-from dioptuples.arith import residue_tables
+from dioptuples.arith import PRIMALITY_BOUND, residue_tables
 from dioptuples.audit import (
     AGREE,
     DISAGREE,
@@ -528,11 +529,12 @@ def test_library_has_no_assert_statements():
 
 def test_oracle_modules_never_import_closed_forms():
     # the oracles must not consult a closed form, nor may arith, which every
-    # oracle reads; zp_census is exempt while its series_consistency, a
-    # formula-vs-formula check, stays a traced benchmark target
+    # oracle reads; zp_census may import series_consistency alone, which the
+    # benchmark's traced run times under that module's name
     src = Path(dioptuples.__file__).parent
+    allowed = {("zp_census", ("closed_forms", "series_consistency"))}
     found = []
-    for name in ("arith", "curves", "fp_census", "fq", "padic"):
+    for name in ("arith", "curves", "fp_census", "fq", "padic", "zp_census"):
         path = src / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -541,9 +543,62 @@ def test_oracle_modules_never_import_closed_forms():
                 names = [node.module or "", *(alias.name for alias in node.names)]
             else:
                 continue
-            if any("closed_forms" in name.split(".") for name in names):
+            if any("closed_forms" in name.split(".") for name in names) and (name, tuple(names)) not in allowed:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+# the measures that no audit record judges yet, each with the ROADMAP item
+# that gives it an oracle
+MEASURES_WITHOUT_ORACLE = {"pair-stated": 12, "pair-ok-stated": 12, "ram3": 9}
+
+
+def test_every_measure_meets_a_closed_form_the_audit_calls(monkeypatch):
+    # a measure meets the audit when a closed form its evaluator calls
+    # directly is one that `audit all` calls; a stated form reached only
+    # through another form's body does not count
+    from dioptuples import cli
+    from dioptuples import closed_forms as cf
+
+    public = {
+        name: fn
+        for name, fn in vars(cf).items()
+        if inspect.isfunction(fn) and fn.__module__ == cf.__name__ and name[0] != "_"
+    }
+    calls, depth = [], [0]
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, depth[0]))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    wrappers = {fn: wrap(name, fn) for name, fn in public.items()}
+    for fn, wrapper in wrappers.items():
+        monkeypatch.setattr(cf, fn.__name__, wrapper)
+    run_suite("all")
+    called = {name for name, _ in calls}
+    defaults = {flag: default for flag, (_, default) in cli._COMMANDS["measure"][2].items()}
+    reached = {}
+    for quantity, evaluate in cli._MEASURES.items():
+        opts = defaults | ({"r": 3} if quantity == "block-b" else {})  # block-b needs p | r
+        calls.clear()
+        wrappers.get(evaluate, evaluate)(**{flag: opts[flag] for flag in inspect.signature(evaluate).parameters})
+        reached[quantity] = {name for name, d in calls if d == 0}
+    assert all(reached.values()), reached
+    unmet = {quantity for quantity, names in reached.items() if not names & called}
+    assert unmet <= set(MEASURES_WITHOUT_ORACLE), unmet
+    # ram3 prints diopm_z3_claimed, which z3-adjudicate judges over Z_3; its
+    # claim is over Z_3[sqrt 3], which no record reaches, and a call trace
+    # cannot tell the two rings apart
+    assert reached["ram3"] == reached["z3"]
+    assert unmet == set(MEASURES_WITHOUT_ORACLE) - {"ram3"}  # an entry goes when its oracle comes
+    assert set(public) - called == {"diop2_zp_claimed", "diop2_ok_claimed", "pair_measure_claimed"}
 
 
 def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples", timeout=60):
@@ -567,6 +622,30 @@ def test_desk_scale_bound_refuses_a_huge_prime_at_once(argv):
     proc = run_module(*argv, timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "exceeds the desk-scale bound 100000" in proc.stderr
+
+
+HUGE_PRIME = str(2**61 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("census", "zp", "--p", HUGE_PRIME, "--m", "2"), 2, "exceeds budget"),
+        (("measure", "pair", "--p", HUGE_PRIME, "--r", "1"), 0, ""),
+        (("measure", "pair-ok", "--q", HUGE_PRIME), 0, ""),
+        (("measure", "block-a", "--p", HUGE_PRIME, "--r", "1"), 0, ""),
+        (("audit", "pairs-zp", "--p", HUGE_PRIME, "--rset", "1"), 2, "exceeds budget"),
+        (("census", "fp", "--p", "3", "--f", "100000000", "--m", "2"), 1, "exceeds the desk-scale bound 100000"),
+        (("measure", "pair", "--p", str(PRIMALITY_BOUND)), 1, "past the proven primality bound"),
+    ],
+    ids=["census-zp", "pair", "pair-ok", "block-a", "audit-pairs-zp", "census-fp-huge-f", "past-the-bound"],
+)
+def test_huge_inputs_end_at_once(argv, code, message):
+    # primality is Miller-Rabin, and FqField weighs f before computing p**f
+    proc = run_module(*argv, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert Fr(proc.stdout.strip()) > 0 if code == 0 else proc.stdout == ""
 
 
 def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():

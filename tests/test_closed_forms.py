@@ -24,9 +24,9 @@ def test_z2_pair_value_and_blocks():
 def test_pair_measure_unit_cases():
     assert cf.diop2_zp(r_shape(1, 3)) == Fr(7, 12)
     assert cf.diop2_zp(r_shape(3, 7)) == Fr(3, 8)  # chi(3 mod 7) = -1
-    assert cf.diop2_ok(9, 0, 1) == Fr(23, 45)
-    assert cf.diop2_ok(5, 0, -1) == Fr(1, 3)
-    assert cf.diop2_ok(5, 0, -1) == cf.diop2_zp(r_shape(2, 5))
+    assert cf.pair_measure(9, 0, 1) == Fr(23, 45)
+    assert cf.pair_measure(5, 0, -1) == Fr(1, 3)
+    assert cf.pair_measure(5, 0, -1) == cf.diop2_zp(r_shape(2, 5))
 
 
 def test_pair_measure_positive_valuation_census_anchored():
@@ -50,7 +50,7 @@ def test_pair_measure_stated_text_values():
     # both variants agree with the validated form for unit r
     for q in (3, 5, 7, 9):
         for chi in (1, -1):
-            assert cf.diop2_ok_claimed(q, 0, chi) == cf.diop2_ok(q, 0, chi)
+            assert cf.diop2_ok_claimed(q, 0, chi) == cf.pair_measure(q, 0, chi)
             assert cf.diop2_zp_claimed(r_shape(1, 3)) == cf.diop2_zp(r_shape(1, 3))
 
 
@@ -109,7 +109,6 @@ def test_z3_mtuple_formulas():
     assert cf.diopm_z3_claimed(4) == Fr(28, 243)  # (16 + 284 + 36) / (36 * 81)
     assert cf.diopm_z3_consistent(2) == Fr(7, 12) == cf.diop2_zp(r_shape(1, 3))
     assert cf.diopm_z3_consistent(3) == Fr(31, 108)
-    assert cf.ram3_mtuple_claimed(4) == cf.diopm_z3_claimed(4)
     with pytest.raises(ValueError):
         cf.diopm_z3_claimed(1)
 

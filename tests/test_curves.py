@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from dioptuples.arith import legendre
+from dioptuples.closed_forms import extension_count_envelope
 from dioptuples.curves import (
     TripleCurve,
     _chord_tangent,
     curve_points,
     doubling_image,
     dr_triples_distinct,
-    extension_count_envelope,
     extension_counts,
     extension_dset,
     two_descent_equiv,

@@ -15,6 +15,7 @@ import pytest
 import dioptuples
 from dioptuples import closed_forms as cf
 from dioptuples import zp_census
+from dioptuples.closed_forms import series_consistency
 from dioptuples.fp_census import BudgetExceededError, _clique_count
 from dioptuples.padic import r_shape, vp
 from dioptuples.zp_census import (
@@ -23,7 +24,6 @@ from dioptuples.zp_census import (
     _zp_sweep,
     _zp_triples,
     pair_product_weights,
-    series_consistency,
     status_table,
     valuation_class_measure,
     zp_interval,
@@ -142,15 +142,17 @@ def test_pair_fast_path_equals_the_sweep(p, N):
 
 
 def test_shell_route_reads_no_closed_form():
-    # zp_census imports closed forms for series_consistency; the m = 3 route names none of them
+    # zp_census imports one closed form, series_consistency, for the benchmark's
+    # trace target alone; the routes name none of them
     tree = ast.parse(Path(zp_census.__file__).read_text())
-    closed = {"closed_forms", "cf"} | {
+    imported = {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "closed_forms"
         for alias in node.names
     }
-    assert "diop2_ok" in closed
+    assert imported == {"series_consistency"}
+    closed = {"closed_forms", "cf"} | imported
 
     def names(code):
         yield from code.co_names
