@@ -15,13 +15,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
 from . import closed_forms as cf
 from .arith import format_rational, is_prime, legendre
-from .curves import dr_triples_distinct, extension_counts, two_descent_equiv
-from .fp_census import _census_tables, _clique_count, census, conic_sum_direct
+from .curves import dr_triples_distinct, extension_counts, two_descent_pass
+from .fp_census import BudgetExceededError, _census_tables, _clique_count, _largest_fitting, censuses, conic_sum_direct
 from .padic import r_shape
 from .zp_census import MeasureInterval, valuation_class_measure, zp_interval, zp_precision
 
@@ -191,9 +192,25 @@ def _primes_upto(n):
     return [p for p in range(3, n + 1, 2) if is_prime(p)]
 
 
-def _triples_fp_item(args):
-    p, r = args
-    result = census(p, r, 3)
+def _charge(suite: str, pmax: int, cells, budget: int) -> list[int]:
+    """The primes up to pmax, once the largest one's cells fit the budget; BudgetExceededError before any work if not.
+
+    cells(p) grows with p, so the largest prime's charge bounds every
+    other's, and the largest pmax that fits is one below the first prime
+    whose charge does not.
+    """
+    ps = _primes_upto(pmax)
+    if ps and cells(ps[-1]) > budget:
+        refused = next(p for p in count(max(3, _largest_fitting(cells, budget) + 1)) if is_prime(p))
+        raise BudgetExceededError(
+            f"audit {suite} --pmax {pmax} is charged {cells(ps[-1])} cells at p = {ps[-1]}, which exceeds "
+            f"budget {budget}; the largest pmax that fits is {refused - 1}"
+        )
+    return ps
+
+
+def _triples_fp_item(result):
+    p, r = result.q, result.r
     p3 = p**3
     return [
         _record(
@@ -236,14 +253,18 @@ def _triples_fp_item(args):
     ]
 
 
-def suite_triples_fp(pmax: int = 31):
-    items = [(p, r) for p in _primes_upto(pmax) for r in range(1, p)]
-    return [rec for recs in _pmap(_triples_fp_item, items) for rec in recs]
+def suite_triples_fp(pmax: int = 31, budget: int = 10**8):
+    # charged p^3 cells, the tuples of its largest census as `census` counts
+    # them, above the (p - 1)^2 cells of the stacked pass over every r
+    ps = _charge("triples-fp", pmax, lambda p: p**3, budget)
+    results = [result for p in ps for result in censuses(p, range(1, p), 3, budget)]
+    return [rec for recs in _pmap(_triples_fp_item, results) for rec in recs]
 
 
-def suite_conic(pmax: int = 13):
+def suite_conic(pmax: int = 13, budget: int = 10**8):
     records = []
-    for p in _primes_upto(pmax):
+    # charged the (p - 1) p^2 cells of its largest direct-sum array
+    for p in _charge("conic", pmax, lambda p: (p - 1) * p * p, budget):
         coeffs = np.arange(p)
         # direct[a2 - 1][a1][a0]: every direct sum of this p from one array pass
         direct = conic_sum_direct(coeffs[1:, None, None], coeffs[:, None], coeffs, p).tolist()
@@ -348,8 +369,8 @@ def ec_instances(seed: int, count: int):
 
 def suite_ec(seed: int = 20240, count: int = 100):
     records = []
-    for p, a, b, c, r in ec_instances(seed, count):
-        v = two_descent_equiv(p, a, b, c, r)
+    instances = ec_instances(seed, count)
+    for (p, a, b, c, r), v in zip(instances, two_descent_pass(instances)):
         records.append(
             _record(
                 "two_descent_equivalence",
@@ -410,10 +431,9 @@ def suite_eqd(ps=(13, 17, 29), rs=(1, 2)):
     return _pmap(_eqd_item, [(p, r) for p in ps for r in rs])
 
 
-def _asymptotics_item(args):
-    kind, p, r = args
-    if kind == "m3":
-        result = census(p, r, 3)
+def _asymptotics_item(result):
+    p, r = result.q, result.r
+    if result.m == 3:
         density = Fraction(result.total, p**3)
         gap = abs(density - cf.triple_density_leading(p, r))
         bound = Fraction(10, p * p)
@@ -424,7 +444,6 @@ def _asymptotics_item(args):
             Fraction(0 if gap <= bound else 1),
             detail=f"|density - 1/8 - (6+3chi)/8p| = {format_rational(gap)} vs 10/p^2",
         )
-    result = census(p, r, 4)
     density = Fraction(result.total, p**4)
     gap = abs(density - cf.main_term(4))
     ok = gap * gap <= Fraction(1, p)  # gap <= 1/sqrt(p), exactly
@@ -438,9 +457,8 @@ def _asymptotics_item(args):
 
 
 def suite_asymptotics():
-    items = [("m3", p, r) for p in (31, 61, 101) for r in (1, 2)]
-    items += [("m4", p, r) for p in (53, 101) for r in (1, 2)]
-    return _pmap(_asymptotics_item, items)
+    shapes = [(3, p) for p in (31, 61, 101)] + [(4, p) for p in (53, 101)]
+    return _pmap(_asymptotics_item, [result for m, p in shapes for result in censuses(p, (1, 2), m)])
 
 
 SUITES = {

@@ -30,7 +30,10 @@ log coordinates of its primitive element g: index i stands for g^i.  Since
 g^i g^j + r depends on i + j mod (q-1) alone, a table is the read-only Hankel
 view T[i, j] = v[(i + j) mod (q-1)] of one vector, with no q x q product
 table; g^i is a square exactly when i is even, and negation
-(-1 = g^((q-1)/2)) is the half turn i -> i + (q-1)/2.
+(-1 = g^((q-1)/2)) is the half turn i -> i + (q-1)/2.  `censuses` stacks
+the censuses of one field over many r: one R x (q-1) gather gives every
+vector, the orders <= 3 of every r are one engine call, and orders >= 4 run
+one r at a time inside the call; `census` is the stack of one.
 The zero element is one bit: since 0*b + r = r, zero is compatible with every
 element, itself included, when r is a square, and with none when it is not;
 tuples with a zero coordinate follow from the nonzero counts.  The square set
@@ -44,8 +47,9 @@ arrays, so the `conic` audit gets every sum of one p from one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -86,8 +90,12 @@ def _mul_table(field) -> np.ndarray:
     return exp[(log[1:, None] + log[1:]) % len(exp)]
 
 
+@lru_cache(maxsize=128)
 def square_table(field) -> np.ndarray:
-    """Membership bitmap of the square set: 0 and the even powers of the primitive element."""
+    """Membership bitmap of the square set: 0 and the even powers of the primitive element.
+
+    Built once per field and read-only.
+    """
     field = _as_field(field)
     q = field.q
     exp, _ = field.exp_log
@@ -97,6 +105,7 @@ def square_table(field) -> np.ndarray:
     count = int(bitmap.sum())
     if count != (q + 1) // 2:
         raise RuntimeError(f"square set of F_{q} has {count} elements")
+    bitmap.flags.writeable = False
     return bitmap
 
 
@@ -198,14 +207,36 @@ def _class_triangles(W1, W2, W3) -> np.ndarray | int:
     sums.  The map (x, y, z) -> (xy, yz, zx) is |G[2]|-to-one onto the
     (s, t, u) with stu a square, |G[2]| = c, and stu is a square exactly when
     the label of u is the XOR of those of s and t, so each sum is
-    c * sum over a, b of W1[a] W2[b] W3[a ^ b].  Exact in Python integers:
-    an object array of counts, or one int for unstacked sums.
+    c * sum over a, b of W1[a] W2[b] W3[a ^ b].  The characters of
+    G/G^2 = (Z/2)^k turn that XOR convolution into a product: with
+    hat W(x) = sum over a of (-1)^|a & x| W[a], it is the sum over x of
+    hat W1(x) hat W2(x) hat W3(x), and each distinct input (the census and
+    `_class_quadrangles` pass one W three times) is transformed once.  Exact
+    in Python integers: an object array of counts, or one int for unstacked
+    sums.
     """
-    W1, W2, W3 = (np.asarray(W, object) for W in (W1, W2, W3))
-    # classes first, so W[a] is the column of class a, and a Python int when unstacked
-    W1, W2, W3 = (W.transpose(-1, *range(W.ndim - 1)) for W in (W1, W2, W3))
-    c = len(W1)
-    return c * sum(W1[a] * W2[b] * W3[a ^ b] for a in range(c) for b in range(c))
+    hats = {}
+    for W in (W1, W2, W3):
+        if id(W) not in hats:
+            hats[id(W)] = _walsh_hadamard(np.asarray(W, object))
+    return _sum(x * y * z for x, y, z in zip(hats[id(W1)], hats[id(W2)], hats[id(W3)]))
+
+
+def _walsh_hadamard(W: np.ndarray) -> list:
+    """[hat W(x) for x in 0 .. c-1], hat W(x) = sum over a of (-1)^|a & x| W[..., a], by log2(c) butterfly passes."""
+    hat = [W[..., a] for a in range(W.shape[-1])]
+    h = 1
+    while h < len(hat):
+        for i in range(len(hat)):
+            if not i & h:
+                hat[i], hat[i | h] = hat[i] + hat[i | h], hat[i] - hat[i | h]
+        h *= 2
+    return hat
+
+
+def _sum(terms):
+    """The sum of a nonempty iterable, from its first term: `sum` would add its 0 in one more array pass."""
+    return reduce(add, terms)
 
 
 def _class_quadrangles(v: np.ndarray) -> int:
@@ -257,82 +288,98 @@ class CensusBreakdown:
             raise ValueError("boundary, off-diagonal and interior counts must sum to the total")
 
 
-def _census_tables(field, r: int):
+def _census_tables(field, r):
     """(zero, member, strict): whether r is a square, and the Hankel tables of the nonzero elements.
 
     member[i, j] = v[i + j] over v = [g^k + r is a square, 0 included] stored
-    twice, so row i is a window of v; strict also asks g^k + r != 0.
+    twice, so row i is a window of v; strict also asks g^k + r != 0.  r may
+    be a sequence: its axis leads every table, one (n, n) table per r, all
+    from one gather, and zero is then a list.
     """
     field = _as_field(field)
     p, n = field.p, field.q - 1
     sq = square_table(field)
     exp, _ = field.exp_log
-    shifted = exp - exp % p + (exp + r % p) % p  # g^k + r: r moves only the lowest base-p digit
+    r = (np.asarray(r, np.int64) % p).astype(exp.dtype)  # below p, so the gather index stays int32
+    shifted = exp + r[..., None]  # g^k + r: r moves only the lowest base-p digit
+    shifted %= p
+    shifted += exp - exp % p
     v = sq[shifted]
-    member, strict = (np.ndarray((n, n), bool, np.concatenate([u, u]), strides=(1, 1))
+    member, strict = (np.ndarray((*r.shape, n, n), bool, np.concatenate([u, u], -1), strides=(2 * n,) * r.ndim + (1, 1))
                       for u in (v, v & (shifted != 0)))
     member.flags.writeable = strict.flags.writeable = False
-    return bool(sq[r % p]), member, strict
+    return sq[r].tolist(), member, strict
 
 
-def _census_counts(field, r: int, m: int) -> tuple[int, int, int]:
-    """(total, nonzero, interior) counts of D(r) m-tuples.
+def _census_counts(field, rs, m: int) -> list[tuple[int, int, int]]:
+    """(total, nonzero, interior) counts of D(r) m-tuples, for each r of rs.
 
     Tuples with k nonzero coordinates count only if the zero bit is set, and
     then as C(m, k) placements of a nonzero k-tuple.  Orders k <= 3 come from
     the square-class sums of row 0 of a table, which is its vector v: E and O
     count the set entries at even and odd logarithms (squares, nonsquares),
     so order 1 is q-1, order 2 is (q-1)(E+O) and order 3 is `_class_triangles`
-    of (E, O).  Order 4 is `_class_quadrangles` of v, and orders k >= 5 go
-    through the clique kernel.
+    of (E, O), one call over both tables of every r.  Order 4 is
+    `_class_quadrangles` of v, and orders k >= 5 go through the clique
+    kernel, one r at a time.
     """
-    zero, member, strict = _census_tables(field, r)
-    n = field.q - 1
+    zero, member, strict = _census_tables(field, rs)
+    n = member.shape[-1]
+    tables = (member, strict)
+    v = np.array([member[:, 0], strict[:, 0]])  # v[t, i]: the vector of table t at the i-th r
+    W = np.empty((*v.shape[:2], 2), np.int64)  # W[t, i]: (E, O)
+    for c in (0, 1):
+        np.add.reduce(v[..., c::2], -1, out=W[..., c])
+    W = W.astype(object)
+    triangles = _class_triangles(W, W, W).tolist()
+    W = W.tolist()
 
-    def count(table, k):
+    def count(t, i, k):
         if k > 4:  # rows a and a + n/2 (-g^a) induce one sub-table, relabelled
+            table = tables[t][i]
             return 2 * _clique_count(table, k - 1, table[: n // 2])
         if k == 4:
-            return _class_quadrangles(table[0])
-        W = [int(np.count_nonzero(table[0, c::2])) for c in (0, 1)]
-        return _class_triangles(W, W, W) if k == 3 else (1, n, n * sum(W))[k]
+            return _class_quadrangles(v[t, i])
+        return triangles[t][i] if k == 3 else (1, n, n * sum(W[t][i]))[k]
 
-    nonzero = count(member, m)
-    total = nonzero
-    if zero:
-        total += sum(comb(m, k) * count(member, k) for k in range(m))
-    return total, nonzero, count(strict, m)
+    out = []
+    for i, z in enumerate(zero):
+        nonzero = count(0, i, m)
+        total = nonzero + (sum(comb(m, k) * count(0, i, k) for k in range(m)) if z else 0)
+        out.append((total, nonzero, count(1, i, m)))
+    return out
 
 
-def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdown:
-    """Exhaustive D(r) m-tuple census with the three-way breakdown.
+def censuses(field, rs, m: int, budget: int = DEFAULT_BUDGET) -> list[CensusBreakdown]:
+    """Exhaustive D(r) m-tuple censuses of one field, one per r of rs, from one stacked pass.
 
-    boundary: some coordinate is zero.  offdiag: all coordinates nonzero but
-    some pairwise product + r vanishes.  interior: the tilde condition (all
-    coordinates and all pairwise products + r nonzero).  r must be nonzero
-    mod p.
+    Each breakdown splits its total three ways.  boundary: some coordinate is
+    zero.  offdiag: all coordinates nonzero but some pairwise product + r
+    vanishes.  interior: the tilde condition (all coordinates and all
+    pairwise products + r nonzero).  Every r must be nonzero mod p; the
+    budget caps each census at q^m tuples.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     field = _as_field(field)
-    r %= field.p  # censuses only ever see r as an element of F_p
-    require_nonzero_r(r)
+    rs = [r % field.p for r in rs]  # censuses only ever see r as an element of F_p
+    for r in rs:
+        require_nonzero_r(r)
     q = field.q
     if q**m > budget:
         fits = _largest_fitting(lambda k: k**m, budget)
         raise BudgetExceededError(
             f"census size {q}^{m} exceeds budget {budget}; at m = {m} the fields that fit have q <= {fits}"
         )
-    total, nz, interior = _census_counts(field, r, m)
-    return CensusBreakdown(
-        q=q,
-        r=r,
-        m=m,
-        total=total,
-        boundary=total - nz,
-        offdiag=nz - interior,
-        interior=interior,
-    )
+    return [
+        CensusBreakdown(q=q, r=r, m=m, total=total, boundary=total - nz, offdiag=nz - interior, interior=interior)
+        for r, (total, nz, interior) in zip(rs, _census_counts(field, rs, m))
+    ]
+
+
+def census(field, r: int, m: int, budget: int = DEFAULT_BUDGET) -> CensusBreakdown:
+    """The census of one r: `censuses` of a stack of one."""
+    return censuses(field, [r], m, budget)[0]
 
 
 # ---------------------------------------------------------------------------

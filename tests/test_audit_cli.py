@@ -151,6 +151,74 @@ def test_run_suite_all_passes_each_suite_only_its_arguments(monkeypatch):
         run_suite("all", seed=1)
 
 
+def test_audit_all_makes_one_stacked_pass_per_oracle(monkeypatch):
+    # one census call per (suite, p, m), over every r that suite reads at p,
+    # and every ec instance in one two-descent pass
+    from dioptuples import curves, fp_census
+
+    suite = [None]
+    census_calls, descent_calls = [], []
+    stacked, descent = audit.censuses, audit.two_descent_pass
+
+    def count_censuses(field, rs, m, *args):
+        census_calls.append((suite[0], field, m, tuple(rs)))
+        return stacked(field, rs, m, *args)
+
+    def count_descents(instances):
+        descent_calls.append((suite[0], len(instances)))
+        return descent(instances)
+
+    passes = {"census": 0, "descent": 0}  # the array passes under every entry point
+
+    def counted(key, fn):
+        def wrapper(*args):
+            passes[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, fn in audit.SUITES.items():
+        def tagged(*args, _name=name, _fn=fn, **kwargs):
+            suite[0] = _name
+            return _fn(*args, **kwargs)
+        monkeypatch.setitem(audit.SUITES, name, tagged)
+    monkeypatch.setattr(audit, "censuses", count_censuses)
+    monkeypatch.setattr(audit, "two_descent_pass", count_descents)
+    monkeypatch.setattr(fp_census, "_census_counts", counted("census", fp_census._census_counts))
+    monkeypatch.setattr(curves._Curves, "of", counted("descent", curves._Curves.of))
+    records = run_suite("all")
+    assert len(records) == 1135
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert census_calls == (
+        [("triples-fp", p, 3, tuple(range(1, p))) for p in primes]
+        + [("asymptotics", p, m, (1, 2)) for m, p in ((3, 31), (3, 61), (3, 101), (4, 53), (4, 101))]
+    )
+    assert descent_calls == [("ec", 100)]
+    assert passes == {"census": len(census_calls), "descent": 1}
+
+
+@pytest.mark.parametrize("suite,charge,fits", [("conic", 498 * 499**2, 466), ("triples-fp", 499**3, 466)])
+def test_audit_pmax_is_charged_before_any_work(suite, charge, fits):
+    # 499 is the largest prime up to 500, and 467 the first prime whose
+    # charge exceeds the default budget of 10^8 for either suite
+    proc = run_module("audit", suite, "--pmax", "500", timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"is charged {charge} cells at p = 499, which exceeds budget 100000000" in proc.stderr
+    assert f"the largest pmax that fits is {fits}" in proc.stderr
+
+
+def test_audit_pmax_charge_names_the_largest_pmax_that_fits(capsys):
+    # the largest prime's charge decides: 29^3 <= 24389 < 31^3
+    code, out, err = run_cli(capsys, "audit", "triples-fp", "--pmax", "31", "--budget", "24389")
+    assert (code, out) == (2, "")
+    assert "is charged 29791 cells at p = 31, which exceeds budget 24389; the largest pmax that fits is 30" in err
+    code, out, err = run_cli(capsys, "audit", "triples-fp", "--pmax", "30", "--budget", "24389")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 5 * sum(p - 1 for p in (3, 5, 7, 11, 13, 17, 19, 23, 29))
+    # no prime fits: the least pmax with a prime to charge is 3
+    code, out, err = run_cli(capsys, "audit", "conic", "--pmax", "13", "--budget", "17")
+    assert (code, out) == (2, "")
+    assert "the largest pmax that fits is 2" in err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

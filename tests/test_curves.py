@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import asdict
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -11,13 +12,14 @@ from dioptuples.closed_forms import extension_count_envelope
 from dioptuples.curves import (
     TripleCurve,
     _chord_tangent,
+    _Curves,
     curve_points,
     doubling_image,
     dr_triples_distinct,
     extension_counts,
     extension_dset,
     two_descent_equiv,
-    two_torsion_xvals,
+    two_descent_pass,
 )
 from dioptuples.fp_census import census
 
@@ -80,6 +82,11 @@ def add_points(curve, P, Q):
     return (x3, y3)
 
 
+def two_torsion_xvals(p, a, b, c, r):
+    """Original-coordinate X values of the 2-torsion: the d with some factor zero."""
+    return {(-r) * pow(t, p - 2, p) % p for t in (a, b, c)}
+
+
 def reference_extension_dset(p, a, b, c, r, include_boundary=True):
     squares = {(x * x) % p for x in range(p)}
     out = set()
@@ -90,6 +97,7 @@ def reference_extension_dset(p, a, b, c, r, include_boundary=True):
     return out
 
 
+@lru_cache(maxsize=None)  # shared by the one-row and the batched checks; callers only read it
 def reference_two_descent(p, a, b, c, r):
     """The verdict from scalar sweeps: Legendre symbols and one point at a time."""
     curve = TripleCurve(p, a, b, c, r)
@@ -209,7 +217,7 @@ def test_array_chord_law_matches_scalar_addition(p, a, b, c, r):
     curve = TripleCurve(p, a, b, c, r)
     xs, ys = curve_points(curve)
     i, j = np.divmod(np.arange(len(xs) ** 2), len(xs))
-    x3, y3, finite = _chord_tangent(curve, xs[i], ys[i], xs[j], ys[j])
+    x3, y3, finite = (v[0] for v in _chord_tangent(_Curves.of([curve]), xs[i], ys[i], xs[j], ys[j]))
     for k in range(len(i)):
         want = add_points(curve, (int(xs[i[k]]), int(ys[i[k]])), (int(xs[j[k]]), int(ys[j[k]])))
         got = (int(x3[k]), int(y3[k])) if finite[k] else None
@@ -296,6 +304,37 @@ def test_two_descent_matches_the_scalar_reference():
         assert got == want, instance
         # numpy scalars would print differently, or not serialize at all
         assert json.dumps(got, default=sorted) == json.dumps(want, default=sorted), instance
+
+
+# mixed primes beyond the samples: the least p the curves admit, p = 7, and
+# p = 211, the widest row; (5, 1, 2, 3, 2) has an empty extension set
+EDGE_INSTANCES = [(5, 1, 2, 3, 2), (5, 1, 2, 4, 1), (5, 4, 3, 1, 3), (7, 1, 2, 3, 3), (7, 6, 2, 5, 1)] + [
+    (211, *random.Random(211).sample(range(1, 211), 3), r) for r in (1, 2, 105, 210)
+]
+
+
+def test_batched_two_descent_matches_the_scalar_reference():
+    # one pass over rows of p = 5 .. 211, each padded to 211 and reduced mod its own p
+    instances = list(_sample_instances()) + EDGE_INSTANCES
+    verdicts = two_descent_pass(instances)
+    assert len(verdicts) == len(instances)
+    for instance, verdict in zip(instances, verdicts):
+        got, want = asdict(verdict), reference_two_descent(*instance)
+        assert got == want, instance
+        assert json.dumps(got, default=sorted) == json.dumps(want, default=sorted), instance
+    assert two_descent_equiv(5, 1, 2, 3, 2).dset_nonboundary == frozenset()
+
+
+def test_batched_two_descent_verdicts_ignore_their_batch_mates():
+    rng = random.Random(5)
+    instances = rng.sample(list(_sample_instances()), 40) + EDGE_INSTANCES
+    want = two_descent_pass(instances)
+    shuffled = rng.sample(range(len(instances)), len(instances))
+    assert two_descent_pass([instances[i] for i in shuffled]) == [want[i] for i in shuffled]
+    assert two_descent_pass(instances * 2) == want * 2
+    assert [two_descent_pass([instance])[0] for instance in instances] == want
+    assert [two_descent_equiv(*instance) for instance in instances] == want
+    assert two_descent_pass([]) == []
 
 
 def test_extension_count_envelope():

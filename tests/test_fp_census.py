@@ -22,6 +22,7 @@ from dioptuples.fp_census import (
     _clique_count,
     _mul_table,
     census,
+    censuses,
     conic_sum_direct,
     square_table,
 )
@@ -393,6 +394,50 @@ def test_order_three_censuses_build_no_table():
     assert peak < 10**5
 
 
+# every field of prime order up to 31, and F_9, F_25, F_27 and F_243
+STACK_FIELDS = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [(3, 2), (5, 2), (3, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("p,f", STACK_FIELDS)
+def test_stacked_censuses_equal_the_census_of_each_r(p, f):
+    # one stacked pass over every nonzero r of F_p; over an odd-degree field
+    # the nonsquares of F_p stay nonsquares, so the zero bit is false there
+    field = fq_construct(p, f)
+    rs = list(range(1, p))
+    assert {bool(square_table(field)[r]) for r in rs} == ({True} if f % 2 == 0 else {True, False})
+    for m in (3, 4):
+        stacked = censuses(field, rs, m, budget=10**13)
+        assert stacked == [census(field, r, m, budget=10**13) for r in rs], m
+        if field.q <= 31:  # the clique kernel, which shares no class-sum code
+            assert [census_counts(c) for c in stacked] == [kernel_counts(field, r, m) for r in rs], m
+    assert censuses(field, [], 3) == []
+    # r is read mod p, in any order and with repeats
+    assert censuses(field, [p + 1, 1, 2 * p + 1], 3) == [census(field, 1, 3)] * 3
+
+
+def test_stacked_census_at_1009_holds_no_table_per_r():
+    # every r of F_1009 at m = 3 in one call, about 10 bytes per (r, k): the
+    # int32 gather index, the two vectors, their doubled buffers and the
+    # copy the class sums read; no q x q table for any r
+    rs = range(1, 1009)
+    censuses(1009, rs, 3, budget=10**10)  # builds and caches the log tables
+    tracemalloc.start()
+    try:
+        stacked = censuses(1009, rs, 3, budget=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 1008 * len(rs)
+    assert stacked == [census(1009, r, 3, budget=10**10) for r in rs]
+
+
+def test_stacked_census_checks_every_r_before_any_work():
+    with pytest.raises(ValueError, match="r = 0 is rejected"):
+        censuses(31, [1, 2, 31], 3)
+    with pytest.raises(BudgetExceededError, match="census size 31\\^3 exceeds budget 100"):
+        censuses(31, [1, 2], 3, budget=100)
+
+
 @pytest.mark.parametrize("p,f", [field for field in CLASS_SUM_FIELDS if field != (1009, 1)])
 def test_class_quadrangles_equal_the_kernel(p, f):
     field = fq_construct(p, f)
@@ -501,6 +546,8 @@ def test_class_triangles_stack_over_leading_axes():
     assert got.tolist() == [[_class_triangles(*W[:, i, j].tolist()) for j in range(3)] for i in range(2)]
     W1, W2, W3 = W[:, 1, 2].tolist()
     assert got[1, 2] == 4 * sum(W1[a] * W2[b] * W3[a ^ b] for a in range(4) for b in range(4))
+    # one input passed three times is transformed once, to the same counts
+    assert _class_triangles(W[0], W[0], W[0]).tolist() == _class_triangles(*W[[0, 0, 0]]).tolist()
 
 
 def test_shell_quotients_must_be_integral_under_optimize():
