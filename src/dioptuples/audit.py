@@ -15,20 +15,21 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate
 
 import numpy as np
 
 from . import closed_forms as cf
 from .arith import format_rational, is_prime, legendre
 from .curves import dr_triples_distinct, extension_counts, two_descent_pass
-from .fp_census import BudgetExceededError, _census_tables, _clique_count, _largest_fitting, censuses, conic_sum_direct
+from .fp_census import _census_tables, _clique_count, admit, censuses, conic_sum_direct
 from .padic import r_shape
 from .zp_census import MeasureInterval, valuation_class_measure, zp_interval, zp_precision
 
 AGREE = "Agree"
 DISAGREE = "Disagree"
 INCONCLUSIVE = "Inconclusive"
+AUDIT_BUDGET = 10**8  # the default `audit --budget` of every suite that takes one
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def _pairs_zp_item(args):
     ]
 
 
-def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=10**8):
+def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=AUDIT_BUDGET):
     items = [(p, r, budget) for p in ps for r in (rset if rset is not None else auto_rset(p))]
     return [rec for recs in _pmap(_pairs_zp_item, items) for rec in recs]
 
@@ -189,24 +190,17 @@ def suite_z3_adjudicate():
 
 
 def _primes_upto(n):
-    return [p for p in range(3, n + 1, 2) if is_prime(p)]
+    return (p for p in range(3, n + 1, 2) if is_prime(p))
 
 
-def _charge(suite: str, pmax: int, cells, budget: int) -> list[int]:
-    """The primes up to pmax, once the largest one's cells fit the budget; BudgetExceededError before any work if not.
+def _charge(suite: str, pmax: int, cells, formula: str, budget: int):
+    """The odd primes up to pmax, once their cells(p), written formula, fit the budget summed; refused if not.
+    The prime walk stops at the first prime whose running sum passes the budget, so a huge pmax lists no more."""
+    def fits(k):
+        return all(total <= budget for total in accumulate(map(cells, _primes_upto(k)), initial=0))
 
-    cells(p) grows with p, so the largest prime's charge bounds every
-    other's, and the largest pmax that fits is one below the first prime
-    whose charge does not.
-    """
-    ps = _primes_upto(pmax)
-    if ps and cells(ps[-1]) > budget:
-        refused = next(p for p in count(max(3, _largest_fitting(cells, budget) + 1)) if is_prime(p))
-        raise BudgetExceededError(
-            f"audit {suite} --pmax {pmax} is charged {cells(ps[-1])} cells at p = {ps[-1]}, which exceeds "
-            f"budget {budget}; the largest pmax that fits is {refused - 1}"
-        )
-    return ps
+    admit(f"audit {suite} --pmax {pmax}", f"sum of {formula} over the primes 3 <= p <= {pmax}", "pmax", pmax, fits, budget)
+    return _primes_upto(pmax)
 
 
 def _triples_fp_item(result):
@@ -253,18 +247,18 @@ def _triples_fp_item(result):
     ]
 
 
-def suite_triples_fp(pmax: int = 31, budget: int = 10**8):
-    # charged p^3 cells, the tuples of its largest census as `census` counts
+def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
+    # charged p^3 cells per prime, the tuples of its census as `census` counts
     # them, above the (p - 1)^2 cells of the stacked pass over every r
-    ps = _charge("triples-fp", pmax, lambda p: p**3, budget)
+    ps = _charge("triples-fp", pmax, lambda p: p**3, "p^3", budget)
     results = [result for p in ps for result in censuses(p, range(1, p), 3, budget)]
     return [rec for recs in _pmap(_triples_fp_item, results) for rec in recs]
 
 
-def suite_conic(pmax: int = 13, budget: int = 10**8):
+def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
     records = []
-    # charged the (p - 1) p^2 cells of its largest direct-sum array
-    for p in _charge("conic", pmax, lambda p: (p - 1) * p * p, budget):
+    # charged the (p - 1) p^2 cells of each prime's direct-sum array
+    for p in _charge("conic", pmax, lambda p: (p - 1) * p * p, "(p - 1)p^2", budget):
         coeffs = np.arange(p)
         # direct[a2 - 1][a1][a0]: every direct sum of this p from one array pass
         direct = conic_sum_direct(coeffs[1:, None, None], coeffs[:, None], coeffs, p).tolist()

@@ -64,15 +64,29 @@ class BudgetExceededError(ValueError):
     """Raised when a census would enumerate more residue tuples than allowed."""
 
 
-def _largest_fitting(cost, budget: int) -> int:
-    """The largest k >= 0 with cost(k) <= budget, for a cost that grows with k; 0 when none fits."""
+def _power_fits(base: int, e: int, budget: int) -> bool:
+    """base**e <= budget, with no power built once the bit lengths put it past the budget."""
+    return (base.bit_length() - 1) * e < budget.bit_length() and base**e <= budget
+
+
+def _largest_fitting(fits) -> int:
+    """The largest k >= 0 with fits(k), for a fits that holds up to some k and fails past it; 0 when fits(1) fails."""
     lo, hi = 0, 1
-    while cost(hi) <= budget:
+    while fits(hi):
         lo, hi = hi, 2 * hi
-    while hi - lo > 1:  # cost(hi) > budget, and cost(lo) <= budget unless lo = 0
+    while hi - lo > 1:  # fits(hi) fails, and fits(lo) holds unless lo = 0
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if cost(mid) <= budget else (lo, mid)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
+
+
+def admit(what: str, charge: str, size: str, k: int, fits, budget: int) -> None:
+    """The one admission rule: refuse `what` at size k before any work unless fits(k), naming the charge
+    symbolically (3^21, never its digits), the budget and the largest size that fits."""
+    if not fits(k):
+        raise BudgetExceededError(
+            f"{what}: charge {charge} exceeds budget {budget}; the largest {size} that fits is {_largest_fitting(fits)}"
+        )
 
 
 def _as_field(field) -> FqField:
@@ -366,11 +380,7 @@ def censuses(field, rs, m: int, budget: int = DEFAULT_BUDGET) -> list[CensusBrea
     for r in rs:
         require_nonzero_r(r)
     q = field.q
-    if q**m > budget:
-        fits = _largest_fitting(lambda k: k**m, budget)
-        raise BudgetExceededError(
-            f"census size {q}^{m} exceeds budget {budget}; at m = {m} the fields that fit have q <= {fits}"
-        )
+    admit(f"census of F_{q} at m = {m}", f"{q}^{m}", "q", q, lambda k: _power_fits(k, m, budget), budget)
     return [
         CensusBreakdown(q=q, r=r, m=m, total=total, boundary=total - nz, offdiag=nz - interior, interior=interior)
         for r, (total, nz, interior) in zip(rs, _census_counts(field, rs, m))

@@ -40,7 +40,7 @@ from .arith import require_odd_prime, require_prime, residue_tables
 # imported only because the benchmark's traced run (bench/spans.py) times
 # `zp_census.series_consistency` by that name; no code here calls it
 from .closed_forms import series_consistency  # noqa: F401
-from .fp_census import DEFAULT_BUDGET, BudgetExceededError, _class_triangles, _clique_count, _largest_fitting
+from .fp_census import DEFAULT_BUDGET, _class_triangles, _clique_count, _largest_fitting, _power_fits, admit
 from .padic import require_nonzero_r
 
 
@@ -200,7 +200,7 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
 
 def zp_precision(p: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """The largest N whose census charge p^(mN) fits the budget; 0 when N = 1 does not."""
-    return _largest_fitting(lambda k: p ** (m * k), budget)
+    return _largest_fitting(lambda N: _power_fits(p, m * N, budget))
 
 
 def zp_interval(
@@ -220,11 +220,7 @@ def zp_interval(
     require_prime(p)
     if m < 2 or N < 1:
         raise ValueError("need m >= 2 and N >= 1")
-    fits = zp_precision(p, m, budget)
-    if N > fits:
-        raise BudgetExceededError(
-            f"census size {p}^{m * N} exceeds budget {budget}; at p = {p}, m = {m} the largest N that fits is {fits}"
-        )
+    admit(f"census of Z/{p}^{N} at m = {m}", f"{p}^{m * N}", "N", N, lambda k: _power_fits(p, m * k, budget), budget)
     r = r % p**N
     if m == 2:
         lo, hi = _zp_pair_fast(p, r, N)

@@ -196,27 +196,32 @@ def test_audit_all_makes_one_stacked_pass_per_oracle(monkeypatch):
     assert passes == {"census": len(census_calls), "descent": 1}
 
 
-@pytest.mark.parametrize("suite,charge,fits", [("conic", 498 * 499**2, 466), ("triples-fp", 499**3, 466)])
-def test_audit_pmax_is_charged_before_any_work(suite, charge, fits):
-    # 499 is the largest prime up to 500, and 467 the first prime whose
-    # charge exceeds the default budget of 10^8 for either suite
+@pytest.mark.parametrize("suite,cells", [("conic", "(p - 1)p^2"), ("triples-fp", "p^3")], ids=["conic", "triples-fp"])
+def test_audit_pmax_is_charged_before_any_work(suite, cells):
+    # the cells summed over the primes first pass the default budget of 10^8
+    # at p = 223, for either suite
     proc = run_module("audit", suite, "--pmax", "500", timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"is charged {charge} cells at p = 499, which exceeds budget 100000000" in proc.stderr
-    assert f"the largest pmax that fits is {fits}" in proc.stderr
+    assert proc.stderr.endswith(
+        f"audit {suite} --pmax 500: charge sum of {cells} over the primes 3 <= p <= 500 exceeds budget 100000000; "
+        "the largest pmax that fits is 222\n"
+    )
 
 
 def test_audit_pmax_charge_names_the_largest_pmax_that_fits(capsys):
-    # the largest prime's charge decides: 29^3 <= 24389 < 31^3
-    code, out, err = run_cli(capsys, "audit", "triples-fp", "--pmax", "31", "--budget", "24389")
+    # the cells of every prime are summed: 3^3 + 5^3 + ... + 29^3 = 52351 fits
+    # a budget of 52351, and adding 31^3 = 29791 does not
+    code, out, err = run_cli(capsys, "audit", "triples-fp", "--pmax", "31", "--budget", "52351")
     assert (code, out) == (2, "")
-    assert "is charged 29791 cells at p = 31, which exceeds budget 24389; the largest pmax that fits is 30" in err
-    code, out, err = run_cli(capsys, "audit", "triples-fp", "--pmax", "30", "--budget", "24389")
+    assert (
+        "charge sum of p^3 over the primes 3 <= p <= 31 exceeds budget 52351; the largest pmax that fits is 30\n"
+    ) in err
+    code, out, err = run_cli(capsys, "audit", "triples-fp", "--pmax", "30", "--budget", "52351")
     assert (code, err) == (0, "") and len(out.splitlines()) == 5 * sum(p - 1 for p in (3, 5, 7, 11, 13, 17, 19, 23, 29))
-    # no prime fits: the least pmax with a prime to charge is 3
+    # no prime fits: the least pmax with a prime to charge is 3, whose 2 * 3^2 = 18 cells pass 17
     code, out, err = run_cli(capsys, "audit", "conic", "--pmax", "13", "--budget", "17")
     assert (code, out) == (2, "")
-    assert "the largest pmax that fits is 2" in err
+    assert "charge sum of (p - 1)p^2 over the primes 3 <= p <= 13 exceeds budget 17; the largest pmax that fits is 2" in err
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +710,22 @@ HUGE_PRIME = str(2**61 - 1)
         (("audit", "pairs-zp", "--p", HUGE_PRIME, "--rset", "1"), 2, "exceeds budget"),
         (("census", "fp", "--p", "3", "--f", "100000000", "--m", "2"), 1, "exceeds the desk-scale bound 100000"),
         (("measure", "pair", "--p", str(PRIMALITY_BOUND)), 1, "past the proven primality bound"),
+        (("census", "fp", "--p", "3", "--m", "100000000"), 2, ": charge 3^100000000 exceeds budget "),
+        # the digits of 3^10000 pass int-to-str's limit of 4300
+        (("census", "fp", "--p", "3", "--m", "10000"), 2, ": charge 3^10000 exceeds budget "),
+        (("census", "zp", "--p", "3", "--m", "1000000000", "-N", "2"), 2, ": charge 3^2000000000 exceeds budget "),
+        (("audit", "triples-fp", "--pmax", "100000000"), 2, ": charge sum of p^3 over the primes 3 <= p <= 100000000 "),
+        (("audit", "conic", "--pmax", "10000000"), 2, ": charge sum of (p - 1)p^2 over the primes 3 <= p <= 10000000 "),
     ],
-    ids=["census-zp", "pair", "pair-ok", "block-a", "audit-pairs-zp", "census-fp-huge-f", "past-the-bound"],
+    ids=[
+        "census-zp", "pair", "pair-ok", "block-a", "audit-pairs-zp", "census-fp-huge-f", "past-the-bound",
+        "census-fp-huge-m", "census-fp-4772-digits", "census-zp-huge-m", "triples-fp-huge-pmax", "conic-huge-pmax",
+    ],
 )
 def test_huge_inputs_end_at_once(argv, code, message):
-    # primality is Miller-Rabin, and FqField weighs f before computing p**f
+    # primality is Miller-Rabin, FqField weighs f before computing p**f, and the
+    # admission rule weighs a power by bit length and sums the pmax charge only
+    # up to the first prime past the budget, writing the charge symbolically
     proc = run_module(*argv, timeout=10)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr

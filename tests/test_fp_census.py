@@ -3,7 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 from pathlib import Path
 
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import dioptuples
-from dioptuples import fp_census
-from dioptuples.arith import legendre
+from dioptuples import audit, fp_census
+from dioptuples.arith import is_prime, legendre
 from dioptuples.closed_forms import conic_sum_closed, main_term
 from dioptuples.fp_census import (
     BudgetExceededError,
@@ -27,7 +27,7 @@ from dioptuples.fp_census import (
     square_table,
 )
 from dioptuples.fq import fq_construct
-from dioptuples.zp_census import zp_interval
+from dioptuples.zp_census import zp_interval, zp_precision
 from test_fq import decode, elem, elements, one, quad_char_fq  # the scalar reference
 
 
@@ -238,14 +238,53 @@ def test_census_budget():
 
 def test_budget_errors_say_what_fits():
     # 1000^3 = 10^9 fits at m = 3 and 1001^3 does not; 3^18 fits and 3^21 does not
-    with pytest.raises(BudgetExceededError, match=r"exceeds budget 1000000000; at m = 3 the fields that fit have q <= 1000$"):
+    with pytest.raises(BudgetExceededError, match=r"^census of F_1009 at m = 3: charge 1009\^3 exceeds budget 1000000000; the largest q that fits is 1000$"):
         census(1009, 1, 3)
-    with pytest.raises(BudgetExceededError, match=r"at m = 2 the fields that fit have q <= 0$"):
+    with pytest.raises(BudgetExceededError, match=r": charge 5\^2 exceeds budget 0; the largest q that fits is 0$"):
         census(5, 1, 2, budget=0)
-    with pytest.raises(BudgetExceededError, match=r"3\^27 exceeds budget 1000000000; at p = 3, m = 3 the largest N that fits is 6$"):
+    with pytest.raises(BudgetExceededError, match=r"^census of Z/3\^9 at m = 3: charge 3\^27 exceeds budget 1000000000; the largest N that fits is 6$"):
         zp_interval(3, 1, 3, 9)
-    with pytest.raises(BudgetExceededError, match=r"exceeds budget 8; at p = 2, m = 3 the largest N that fits is 1$"):
+    with pytest.raises(BudgetExceededError, match=r"^census of Z/2\^2 at m = 3: charge 2\^6 exceeds budget 8; the largest N that fits is 1$"):
         zp_interval(2, 1, 3, 2, budget=8)
+
+
+def largest_size_that_fits(charges, budget):
+    """The brute-force largest k >= 1 with charges[k] <= budget; 0 when none."""
+    return max((k for k in range(1, len(charges)) if charges[k] <= budget), default=0)
+
+
+def refusal(run):
+    """None when run() is admitted; else the message of its BudgetExceededError."""
+    try:
+        run()
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("budget", [-8, 0, 1, 26, 27, 28, 729, 6560, 6561, 10**4, 3**12])
+def test_admission_rule_matches_the_exact_charge(budget):
+    # every caller admits exactly when the exact charge is at most the budget,
+    # and its refusal names the charge, the budget and the brute-force largest size
+    def check(run, charge, name, size, charges):
+        message = refusal(run)
+        assert (message is None) == (charges[size] <= budget), (name, size)
+        if message is not None:
+            largest = largest_size_that_fits(charges, budget)
+            assert message.endswith(f": charge {charge} exceeds budget {budget}; the largest {name} that fits is {largest}")
+
+    for q, m in product((3, 5, 7, 13), (2, 3, 4)):
+        check(lambda: censuses(q, [1, 2], m, budget), f"{q}^{m}", "q", q, [k**m for k in range(800)])
+    for p, m in product((2, 3, 5), (2, 3, 4)):
+        charges = [p ** (m * k) for k in range(30)]
+        assert zp_precision(p, m, budget) == largest_size_that_fits(charges, budget)
+        for N in (1, 2, 3):
+            check(lambda: zp_interval(p, 1, m, N, budget), f"{p}^{m * N}", "N", N, charges)
+    for cells, formula in ((lambda p: p**3, "p^3"), (lambda p: (p - 1) * p * p, "(p - 1)p^2")):
+        charges = list(accumulate(cells(k) if k > 2 and is_prime(k) else 0 for k in range(200)))
+        for pmax in (0, 2, 3, 5, 12, 13, 31):
+            charge = f"sum of {formula} over the primes 3 <= p <= {pmax}"
+            check(lambda: audit._charge("conic", pmax, cells, formula, budget), charge, "pmax", pmax, charges)
 
 
 def test_census_over_extension_field():
@@ -434,7 +473,7 @@ def test_stacked_census_at_1009_holds_no_table_per_r():
 def test_stacked_census_checks_every_r_before_any_work():
     with pytest.raises(ValueError, match="r = 0 is rejected"):
         censuses(31, [1, 2, 31], 3)
-    with pytest.raises(BudgetExceededError, match="census size 31\\^3 exceeds budget 100"):
+    with pytest.raises(BudgetExceededError, match="charge 31\\^3 exceeds budget 100; the largest q that fits is 4$"):
         censuses(31, [1, 2], 3, budget=100)
 
 
