@@ -11,7 +11,6 @@ from .closed_forms import (
     diop2_zp,
     diop2_zp_claimed,
     diop3_fp_claimed,
-    diopm_z3_cases,
     diopm_z3_claimed,
     diopm_z3_consistent,
     main_term,

@@ -257,17 +257,16 @@ def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
 
 def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
     records = []
-    # charged the (p - 1) p^2 cells of each prime's direct-sum array
+    # charged the (p - 1) p^2 cells of each prime's direct sums
     for p in _charge("conic", pmax, lambda p: (p - 1) * p * p, "(p - 1)p^2", budget):
         coeffs = np.arange(p)
-        # direct[a2 - 1][a1][a0]: every direct sum of this p from one array pass
-        direct = conic_sum_direct(coeffs[1:, None, None], coeffs[:, None], coeffs, p).tolist()
-        mismatches = sum(
-            direct[a2 - 1][a1][a0] != cf.conic_sum_closed(a2, a1, a0, p)
-            for a2 in range(1, p)
-            for a1 in range(p)
-            for a0 in range(p)
-        )
+        mismatches = 0
+        for a2 in range(1, p):
+            # direct[a1][a0]: the p x p slice of one a2, so memory stays O(p^2)
+            direct = conic_sum_direct(a2, coeffs[:, None], coeffs, p).tolist()
+            mismatches += sum(
+                direct[a1][a0] != cf.conic_sum_closed(a2, a1, a0, p) for a1 in range(p) for a0 in range(p)
+            )
         records.append(
             _record(
                 "conic_sum",

@@ -21,6 +21,7 @@ valuation whose value is a square:
     beta > alpha, beta even:   (alpha+1)(q-1)^2 / (2 q^(beta+2))
     beta odd:                  0
 
+A unit r is alpha = 0: its blocks A_k are these B_2k, so one formula serves.
 Summing the geometric tail in closed form gives `pair_measure`, and
 `series_consistency` checks that sum against it exactly.  The claimed
 variants differ in the beta > alpha numerator ((q-1)(q^(alpha+1)-1)) and in
@@ -71,30 +72,12 @@ def diop2_z2() -> Fraction:
 
 
 def mu_A_k(shape: RShape, k: int) -> Fraction:
-    """Density of the valuation-2k square block for a unit r (alpha = 0)."""
+    """Density of the valuation-2k square block for a unit r: the alpha = 0 block B_2k."""
     if shape.alpha != 0:
         raise ValueError("A_k blocks require a unit r; use mu_B_beta for alpha > 0")
-    return mu_A_k_q(shape.p, shape.chi_r, k)
-
-
-def mu_A_k_q(q: int, chi_r: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("block index must be >= 0")
-    if chi_r not in (-1, 1):
-        raise ValueError("chi(r) must be ±1 for a unit r")
-    if k == 0:
-        if chi_r == 1:
-            return Fraction(q * q + 1, 2 * q * q)
-        return Fraction((q - 1) ** 2, 2 * q * q)
-    return Fraction((q - 1) ** 2, 2 * q ** (2 * k + 2))
-
-
-def mu_A_tail(q: int, kmin: int) -> Fraction:
-    """Exact tail sum_{k >= kmin} mu_A_k_q(q, chi, k), kmin >= 1 (chi-independent)."""
-    if kmin < 1:
-        raise ValueError("tail starts at k >= 1")
-    # sum (q-1)^2 / (2 q^(2k+2)) telescopes to (q-1)/(2(q+1) q^(2kmin))
-    return Fraction(q - 1, 2 * (q + 1) * q ** (2 * kmin))
+    return mu_B_beta_q(shape.p, 0, shape.chi_s, 2 * k)
 
 
 def mu_B_beta(shape: RShape, beta: int) -> Fraction:
@@ -167,18 +150,14 @@ def pair_measure(q: int, alpha: int, chi_s: int) -> Fraction:
         alpha even, chi(s)=+1:   (q^2+1)/(2(q+1)^2) + (1/q - 1/(q+1)^2) / q^alpha
         alpha even, chi(s)=-1:   (q^2+1)/(2(q+1)^2) - 1/((q+1)^2 q^alpha)
 
-    The even/odd cases extend continuously to alpha = 0, where they agree
-    with the first two lines.
+    The even-alpha lines at alpha = 0 are the first two, so they compute
+    those too.
     """
     odd_prime_power(q)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if chi_s not in (-1, 1):
         raise ValueError("chi(s) must be ±1")
-    if alpha == 0:
-        if chi_s == 1:
-            return Fraction(1, 2) + Fraction(1, q * (q + 1))
-        return Fraction(1, 2) - Fraction(1, q + 1)
     base = Fraction(q * q + 1, 2 * (q + 1) ** 2)
     if alpha % 2 == 1:
         return base * (1 - Fraction(1, q ** (alpha + 1)))
@@ -203,16 +182,13 @@ def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesV
     """Sum the valuation-block densities with an exact geometric tail and
     compare against the assembled five-case closed form, exactly.
 
-    The blocks of odd valuation are empty, so the sum runs over even beta.
+    The blocks of odd valuation are empty, so the sum runs over even beta,
+    for a unit r (alpha = 0) as for any other.
     """
     if beta_max < alpha + 4:
         raise ValueError("need beta_max >= alpha + 4")
-    if alpha == 0:
-        kmax = beta_max // 2
-        total = sum(mu_A_k_q(q, chi_s, k) for k in range(kmax + 1)) + mu_A_tail(q, kmax + 1)
-    else:
-        evens = range(0, beta_max + 1, 2)
-        total = sum(mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens) + mu_B_tail(q, alpha, evens[-1] + 2)
+    evens = range(0, beta_max + 1, 2)
+    total = sum(mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens) + mu_B_tail(q, alpha, evens[-1] + 2)
     return SeriesVerdict(q, alpha, chi_s, beta_max, total, pair_measure(q, alpha, chi_s))
 
 
@@ -292,62 +268,22 @@ def diopm_z3_claimed(m: int) -> Fraction:
     return Fraction(m * m + 71 * m + 36, 36 * 3**m)
 
 
-def z3_case_all_zero(m: int) -> Fraction:
-    """Density of the all-coordinates-divisible-by-3 block: 1/3^m."""
-    return Fraction(1, 3) ** m
+def diopm_z3_consistent(m: int) -> Fraction:
+    """The recombination that matches the pair theorem at m = 2: (m^2+15m+8)/(8*3^m).
 
+    Over Z_3 with chi(r) = 1 it adds three case densities: the all-zero
+    block 1/3^m, m single-unit positions of 2/3^m each, and C(m, 2)
+    unordered two-unit positions, each the pair core 1/36 times (1/3)^(m-2)
+    for the remaining coordinates:
 
-def z3_case_one_unit_each(m: int) -> Fraction:
-    """Per-position density with exactly one unit coordinate: 2/3^m."""
-    return 2 * Fraction(1, 3) ** m
+        (1 + 2m)/3^m + (m(m-1)/2)(1/36)(9/3^m) = (8 + 16m + m(m-1))/(8*3^m).
 
-
-def z3_case_mixed_pair() -> Fraction:
-    """Stated pair-core density for the two-unit block with distinct residues: 1/36.
-
-    As a density over Z_3^2 conditioned on nothing, the two ordered residue
-    cells contribute 1/72 each; 1/36 is their unordered total.
-    """
-    return Fraction(1, 36)
-
-
-def diopm_z3_cases(
-    m: int,
-    case1: Fraction,
-    case2_each: Fraction,
-    case3_pair: Fraction,
-    *,
-    ordered_pairs: bool,
-    rescale_pair_block: bool,
-) -> Fraction:
-    """Recombine the three case densities into an m-tuple density.
-
-    case1 is the all-zero block as a full m-tuple density; case2_each the
-    per-position single-unit density; case3_pair the two-unit pair core.
-    `ordered_pairs` counts pair positions as m(m-1) instead of m(m-1)/2;
-    `rescale_pair_block` scales the pair core by (1/3)^(m-2) (the remaining
-    coordinates) instead of (1/3)^m.  The two recombinations under audit:
-
-        ordered + 1/3^m scaling     -> the stated combination
-        unordered + (1/3)^(m-2)     -> the self-consistent combination
+    The stated `diopm_z3_claimed` counts the pair positions as m(m-1)
+    ordered ones and scales the core by 1/3^m instead.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    npairs = m * (m - 1) if ordered_pairs else m * (m - 1) // 2
-    scale = Fraction(1, 3 ** (m - 2)) if rescale_pair_block else Fraction(1, 3**m)
-    return case1 + m * case2_each + npairs * case3_pair * scale
-
-
-def diopm_z3_consistent(m: int) -> Fraction:
-    """The recombination that matches the pair theorem at m = 2: (m^2+15m+8)/(8*3^m)."""
-    return diopm_z3_cases(
-        m,
-        z3_case_all_zero(m),
-        z3_case_one_unit_each(m),
-        z3_case_mixed_pair(),
-        ordered_pairs=False,
-        rescale_pair_block=True,
-    )
+    return Fraction(m * m + 15 * m + 8, 8 * 3**m)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +367,12 @@ def conic_sum_closed(a2: int, a1: int, a0: int, p: int) -> int:
 
     -chi(a2) when the discriminant a1^2 - 4 a0 a2 is nonzero, else (p-1) chi(a2).
     """
-    if legendre(a2, p) == 0:
+    chi = legendre(a2, p)
+    if chi == 0:
         raise ValueError(f"leading coefficient must be a unit mod {p}")
-    disc = (a1 * a1 - 4 * a0 * a2) % p
-    if disc == 0:
-        return (p - 1) * legendre(a2, p)
-    return -legendre(a2, p)
+    if (a1 * a1 - 4 * a0 * a2) % p == 0:
+        return (p - 1) * chi
+    return -chi
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,16 @@ def vp(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class RShape:
-    """The p-adic shape of a nonzero parameter r: valuation, unit part, characters."""
+    """The p-adic shape of a nonzero parameter r: valuation, unit part and its character.
+
+    For odd p, chi(r) is chi_s when r is a unit (alpha = 0) and 0 otherwise.
+    """
 
     r: int
     p: int
     alpha: int
     s: int
     chi_s: int
-    chi_r: int
 
 
 def require_nonzero_r(r: int) -> None:
@@ -42,18 +44,9 @@ def require_nonzero_r(r: int) -> None:
 
 
 def r_shape(r: int, p: int) -> RShape:
-    """Package r = p^alpha * s with its quadratic characters."""
+    """Package r = p^alpha * s with the quadratic character of s (0 at p = 2)."""
     require_nonzero_r(r)
     require_prime(p)
     alpha = vp(r, p)
     s = r // p**alpha
-    if p == 2:
-        return RShape(r=r, p=p, alpha=alpha, s=s, chi_s=0, chi_r=0)
-    return RShape(
-        r=r,
-        p=p,
-        alpha=alpha,
-        s=s,
-        chi_s=legendre(s, p),
-        chi_r=legendre(r, p),
-    )
+    return RShape(r=r, p=p, alpha=alpha, s=s, chi_s=0 if p == 2 else legendre(s, p))

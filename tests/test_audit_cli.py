@@ -62,6 +62,19 @@ def test_suite_conic_all_agree():
     assert exit_code_for(records) == 0
 
 
+def test_suite_conic_memory_is_one_slice():
+    # one p x p slice of direct sums per a2, not the (p - 1) p^2 array of every
+    # a2 at once, which peaked near 1 MB at pmax 31
+    tracemalloc.start()
+    try:
+        records = run_suite("conic", pmax=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 10 and all(r.verdict == AGREE for r in records)
+    assert peak < 2**17
+
+
 def test_suite_z2():
     records = run_suite("z2", N=8)
     assert all(r.verdict == AGREE for r in records)

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from dioptuples import closed_forms as cf
+from dioptuples.arith import is_prime
 from dioptuples.padic import r_shape
 
 
@@ -55,9 +56,10 @@ def test_pair_measure_stated_text_values():
 
 
 def test_block_measures():
-    assert cf.mu_A_k_q(5, -1, 0) == Fr(8, 25)
-    assert cf.mu_A_k_q(5, 1, 0) == Fr(13, 25)
-    assert cf.mu_A_k_q(5, 1, 1) == Fr(16, 1250) == Fr(8, 625)
+    # the unit-r blocks: chi(2 mod 5) = -1, chi(1) = +1
+    assert cf.mu_A_k(r_shape(2, 5), 0) == cf.mu_B_beta_q(5, 0, -1, 0) == Fr(8, 25)
+    assert cf.mu_A_k(r_shape(1, 5), 0) == cf.mu_B_beta_q(5, 0, 1, 0) == Fr(13, 25)
+    assert cf.mu_A_k(r_shape(1, 5), 1) == cf.mu_B_beta_q(5, 0, 1, 2) == Fr(16, 1250) == Fr(8, 625)
     assert cf.mu_B_beta_q(3, 1, 1, 2) == Fr(4, 81)
     assert cf.mu_B_beta_q(5, 3, 1, 2) == Fr(24, 625)
     assert cf.mu_B_beta_q(5, 2, 1, 2) == Fr(29, 625)
@@ -65,6 +67,10 @@ def test_block_measures():
     assert cf.mu_B_beta_q(5, 1, 1, 1) == 0
     with pytest.raises(ValueError):
         cf.mu_B_beta_q(5, 2, 1, 3)  # odd beta != alpha
+    with pytest.raises(ValueError, match="block index"):
+        cf.mu_A_k(r_shape(1, 5), -1)
+    with pytest.raises(ValueError, match="unit r"):
+        cf.mu_A_k(r_shape(5, 5), 0)
 
 
 def test_block_measures_stated_text_values():
@@ -76,12 +82,11 @@ def test_block_measures_stated_text_values():
 
 
 def test_block_series_sums_to_closed_form():
-    # unit r: A-blocks with exact tail
+    # unit r: the alpha = 0 blocks B_2k with exact tail
     for q in (3, 5, 7, 11, 13, 9, 25, 27):
         for chi in (1, -1):
-            total = cf.mu_A_k_q(q, chi, 0)
-            total += sum(cf.mu_A_k_q(q, chi, k) for k in range(1, 7))
-            total += cf.mu_A_tail(q, 7)
+            total = sum(cf.mu_B_beta_q(q, 0, chi, 2 * k) for k in range(7))
+            total += cf.mu_B_tail(q, 0, 14)
             assert total == cf.pair_measure(q, 0, chi), (q, chi)
     # positive valuation: B-blocks with exact tail
     for q in (3, 5, 7, 9, 25, 27):
@@ -96,11 +101,27 @@ def test_block_series_sums_to_closed_form():
                 assert total == cf.pair_measure(q, alpha, chi_s), (q, alpha, chi_s)
 
 
+def _odd_prime_powers(bound):
+    return sorted(p**f for p in range(3, bound + 1, 2) if is_prime(p) for f in range(1, 8) if p**f <= bound)
+
+
 def test_pair_measure_even_odd_cases_extend_to_alpha_zero():
-    for q in (3, 5, 7, 9):
+    # the even-alpha lines at alpha = 0 against the written-out unit-r expressions
+    for q in _odd_prime_powers(243):
         base = Fr(q * q + 1, 2 * (q + 1) ** 2)
-        assert base + Fr(1, q) - Fr(1, (q + 1) ** 2) == cf.pair_measure(q, 0, 1)
-        assert base - Fr(1, (q + 1) ** 2) == cf.pair_measure(q, 0, -1)
+        assert base + Fr(1, q) - Fr(1, (q + 1) ** 2) == cf.pair_measure(q, 0, 1) == Fr(1, 2) + Fr(1, q * (q + 1)), q
+        assert base - Fr(1, (q + 1) ** 2) == cf.pair_measure(q, 0, -1) == Fr(1, 2) - Fr(1, q + 1), q
+
+
+def test_unit_r_blocks_are_the_alpha_zero_blocks():
+    # the unit-r block and tail expressions, written out, against the alpha = 0 forms
+    for q in _odd_prime_powers(243):
+        assert cf.mu_B_beta_q(q, 0, 1, 0) == Fr(q * q + 1, 2 * q * q)
+        assert cf.mu_B_beta_q(q, 0, -1, 0) == Fr((q - 1) ** 2, 2 * q * q)
+        for k in range(1, 8):
+            for chi in (1, -1):
+                assert cf.mu_B_beta_q(q, 0, chi, 2 * k) == Fr((q - 1) ** 2, 2 * q ** (2 * k + 2))
+            assert cf.mu_B_tail(q, 0, 2 * k) == Fr(q - 1, 2 * (q + 1) * q ** (2 * k))
 
 
 def test_z3_mtuple_formulas():
@@ -121,20 +142,18 @@ def test_z3_mtuple_numerator_is_integer_quadratic():
 
 
 def test_z3_case_recombinations():
-    case1 = cf.z3_case_all_zero(2)
-    assert case1 == Fr(1, 9)
-    stated = cf.diopm_z3_cases(
-        2, case1, cf.z3_case_one_unit_each(2), cf.z3_case_mixed_pair(),
-        ordered_pairs=True, rescale_pair_block=False,
-    )
-    assert stated == Fr(91, 162)
-    consistent = cf.diopm_z3_cases(
-        2, case1, cf.z3_case_one_unit_each(2), cf.z3_case_mixed_pair(),
-        ordered_pairs=False, rescale_pair_block=True,
-    )
-    assert consistent == Fr(7, 12)
-    alone = cf.diopm_z3_cases(2, case1, Fr(0), Fr(0), ordered_pairs=True, rescale_pair_block=False)
-    assert alone == Fr(1, 9)
+    # the case densities: all-zero block 1/3^m, single-unit positions 2/3^m
+    # each, and the two-unit pair core 1/36 (two ordered residue cells of 1/72)
+    core = Fr(1, 36)
+    for m in range(2, 13):
+        head = Fr(1, 3**m) + m * Fr(2, 3**m)
+        stated = head + m * (m - 1) * core * Fr(1, 3**m)  # ordered positions, core scaled 1/3^m
+        consistent = head + m * (m - 1) // 2 * core * Fr(1, 3 ** (m - 2))  # unordered, (1/3)^(m-2)
+        assert stated == cf.diopm_z3_claimed(m), m
+        assert consistent == cf.diopm_z3_consistent(m), m
+    assert cf.diopm_z3_consistent(2) == Fr(7, 12) == cf.diop2_zp(r_shape(1, 3))
+    with pytest.raises(ValueError):
+        cf.diopm_z3_consistent(1)
 
 
 def test_triple_fp_stated_values():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dioptuples.arith import legendre
 from dioptuples.padic import r_shape, vp
 from dioptuples.zp_census import status_table
 
@@ -61,7 +62,7 @@ def test_r_shape_examples():
     s = r_shape(9, 3)
     assert (s.alpha, s.s, s.chi_s) == (2, 1, 1)
     s = r_shape(2, 5)
-    assert (s.alpha, s.chi_r) == (0, -1)
+    assert (s.alpha, s.chi_s) == (0, -1) == (0, legendre(2, 5))
     s = r_shape(18, 3)
     assert (s.alpha, s.s, s.chi_s) == (2, 2, -1)
     with pytest.raises(ValueError):
@@ -74,4 +75,5 @@ def test_r_shape_consistency():
             s = r_shape(r, p)
             assert s.r == p**s.alpha * s.s
             assert s.s % p != 0
-            assert (s.chi_r == 0) == (s.alpha > 0)
+            # chi(r) is chi_s for a unit r and 0 otherwise
+            assert legendre(r, p) == (s.chi_s if s.alpha == 0 else 0)
