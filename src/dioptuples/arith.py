@@ -13,21 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-def smallest_factor(n: int) -> int:
-    """The smallest prime factor of n >= 2, by trial division over 2 and the odd numbers.
-
-    Desk scale only: `fq` factors q - 1 with it, q at most 10^5.
-    """
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
 # Miller-Rabin to the first 13 prime bases decides every n below the bound,
 # which is the least strong pseudoprime to all 13 (Sorenson and Webster,
 # Math. Comp. 86, 2017)

@@ -317,10 +317,10 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7):
     return records
 
 
-def suite_ok_series(qs=(3, 5, 7, 9, 25, 27), alpha_max: int = 6):
+def suite_ok_series():
     records = []
-    for q in qs:
-        for alpha in range(alpha_max + 1):
+    for q in (3, 5, 7, 9, 25, 27):
+        for alpha in range(7):
             for chi_s in (1, -1):
                 verdict = cf.series_consistency(q, alpha, chi_s, alpha + 6)
                 records.append(
@@ -360,9 +360,9 @@ def ec_instances(seed: int, count: int):
     return out
 
 
-def suite_ec(seed: int = 20240, count: int = 100):
+def suite_ec(seed: int = 20240):
     records = []
-    instances = ec_instances(seed, count)
+    instances = ec_instances(seed, 100)
     for (p, a, b, c, r), v in zip(instances, two_descent_pass(instances)):
         records.append(
             _record(

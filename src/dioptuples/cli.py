@@ -132,7 +132,7 @@ def _audit(suite, opts, given) -> int:
 def _ec_check(_, opts, given) -> int:
     verdict = two_descent_equiv(*(opts[flag] for flag in "pabcr"))
     row = {field: sorted(v) if isinstance(v, frozenset) else v for field, v in asdict(verdict).items()}
-    print(json.dumps(row, sort_keys=True))
+    _emit([row], "json")
     return 0 if verdict.ok else 1
 
 

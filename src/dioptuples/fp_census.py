@@ -47,9 +47,8 @@ arrays, so the `conic` audit gets every sum of one p from one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from math import comb
-from operator import add
 
 import numpy as np
 
@@ -233,7 +232,7 @@ def _class_triangles(W1, W2, W3) -> np.ndarray | int:
     for W in (W1, W2, W3):
         if id(W) not in hats:
             hats[id(W)] = _walsh_hadamard(np.asarray(W, object))
-    return _sum(x * y * z for x, y, z in zip(hats[id(W1)], hats[id(W2)], hats[id(W3)]))
+    return sum(x * y * z for x, y, z in zip(hats[id(W1)], hats[id(W2)], hats[id(W3)]))
 
 
 def _walsh_hadamard(W: np.ndarray) -> list:
@@ -246,11 +245,6 @@ def _walsh_hadamard(W: np.ndarray) -> list:
                 hat[i], hat[i | h] = hat[i] + hat[i | h], hat[i] - hat[i | h]
         h *= 2
     return hat
-
-
-def _sum(terms):
-    """The sum of a nonempty iterable, from its first term: `sum` would add its 0 in one more array pass."""
-    return reduce(add, terms)
 
 
 def _class_quadrangles(v: np.ndarray) -> int:
@@ -281,7 +275,7 @@ def _class_quadrangles(v: np.ndarray) -> int:
         U[c, :-1] += full[n:]
     if int(U.sum()) != int(np.count_nonzero(v)) ** 2 or not np.array_equal(*U[:, 1::2]):
         raise RuntimeError("the class sums U_s break sum_s (E_s + O_s) = (sum v)^2 or E_s = O_s at odd s")
-    U = U.T.astype(object)
+    U = U.T  # one object passed three times, so the engine transforms it once
     return int(_class_triangles(U, U, U).sum())
 
 
@@ -344,7 +338,6 @@ def _census_counts(field, rs, m: int) -> list[tuple[int, int, int]]:
     W = np.empty((*v.shape[:2], 2), np.int64)  # W[t, i]: (E, O)
     for c in (0, 1):
         np.add.reduce(v[..., c::2], -1, out=W[..., c])
-    W = W.astype(object)
     triangles = _class_triangles(W, W, W).tolist()
     W = W.tolist()
 

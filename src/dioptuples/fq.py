@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import is_prime, smallest_factor
+from .arith import require_odd_prime
 
 DESK_SCALE_BOUND = 100_000
 
@@ -35,13 +35,15 @@ def _digits(k, p, width):
 
 
 def _prime_factors(n):
-    primes = []
-    while n > 1:
-        ell = smallest_factor(n)
-        primes.append(ell)
-        while n % ell == 0:
-            n //= ell
-    return primes
+    # trial division by 2, then the odd ell with ell^2 <= n: desk scale, n < 10^5
+    primes, ell = [], 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            primes.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1 if ell == 2 else 2
+    return primes + [n] * (n > 1)
 
 
 def _poly_rem(a, b, p):
@@ -93,8 +95,7 @@ class FqField:
         # f against the bound's bit length first, since p**f for a huge f would stall
         if f >= DESK_SCALE_BOUND.bit_length() and abs(p) > 1 or p**f > DESK_SCALE_BOUND:
             raise ValueError(f"q = {p}^{f} exceeds the desk-scale bound {DESK_SCALE_BOUND}")
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"characteristic must be an odd prime, got {p}")
+        require_odd_prime(p)
         self.p = p
         self.f = f
         self.q = p**f

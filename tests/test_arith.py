@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dioptuples.arith import PRIMALITY_BOUND, format_rational, is_prime, legendre, odd_prime_power, smallest_factor
+from dioptuples.arith import PRIMALITY_BOUND, format_rational, is_prime, legendre, odd_prime_power
 
 
 def brute_legendre(a, p):
@@ -64,8 +64,6 @@ def test_trial_division_agrees_with_a_sieve():
     powers = {p**f: (p, f) for p in range(3, n_max) if spf[p] == p for f in range(1, 10) if p**f < n_max}
     for n in range(n_max):
         assert is_prime(n) == (n >= 2 and spf[n] == n), n
-        if n >= 2:
-            assert smallest_factor(n) == spf[n], n
         if n < 3 or n % 2 == 0:
             with pytest.raises(ValueError, match="expected an odd prime power"):
                 odd_prime_power(n)

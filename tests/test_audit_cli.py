@@ -311,6 +311,7 @@ CLI_CONTRACT = [
     (("census", "zp", "--p", "3", "--m", "3", "-N", "9"), 2, "", "exceeds budget"),
     (("audit", "pairs-zp", "--p", "3", "--budget", "0"), 2, "", "exceeds budget 0"),
     (("census", "zp", "--p", "9"), 1, "", "9 is not prime"),
+    (("census", "fp", "--p", "9", "--m", "2"), 1, "", "expected an odd prime, got 9"),
     (("measure", "pair-ok", "--q", "15"), 1, "", "15 is not a prime power"),
     (("measure", "conic", "--p", "5", "--a1", "1"), 0, "-1\n", ""),
     # an audit that checked nothing fails

@@ -201,9 +201,9 @@ def test_encode_decode_roundtrip():
 
 
 def test_rejects_even_characteristic_and_huge_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected an odd prime, got 2"):
         fq_construct(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected an odd prime, got 4"):
         fq_construct(4, 1)
-    with pytest.raises(ValueError):
-        fq_construct(317, 2)  # q = 100 489 exceeds the desk-scale bound
+    with pytest.raises(ValueError, match="exceeds the desk-scale bound 100000"):
+        fq_construct(317, 2)  # q = 100 489
