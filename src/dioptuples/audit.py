@@ -14,6 +14,7 @@ import inspect
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 
@@ -30,6 +31,7 @@ AGREE = "Agree"
 DISAGREE = "Disagree"
 INCONCLUSIVE = "Inconclusive"
 AUDIT_BUDGET = 10**8  # the default `audit --budget` of every suite that takes one
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,11 @@ class AuditRecord:
             "detail": self.detail,
             "must_agree": self.must_agree,
         }
+
+    @cached_property
+    def json_line(self) -> str:
+        """`to_dict` as one JSON line with sorted keys, encoded once for ordering and printing alike."""
+        return _encode(self.to_dict())
 
 
 def verdict_for(claimed, oracle, competitors=()) -> str:
@@ -117,18 +124,19 @@ def _pairs_zp_item(args):
     shape = r_shape(r, p)
     N = max(1, zp_precision(p, 2, budget))  # below p^2 the census itself refuses
     interval = zp_interval(p, r, 2, N, budget)
+    density = cf.diop2_zp(shape)
     return [
         _record(
             "pair_density_zp",
             {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s, "N": N},
-            cf.diop2_zp(shape),
+            density,
             interval,
         ),
         _record(
             "pair_density_block_series",
             {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
             cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10).block_sum,
-            cf.diop2_zp(shape),
+            density,
             detail="valuation-block sum with exact geometric tail vs closed form",
         ),
     ]
@@ -259,14 +267,12 @@ def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
     records = []
     # charged the (p - 1) p^2 cells of each prime's direct sums
     for p in _charge("conic", pmax, lambda p: (p - 1) * p * p, "(p - 1)p^2", budget):
-        coeffs = np.arange(p)
+        a1, a0 = np.arange(p)[:, None], np.arange(p)
         mismatches = 0
         for a2 in range(1, p):
-            # direct[a1][a0]: the p x p slice of one a2, so memory stays O(p^2)
-            direct = conic_sum_direct(a2, coeffs[:, None], coeffs, p).tolist()
-            mismatches += sum(
-                direct[a1][a0] != cf.conic_sum_closed(a2, a1, a0, p) for a1 in range(p) for a0 in range(p)
-            )
+            # both sides over the p x p slice [a1, a0] of one a2, so memory stays O(p^2)
+            direct = conic_sum_direct(a2, a1, a0, p)
+            mismatches += int(np.count_nonzero(direct != cf.conic_sum_closed(a2, a1, a0, p)))
         records.append(
             _record(
                 "conic_sum",
@@ -499,9 +505,17 @@ def run_suite(name: str, **kwargs) -> list:
 
 
 def canonical_order(records):
-    """Sorted by quantity, then by the JSON of the params as `to_dict` prints them."""
-    encode = json.JSONEncoder(sort_keys=True).encode
-    return sorted(records, key=lambda r: (r.quantity, encode({k: str(v) for k, v in r.params.items()})))
+    """Sorted by quantity, then by the JSON of the params as `to_dict` prints them.
+
+    That JSON is the slice of the record's line between its "params" and
+    "quantity" keys.  A quote inside a string value is escaped, so neither
+    pattern matches inside one, and only strings follow the "quantity" key.
+    """
+    def key(r):
+        line = r.json_line
+        return r.quantity, line[line.index('"params": ') + 10 : line.rindex(', "quantity": ')]
+
+    return sorted(records, key=key)
 
 
 def exit_code_for(records) -> int:

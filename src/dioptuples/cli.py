@@ -71,12 +71,13 @@ def _measure(quantity, opts, given) -> int:
     return 0
 
 
-def _emit(rows: list[dict], fmt: str) -> None:
+def _emit(rows: list, fmt: str) -> None:
+    """Print rows, each a dict or, in JSON, a line already encoded with sorted keys."""
     # line by line, never one joined string: a single large write to a pipe
     # whose reader has left can end without the BrokenPipeError `entry` reports
     encode = json.JSONEncoder(sort_keys=True).encode
     if fmt == "json":
-        sys.stdout.writelines(encode(row) + "\n" for row in rows)
+        sys.stdout.writelines((row if isinstance(row, str) else encode(row)) + "\n" for row in rows)
         return
     writer = csv.DictWriter(sys.stdout, fieldnames=sorted({k for row in rows for k in row}))
     writer.writeheader()
@@ -125,7 +126,7 @@ def _audit(suite, opts, given) -> int:
     _given(given, {flag for flag in opts if _SUITE_KEYWORD.get(flag, flag) in keywords}, f"audit {suite}")
     kwargs = {_SUITE_KEYWORD.get(flag, flag): value for flag, value in given.items() if flag not in ("format", "jobs")}
     records = run_suite(suite, **kwargs)
-    _emit([rec.to_dict() for rec in records], opts["format"])
+    _emit([rec.json_line if opts["format"] == "json" else rec.to_dict() for rec in records], opts["format"])
     return exit_code_for(records)
 
 

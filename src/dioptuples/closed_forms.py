@@ -315,22 +315,17 @@ def count_offdiag_claimed(p: int, r: int) -> Fraction:
     """
     chi_r = _require_unit_r(p, r)
     chi_neg = legendre(-r % p, p)
-    return (
-        Fraction(3 * p * p + 3 * p + 4, 4)
-        - Fraction(3 * p + 3, 4) * chi_r
-        + Fraction(13, 4) * chi_neg
-    )
+    # stated term by term as (3p^2 + 3p + 4)/4 - (3p + 3)chi(r)/4 + 13 chi(-r)/4
+    return Fraction(3 * p * p + 3 * p + 4 - (3 * p + 3) * chi_r + 13 * chi_neg, 4)
 
 
 def tilde3_fp_claimed(p: int, r: int) -> Fraction:
     """Stated interior (all-units, all-products-nonzero) triple density over F_p."""
     chi_r = _require_unit_r(p, r)
     chi_neg = legendre(-r % p, p)
-    return (
-        Fraction(1, 8)
-        - Fraction(6 + 3 * chi_r, 8 * p)
-        + Fraction(15 + 12 * chi_r, 8 * p * p)
-        - Fraction(16 + 13 * chi_r + 2 * chi_neg, 8 * p**3)
+    # stated term by term as 1/8 - (6 + 3chi(r))/8p + (15 + 12chi(r))/8p^2 - (16 + 13chi(r) + 2chi(-r))/8p^3
+    return Fraction(
+        p**3 - (6 + 3 * chi_r) * p * p + (15 + 12 * chi_r) * p - (16 + 13 * chi_r + 2 * chi_neg), 8 * p**3
     )
 
 
@@ -338,11 +333,9 @@ def diop3_fp_claimed(p: int, r: int) -> Fraction:
     """Stated total D(r) triple density over F_p (sum of the three stated pieces)."""
     chi_r = _require_unit_r(p, r)
     chi_neg = legendre(-r % p, p)
-    return (
-        Fraction(1, 8)
-        + Fraction(6 + 3 * chi_r, 8 * p)
-        + Fraction(21 + 6 * chi_r, 8 * p * p)
-        + Fraction(24 * chi_neg - 10 - 21 * chi_r, 8 * p**3)
+    # stated term by term as 1/8 + (6 + 3chi(r))/8p + (21 + 6chi(r))/8p^2 + (24chi(-r) - 10 - 21chi(r))/8p^3
+    return Fraction(
+        p**3 + (6 + 3 * chi_r) * p * p + (21 + 6 * chi_r) * p + 24 * chi_neg - 10 - 21 * chi_r, 8 * p**3
     )
 
 
@@ -362,17 +355,17 @@ def extension_count_envelope(p: int) -> tuple[int, int]:
 # quadratic character sums
 
 
-def conic_sum_closed(a2: int, a1: int, a0: int, p: int) -> int:
+def conic_sum_closed(a2: int, a1, a0, p: int):
     """Closed form of sum_c chi(a2 c^2 + a1 c + a0) over F_p, a2 a unit.
 
     -chi(a2) when the discriminant a1^2 - 4 a0 a2 is nonzero, else (p-1) chi(a2).
+    a1 and a0 may be integer arrays, which broadcast to one value per pair;
+    scalar coefficients give a Python int.
     """
     chi = legendre(a2, p)
     if chi == 0:
         raise ValueError(f"leading coefficient must be a unit mod {p}")
-    if (a1 * a1 - 4 * a0 * a2) % p == 0:
-        return (p - 1) * chi
-    return -chi
+    return chi * (p * ((a1 * a1 - 4 * a0 * a2) % p == 0) - 1)
 
 
 # ---------------------------------------------------------------------------

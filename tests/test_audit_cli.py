@@ -490,6 +490,19 @@ def test_cli_audit_all_matches_anchor(capsys):
     )
 
 
+def test_cli_audit_all_lines_are_each_records_json_in_canonical_order(capsys):
+    # each line is encoded once, and the order is read from that line: an
+    # encoding change fails here by name, not only through the anchor's hash
+    def key(rec):
+        return rec.quantity, json.dumps({k: str(v) for k, v in rec.params.items()}, sort_keys=True)
+
+    code, out, _ = run_cli(capsys, "audit", "all")
+    assert code == 0
+    # `audit all` is each suite's records in turn, each suite's sorted on its own
+    records = [rec for suite in audit.SUITES.values() for rec in sorted(suite(), key=key)]
+    assert out.splitlines() == [json.dumps(rec.to_dict(), sort_keys=True) for rec in records]
+
+
 def test_cli_replays_every_benchmark_invocation(capsys):
     # every recorded invocation, each r of every pool included, in this one process
     recorded = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())

@@ -1,9 +1,10 @@
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from dioptuples import closed_forms as cf
-from dioptuples.arith import is_prime
+from dioptuples.arith import is_prime, legendre
 from dioptuples.padic import r_shape
 
 
@@ -187,6 +188,41 @@ def test_conic_sum_closed_examples():
     assert cf.conic_sum_closed(2, 0, 1, 7) == -1
     with pytest.raises(ValueError):
         cf.conic_sum_closed(5, 0, 1, 5)
+
+
+def test_triple_fp_stated_forms_match_their_term_by_term_sums():
+    # each stated form is one rational over a common denominator; the
+    # reference is the statement's own sum of terms
+    for p in (q for q in range(3, 32, 2) if is_prime(q)):
+        for r in range(1, p):
+            chi_r, chi_neg = legendre(r, p), legendre(-r, p)
+            offdiag = Fr(3 * p * p + 3 * p + 4, 4) - Fr(3 * p + 3, 4) * chi_r + Fr(13, 4) * chi_neg
+            tilde = (
+                Fr(1, 8)
+                - Fr(6 + 3 * chi_r, 8 * p)
+                + Fr(15 + 12 * chi_r, 8 * p * p)
+                - Fr(16 + 13 * chi_r + 2 * chi_neg, 8 * p**3)
+            )
+            total = (
+                Fr(1, 8)
+                + Fr(6 + 3 * chi_r, 8 * p)
+                + Fr(21 + 6 * chi_r, 8 * p * p)
+                + Fr(24 * chi_neg - 10 - 21 * chi_r, 8 * p**3)
+            )
+            assert cf.count_offdiag_claimed(p, r) == offdiag, (p, r)
+            assert cf.tilde3_fp_claimed(p, r) == tilde, (p, r)
+            assert cf.diop3_fp_claimed(p, r) == total, (p, r)
+
+
+def test_conic_sum_closed_arrays_match_the_scalar_form():
+    for p in (3, 5, 7, 11, 13):
+        a1, a0 = np.arange(p)[:, None], np.arange(p)
+        for a2 in range(1, p):
+            got = cf.conic_sum_closed(a2, a1, a0, p)
+            assert got.shape == (p, p)
+            scalar = [[cf.conic_sum_closed(a2, b, c, p) for c in range(p)] for b in range(p)]
+            assert got.tolist() == scalar, (p, a2)
+            assert all(type(v) is int for row in scalar for v in row)
 
 
 def test_main_term():
