@@ -353,12 +353,12 @@ def suite_ok_series():
     return records
 
 
-def ec_instances(seed: int, count: int):
-    """Deterministic pseudo-random admissible (p, a, b, c, r) instances."""
+def ec_instances(seed: int):
+    """100 deterministic pseudo-random admissible (p, a, b, c, r) instances."""
     rng = random.Random(seed)
     primes = [p for p in _primes_upto(101) if p >= 13]
     out = []
-    while len(out) < count:
+    while len(out) < 100:
         p = rng.choice(primes)
         a, b, c = rng.sample(range(1, p), 3)
         r = rng.randrange(1, p)
@@ -368,7 +368,7 @@ def ec_instances(seed: int, count: int):
 
 def suite_ec(seed: int = 20240):
     records = []
-    instances = ec_instances(seed, 100)
+    instances = ec_instances(seed)
     for (p, a, b, c, r), v in zip(instances, two_descent_pass(instances)):
         records.append(
             _record(
@@ -426,8 +426,8 @@ def _eqd_item(args):
     )
 
 
-def suite_eqd(ps=(13, 17, 29), rs=(1, 2)):
-    return _pmap(_eqd_item, [(p, r) for p in ps for r in rs])
+def suite_eqd():
+    return _pmap(_eqd_item, [(p, r) for p in (13, 17, 29) for r in (1, 2)])
 
 
 def _asymptotics_item(result):

@@ -192,20 +192,6 @@ def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesV
     return SeriesVerdict(q, alpha, chi_s, beta_max, total, pair_measure(q, alpha, chi_s))
 
 
-def _pair_measure_claimed_tail(q: int, alpha: int) -> Fraction:
-    # shared alpha-even tail of the claimed five-case expression
-    D = 2 * (q + 1) ** 2
-    return (
-        Fraction(1, 2)
-        - Fraction(2 * q - 1, D)
-        + Fraction(1, D * q)
-        - Fraction(alpha + 1, D * q ** (alpha - 2))
-        + Fraction(alpha - 1, D * q**alpha)
-        - Fraction(1, D * q ** (alpha + 1))
-        - Fraction(1, D * q ** (alpha + 2))
-    )
-
-
 def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_linear: bool) -> Fraction:
     """The five-case pair density exactly as stated in the audited text.
 
@@ -235,7 +221,16 @@ def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_lin
     linear = Fraction((alpha + 1) * (q - 1) ** 2, 2 * q ** (alpha + 2))
     quadratic = Fraction(alpha * (q - 1) ** 2 + q * q + 1, 2 * q ** (alpha + 2))
     block = linear if ((chi_s == 1) == even_branch_plus_is_linear) else quadratic
-    return _pair_measure_claimed_tail(q, alpha) + block
+    return (
+        Fraction(1, 2)
+        - Fraction(2 * q - 1, D)
+        + Fraction(1, D * q)
+        - Fraction(alpha + 1, D * q ** (alpha - 2))
+        + Fraction(alpha - 1, D * q**alpha)
+        - Fraction(1, D * q ** (alpha + 1))
+        - Fraction(1, D * q ** (alpha + 2))
+        + block
+    )
 
 
 def diop2_zp(shape: RShape) -> Fraction:

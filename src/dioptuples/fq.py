@@ -10,9 +10,10 @@ c_{f-1}) encodes to sum c_i * p^i.  Census code enumerates fields through
 this encoding, and a prime field F_p is F_{p^1}, where the code of a residue
 is the residue.  All arithmetic is on f x f matrices over F_p: multiplying
 by h = sum h_i x^i is M_h = sum h_i C^i, with C the companion matrix of the
-modulus.  Products of codes go through one pair of log/antilog tables of a
-primitive element, built lazily from about log2(q) such matrix products and
-cached read-only.
+modulus.  Products of codes go through one pair of log/antilog tables of g,
+the primitive element with the smallest code: each code's powers are built
+by such matrix products until one of them is 1, and the first code that
+reaches q - 1 powers is g.  The tables are built lazily and cached read-only.
 """
 
 from __future__ import annotations
@@ -32,18 +33,6 @@ def _digits(k, p, width):
         out.append(k % p)
         k //= p
     return out
-
-
-def _prime_factors(n):
-    # trial division by 2, then the odd ell with ell^2 <= n: desk scale, n < 10^5
-    primes, ell = [], 2
-    while ell * ell <= n:
-        if n % ell == 0:
-            primes.append(ell)
-            while n % ell == 0:
-                n //= ell
-        ell += 1 if ell == 2 else 2
-    return primes + [n] * (n > 1)
 
 
 def _poly_rem(a, b, p):
@@ -112,11 +101,11 @@ class FqField:
 
         Multiplying by h is the f x f matrix M_h = sum h_i C^i over F_p, C
         the companion matrix of the modulus, so column i of M_h is h * x^i.
-        g is the first code c with M_c^(n/l) != I for every prime l | n = q-1,
-        the powers taken by square-and-multiply, 16 codes at a time.  The
-        powers of g are built by doubling blocks of digit vectors: the block
-        g^0 .. g^(L-1) times M_h for h = g^L is g^L .. g^(2L-1), and squaring
-        M_h moves to the next block.
+        The codes are walked in order, and each one's powers are built by
+        doubling blocks of digit vectors: the block c^0 .. c^(L-1) times M_h
+        for h = c^L is c^L .. c^(2L-1), and squaring M_h moves to the next
+        block.  A code stops as soon as a block holds 1, that is c^k = 1 for
+        some 0 < k < q-1; g is the first code whose build reaches q-1 powers.
         """
         n, p, f = self.q - 1, self.p, self.f
         C = np.eye(f, k=-1, dtype=np.int64)  # x * x^i = x^(i+1) for i < f-1
@@ -124,25 +113,19 @@ class FqField:
         powers = [np.eye(f, dtype=np.int64)]  # C^0 .. C^(f-1)
         while len(powers) < f:
             powers.append(powers[-1] @ C % p)
-        identity, powers = powers[0], np.array(powers)
-        cofactors = np.array([n // ell for ell in _prime_factors(n)])[:, None, None, None]
-        for start in range(1, self.q, 16):  # codes in order, 16 at a time
-            codes = np.arange(start, min(start + 16, self.q))
-            coeffs = codes[:, None] // p ** np.arange(f) % p
-            Ms = (coeffs @ powers.reshape(f, -1)).reshape(-1, f, f) % p  # M_c for each code c
-            R, S = identity, Ms  # R[l, c] = M_c^(n/l) once every bit is read
-            for b in range(n.bit_length()):
-                R = np.where(cofactors >> b & 1, R @ S % p, R)
-                S = S @ S % p
-            primitive = (R != identity).any(axis=(2, 3)).all(axis=0)
-            if primitive.any():
-                M = Ms[primitive.argmax()]
+        place = p ** np.arange(f)
+        for code in range(1, self.q):
+            M = np.tensordot(_digits(code, p, f), powers, axes=1) % p  # M_c
+            digits = np.eye(1, f, dtype=np.int64)  # c^0 = 1
+            while len(digits) < n:
+                block = (digits @ M.T % p)[: n - len(digits)]
+                if (block @ place == 1).any():  # c^k = 1 with 0 < k < q-1
+                    break
+                digits = np.concatenate([digits, block])
+                M = M @ M % p
+            else:  # q - 1 powers and no 1 among them: c is g
                 break
-        digits = np.eye(1, f, dtype=np.int64)  # g^0 = 1
-        while len(digits) < n:
-            digits = np.concatenate([digits, digits @ M.T % p])
-            M = M @ M % p
-        exp = (digits[:n] @ p ** np.arange(f)).astype(np.int32)
+        exp = (digits @ place).astype(np.int32)
         log = np.zeros(self.q, dtype=np.int32)
         log[exp] = np.arange(n)
         exp.flags.writeable = log.flags.writeable = False

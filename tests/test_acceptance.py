@@ -172,7 +172,7 @@ def test_criterion_09_triple_density_envelope():
 
 
 def test_criterion_10_curve_checks():
-    instances = ec_instances(seed=20240, count=100)
+    instances = ec_instances(seed=20240)
     assert len(instances) == 100
     for p, a, b, c, r in instances:
         order = curve_order(TripleCurve(p, a, b, c, r))  # Hasse asserted inside
