@@ -11,17 +11,16 @@ against comes from `closed_forms`.  Every suite runs serially in one process.
 from __future__ import annotations
 
 import inspect
-import json
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 import numpy as np
 
 from . import closed_forms as cf
-from .arith import format_rational, is_prime, legendre
+from .arith import format_rational, is_prime, legendre, require_odd_prime
 from .curves import dr_triples_distinct, extension_counts, two_descent_pass
 from .fp_census import _census_tables, _clique_count, admit, censuses, conic_sum_direct
 from .padic import r_shape
@@ -31,11 +30,14 @@ AGREE = "Agree"
 DISAGREE = "Disagree"
 INCONCLUSIVE = "Inconclusive"
 AUDIT_BUDGET = 10**8  # the default `audit --budget` of every suite that takes one
-_encode = json.JSONEncoder(sort_keys=True).encode
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+def _params_json(params: dict) -> str:
+    """The params as `to_dict` prints them, {k: str(v)}, in JSON with sorted keys."""
+    return "{" + ", ".join([f"{_json_str(k)}: {_json_str(str(v))}" for k, v in sorted(params.items())]) + "}"
+
+
+class AuditRecord(NamedTuple):
     quantity: str
     params: dict
     claimed_value: object  # Fraction or None
@@ -62,10 +64,25 @@ class AuditRecord:
             "must_agree": self.must_agree,
         }
 
-    @cached_property
+    @property
     def json_line(self) -> str:
-        """`to_dict` as one JSON line with sorted keys, encoded once for ordering and printing alike."""
-        return _encode(self.to_dict())
+        """`json.dumps(self.to_dict(), sort_keys=True)`, written in that key order without a dict or an encoder.
+
+        A rational prints as digits, "-" and "/", which JSON never escapes;
+        every other string is escaped as `json.dumps` escapes it.
+        """
+        oracle = self.oracle_value
+        if isinstance(oracle, MeasureInterval):
+            oracle = f'{{"hi": "{format_rational(oracle.hi)}", "lo": "{format_rational(oracle.lo)}"}}'
+        else:
+            oracle = f'"{format_rational(oracle)}"'
+        claimed = "null" if self.claimed_value is None else f'"{format_rational(self.claimed_value)}"'
+        return (
+            f'{{"claimed_value": {claimed}, "detail": {_json_str(self.detail)}, '
+            f'"must_agree": {"true" if self.must_agree else "false"}, "oracle_value": {oracle}, '
+            f'"params": {_params_json(self.params)}, "quantity": {_json_str(self.quantity)}, '
+            f'"verdict": {_json_str(self.verdict)}}}'
+        )
 
 
 def verdict_for(claimed, oracle, competitors=()) -> str:
@@ -96,6 +113,7 @@ def _record(quantity, params, claimed, oracle, competitors=(), must_agree=True, 
 
 
 def smallest_nonresidue(p: int) -> int:
+    require_odd_prime(p)  # p <= 2 leaves the search below empty, so refuse it as `legendre` would
     for n in range(2, p):
         if legendre(n, p) == -1:
             return n
@@ -505,17 +523,8 @@ def run_suite(name: str, **kwargs) -> list:
 
 
 def canonical_order(records):
-    """Sorted by quantity, then by the JSON of the params as `to_dict` prints them.
-
-    That JSON is the slice of the record's line between its "params" and
-    "quantity" keys.  A quote inside a string value is escaped, so neither
-    pattern matches inside one, and only strings follow the "quantity" key.
-    """
-    def key(r):
-        line = r.json_line
-        return r.quantity, line[line.index('"params": ') + 10 : line.rindex(', "quantity": ')]
-
-    return sorted(records, key=key)
+    """Sorted by quantity, then by the JSON of the params as `to_dict` prints them."""
+    return sorted(records, key=lambda r: (r.quantity, _params_json(r.params)))
 
 
 def exit_code_for(records) -> int:

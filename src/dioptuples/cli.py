@@ -71,8 +71,12 @@ def _measure(quantity, opts, given) -> int:
     return 0
 
 
-def _emit(rows: list, fmt: str) -> None:
-    """Print rows, each a dict or, in JSON, a line already encoded with sorted keys."""
+def _emit(rows, fmt: str) -> None:
+    """Print rows, each a dict or, in JSON, a line already encoded with sorted keys.
+
+    JSON reads the rows once, so they may be a generator that builds each line
+    as it is printed; CSV reads them twice (the header first), so it takes a list.
+    """
     # line by line, never one joined string: a single large write to a pipe
     # whose reader has left can end without the BrokenPipeError `entry` reports
     encode = json.JSONEncoder(sort_keys=True).encode
@@ -126,7 +130,10 @@ def _audit(suite, opts, given) -> int:
     _given(given, {flag for flag in opts if _SUITE_KEYWORD.get(flag, flag) in keywords}, f"audit {suite}")
     kwargs = {_SUITE_KEYWORD.get(flag, flag): value for flag, value in given.items() if flag not in ("format", "jobs")}
     records = run_suite(suite, **kwargs)
-    _emit([rec.json_line if opts["format"] == "json" else rec.to_dict() for rec in records], opts["format"])
+    if opts["format"] == "json":
+        _emit((rec.json_line for rec in records), "json")
+    else:
+        _emit([rec.to_dict() for rec in records], "csv")
     return exit_code_for(records)
 
 

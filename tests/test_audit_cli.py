@@ -1,9 +1,12 @@
 import ast
+import csv
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +23,9 @@ from dioptuples.audit import (
     AGREE,
     DISAGREE,
     INCONCLUSIVE,
+    AuditRecord,
     auto_rset,
+    canonical_order,
     exit_code_for,
     run_suite,
     smallest_nonresidue,
@@ -312,6 +317,11 @@ CLI_CONTRACT = [
     (("audit", "pairs-zp", "--p", "3", "--budget", "0"), 2, "", "exceeds budget 0"),
     (("census", "zp", "--p", "9"), 1, "", "9 is not prime"),
     (("census", "fp", "--p", "9", "--m", "2"), 1, "", "expected an odd prime, got 9"),
+    # the suites that search for a nonresidue refuse p <= 2 as every odd-prime input is refused
+    (("audit", "pairs-zp", "--p", "2"), 1, "", "expected an odd prime, got 2"),
+    (("audit", "pairs-zp", "--p", "1"), 1, "", "expected an odd prime, got 1"),
+    (("audit", "pairs-zp", "--p", "-3"), 1, "", "expected an odd prime, got -3"),
+    (("audit", "valuation-classes", "--p", "2"), 1, "", "expected an odd prime, got 2"),
     (("measure", "pair-ok", "--q", "15"), 1, "", "15 is not a prime power"),
     (("measure", "conic", "--p", "5", "--a1", "1"), 0, "-1\n", ""),
     # an audit that checked nothing fails
@@ -490,17 +500,60 @@ def test_cli_audit_all_matches_anchor(capsys):
     )
 
 
-def test_cli_audit_all_lines_are_each_records_json_in_canonical_order(capsys):
-    # each line is encoded once, and the order is read from that line: an
-    # encoding change fails here by name, not only through the anchor's hash
-    def key(rec):
-        return rec.quantity, json.dumps({k: str(v) for k, v in rec.params.items()}, sort_keys=True)
+def json_order_key(rec):
+    """The canonical order's key, from `json.dumps` of the params as `to_dict` prints them."""
+    return rec.quantity, json.dumps({k: str(v) for k, v in rec.params.items()}, sort_keys=True)
 
+
+def test_cli_audit_all_lines_are_each_records_json_in_canonical_order(capsys):
+    # each line is the record's `json.dumps`, in the order of its params' JSON:
+    # an encoding change fails here by name, not only through the anchor's hash
     code, out, _ = run_cli(capsys, "audit", "all")
     assert code == 0
     # `audit all` is each suite's records in turn, each suite's sorted on its own
-    records = [rec for suite in audit.SUITES.values() for rec in sorted(suite(), key=key)]
+    records = [rec for suite in audit.SUITES.values() for rec in sorted(suite(), key=json_order_key)]
     assert out.splitlines() == [json.dumps(rec.to_dict(), sort_keys=True) for rec in records]
+
+
+def test_record_line_template_is_json_dumps_and_orders_like_it():
+    # strings JSON must escape, in the detail, a str param and the quantity;
+    # every oracle shape; and params whose JSON puts "10" before "9" or orders
+    # strings otherwise than a sort of the unescaped values would
+    odd = 'a "quote", a back\\slash, a new\nline, a\ttab, χ ≤ 1'
+    box = MeasureInterval(Fr(1, 4), Fr(1, 2))
+    records = [
+        AuditRecord("pair", {"p": 9, "s": odd}, Fr(1, 3), box, AGREE, detail=odd),
+        AuditRecord("pair", {"p": 10, "s": "≤"}, None, Fr(-2, 3), DISAGREE, must_agree=False),
+        AuditRecord("pair", {"10": 1, "9": 2}, Fr(5), 5, AGREE),
+        AuditRecord("pair", {"9": 1}, Fr(0), 0, AGREE, detail="χ"),
+        AuditRecord('q"χ\\', {}, Fr(7, 2), box, INCONCLUSIVE, must_agree=False),
+        AuditRecord("count", {"p": 3, "r": -1}, Fr(0), 12, DISAGREE, detail="\n"),
+        AuditRecord("count", {"p": 3, "r": -1}, Fr(1), 12, DISAGREE),
+        # escaped, "χ" sorts before "z"; and '"' sorts before "#" as a string ends
+        *(AuditRecord("count", {"p": 3, "s": s}, Fr(1), 1, AGREE) for s in ("z", "χ", "a#", "a")),
+    ]
+    for rec in records:
+        assert rec.json_line == json.dumps(rec.to_dict(), sort_keys=True), rec
+
+    for seed in range(5):
+        shuffled = random.Random(seed).sample(records, len(records))
+        assert canonical_order(shuffled) == sorted(shuffled, key=json_order_key)
+
+
+def test_cli_audit_builds_each_records_dict_only_for_csv(capsys, monkeypatch):
+    calls = []
+    to_dict = AuditRecord.to_dict
+    monkeypatch.setattr(AuditRecord, "to_dict", lambda rec: calls.append(rec) or to_dict(rec))
+    code, out, _ = run_cli(capsys, "audit", "all")
+    assert (code, calls) == (0, [])
+    lines = [json.loads(line) for line in out.splitlines()]
+    code, out, _ = run_cli(capsys, "audit", "all", "--format", "csv")
+    assert code == 0
+    assert len(calls) == len({id(rec) for rec in calls}) == len(lines) == 1135
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["quantity"], row["params"]) for row in rows] == [
+        (line["quantity"], json.dumps(line["params"], sort_keys=True)) for line in lines
+    ]
 
 
 def test_cli_replays_every_benchmark_invocation(capsys):
