@@ -6,6 +6,7 @@ keep the "num/den" wire format in one place.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -121,10 +122,9 @@ def residue_tables(p: int) -> ResidueTables:
 
 
 def format_rational(x) -> str:
-    """Canonical string for exact values: "num/den", or "num" when den == 1."""
-    if type(x) is int:  # not bool, whose str is "True"
-        return str(x)
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """Canonical string for exact values: "num/den", or "num" when den == 1, as a Fraction prints."""
+    f = x if type(x) is int or isinstance(x, Fraction) else Fraction(x)  # not bool, whose str is "True"
+    try:
+        return str(f)
+    except ValueError:  # past the int-to-str digit limit
+        raise ValueError(f"the value has more than {sys.get_int_max_str_digits()} digits") from None

@@ -9,8 +9,8 @@ errors included), a gating Disagree, or a failed ec-check; 2 budget exceeded.
 
 Arguments are read against one table, `_COMMANDS`, which `-h`/`--help` prints
 as usage.  A flag's value follows it (`--p 5`, `-N 5`) or is attached
-(`--p=5`, `-N5`), and may be negative (`--alpha -1`).  An abbreviated
-(`--prec`) or repeated flag is refused, never guessed at.
+(`--p=5`, `-N5`), and may be negative (`--alpha -1`, `--rset -1,2`).  An
+abbreviated (`--prec`) or repeated flag is refused, never guessed at.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import gc
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -66,6 +67,12 @@ def _measure(quantity, opts, given) -> int:
     evaluate = _MEASURES[quantity]
     taken = inspect.signature(evaluate).parameters
     _given(given, {*taken, "decimal"}, f"measure {quantity}")
+    # an exponent e puts at least 2^e in every measure's denominator, so past
+    # log2(10) times the int-to-str digit limit no value prints: refuse before the power is built
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    for flag in ("m", "alpha", "k", "beta"):
+        if limit and flag in taken and opts[flag] > math.ceil(limit * math.log2(10)):
+            raise ValueError(f"argument --{flag}: {opts[flag]} gives a value of more than {limit} digits")
     value = evaluate(**{flag: opts[flag] for flag in taken})
     print(format_rational(value) + (f" ({float(value):.12g})" if opts["decimal"] else ""))
     return 0
@@ -197,8 +204,8 @@ def _choose(name: str, text: str, choices):
 
 
 def _is_word(token: str) -> bool:
-    """A positional argument or a flag's value, not a flag: "-1" is a word."""
-    return token[:1] != "-" or token[1:].isdigit()
+    """A positional argument or a flag's value, not a flag: "-1" and "-1,2" are words, and no flag name starts with a digit."""
+    return token[:1] != "-" or token[1:2].isdigit()
 
 
 def _parse(argv: list[str]):

@@ -13,10 +13,10 @@ and builds no q x q array.  Order 4 (`_class_quadrangles`) is one stacked
 call, one entry per value of x1 x2 x3 x4, the product of each of K4's three
 perfect matchings, in O(q^2) exact integer work and O(q) memory; the Z/p^N
 shell triples of `zp_census` are the engine's third caller.  Orders m >= 5
-go through one level-synchronous clique kernel, `_clique_count`, shared with
-the Z/p^N sweep: a frontier holds one bool row per prefix, the index
+go through one clique kernel, `_clique_count`, shared with the Z/p^N sweep,
+depth first over chunks: a frontier holds one bool row per prefix, the index
 set its next coordinate may take, and each further coordinate is one row
-gather over the whole frontier; the last three coordinates are the ordered
+gather over a chunk of the frontier; the last three coordinates are the ordered
 triangles inside each frontier row, one batched float32 matrix product per
 row size, masked by the gathered sub-tables and summed exactly in int64.
 The kernel counts the tuples inside each row of a mask; each caller halves
@@ -133,20 +133,6 @@ PRODUCT_CELLS = 2**16
 FRONTIER_ROWS = 2**13
 
 
-def _extend(B: np.ndarray, F: np.ndarray):
-    """The frontier F one coordinate deeper, in chunks of at most FRONTIER_ROWS rows (or one parent row).
-
-    Row (P, y) of the next frontier, for each y set in row P, is F[P] & B[y]:
-    one row gather per chunk.  A parent row has at most n set entries.
-    """
-    step = max(1, FRONTIER_ROWS // max(1, F.shape[1]))
-    for lo in range(0, len(F), step):
-        P, Y = np.nonzero(F[lo : lo + step])
-        chunk = F[lo : lo + step].take(P, 0)
-        chunk &= B[Y]
-        yield chunk
-
-
 def _batched_triangles(Bf: np.ndarray, F: np.ndarray) -> int:
     """Ordered triangles of the C-ordered float32 table Bf inside the index set of each row of F, summed.
 
@@ -180,16 +166,18 @@ def _clique_count(B: np.ndarray, m: int, masks: np.ndarray | None = None) -> int
     """Ordered m-tuples with all pairwise B true inside the index set of each row of `masks`, summed over the rows.
 
     B must be symmetric; `masks` is a bool array with one row per index set,
-    and None means the whole index set.  The count is level-synchronous: the
-    frontier holds one row per prefix, the index set its next coordinate may
-    take, and each level extends every prefix by one coordinate in one row
-    gather (`_extend`), FRONTIER_ROWS rows at a time.  The last three
-    coordinates are the ordered triangles inside each frontier row, one
-    batched float32 product per row size (`_batched_triangles`), exact while
-    n < 2^24.  Callers halve the first coordinate by their ring's negation
-    and pass its representatives as `masks` (see `_census_counts` and
-    `zp_census._zp_sweep`).  The census counts orders <= 4 without this
-    kernel (see `_class_triangles` and `_class_quadrangles`).
+    and None means the whole index set.  The count runs depth first over
+    chunks: a frontier holds one row per prefix, the index set its next
+    coordinate may take, and each chunk of it that extends to at most
+    FRONTIER_ROWS rows (or is one parent row) goes one coordinate deeper in
+    one row gather and is walked to its leaves before the next chunk, so one
+    chunk per level is held.  The last three coordinates are the ordered
+    triangles inside each frontier row, one batched float32 product per row
+    size (`_batched_triangles`), exact while n < 2^24.  Callers halve the
+    first coordinate by their ring's negation and pass its representatives
+    as `masks` (see `_census_counts` and `zp_census._zp_sweep`).  The census
+    counts orders <= 4 without this kernel (see `_class_triangles` and
+    `_class_quadrangles`).
     """
     n = B.shape[0]
     if n >= 2**24:
@@ -198,17 +186,20 @@ def _clique_count(B: np.ndarray, m: int, masks: np.ndarray | None = None) -> int
         levels, leaf = m - 3, partial(_batched_triangles, np.ascontiguousarray(B, np.float32))
     else:  # one coordinate is a popcount, and two are one level of row gathers
         levels, leaf = m - 1, np.count_nonzero
-    total = 0
-    stack = [iter([np.ones((1, n), bool) if masks is None else masks])]  # one chunk iterator per level
-    while stack:
-        F = next(stack[-1], None)
-        if F is None:
-            stack.pop()
-        elif len(stack) <= levels:
-            stack.append(_extend(B, F))
-        else:
-            total += int(leaf(F))
-    return total
+    step = max(1, FRONTIER_ROWS // max(1, n))  # a parent row has at most n set entries
+
+    def walk(F, level):  # the tuples inside each row of F, depth first over its chunks
+        if level >= levels:
+            return int(leaf(F))
+        total = 0
+        for lo in range(0, len(F), step):
+            P, Y = np.nonzero(F[lo : lo + step])  # row (P, y), for each y set in row P, is F[P] & B[y]
+            chunk = F[lo : lo + step].take(P, 0)
+            chunk &= B[Y]
+            total += walk(chunk, level + 1)
+        return total
+
+    return walk(np.ones((1, n), bool) if masks is None else masks, 0)
 
 
 def _class_triangles(W1, W2, W3) -> np.ndarray | int:
@@ -369,9 +360,9 @@ def censuses(field, rs, m: int, budget: int = DEFAULT_BUDGET) -> list[CensusBrea
     if m < 2:
         raise ValueError("m must be >= 2")
     field = _as_field(field)
-    rs = [r % field.p for r in rs]  # censuses only ever see r as an element of F_p
     for r in rs:
-        require_nonzero_r(r)
+        require_nonzero_r(r, field.p)
+    rs = [r % field.p for r in rs]  # censuses only ever see r as an element of F_p
     q = field.q
     admit(f"census of F_{q} at m = {m}", f"{q}^{m}", "q", q, lambda k: _power_fits(k, m, budget), budget)
     return [

@@ -37,10 +37,11 @@ class RShape:
     chi_s: int
 
 
-def require_nonzero_r(r: int) -> None:
-    """r must be nonzero in the ring whose measure is computed."""
-    if r == 0:
-        raise ValueError("r = 0 is rejected (appending 0 extends any tuple trivially)")
+def require_nonzero_r(r: int, p: int = 0) -> None:
+    """r must be nonzero in the ring whose measure is computed: F_p when p is given."""
+    if (r % p if p else r) == 0:
+        given = f"r = {r} is 0 in F_{p}: " if r else ""
+        raise ValueError(given + "r = 0 is rejected (appending 0 extends any tuple trivially)")
 
 
 def r_shape(r: int, p: int) -> RShape:

@@ -359,6 +359,9 @@ def test_cli_attached_values_read_like_spaced_ones(capsys):
         ("census zp --p 3 -N3", "census zp --p 3 -N 3"),
         ("audit pairs-zp --p=3,5", "audit pairs-zp --p 3,5"),
         ("audit z2 -N6", "audit z2 -N 6"),
+        # a negative int list is a value: a token is a flag only when no digit follows its "-"
+        ("audit pairs-zp --p 3 --rset=-1,2", "audit pairs-zp --p 3 --rset -1,2"),
+        ("audit pairs-zp --p 3 --rset=-1,-2", "audit pairs-zp --p 3 --rset -1,-2"),
     ]:
         code, out, err = run_cli(capsys, *spaced.split())
         assert (code, err) == (0, "") and out, spaced
@@ -796,10 +799,23 @@ HUGE_PRIME = str(2**61 - 1)
         (("census", "zp", "--p", "3", "--m", "1000000000", "-N", "2"), 2, ": charge 3^2000000000 exceeds budget "),
         (("audit", "triples-fp", "--pmax", "100000000"), 2, ": charge sum of p^3 over the primes 3 <= p <= 100000000 "),
         (("audit", "conic", "--pmax", "10000000"), 2, ": charge sum of (p - 1)p^2 over the primes 3 <= p <= 10000000 "),
+        # an exponent past 14285 = ceil(4300 log2 10) is refused before its power is built
+        (("measure", "z3", "--m", "10000000"), 1, "argument --m: 10000000 gives a value of more than 4300 digits"),
+        (("measure", "z3", "--m", "100000000"), 1, "argument --m: 100000000 gives a value of more than 4300 digits"),
+        (("measure", "main-term", "--m", "30000"), 1, "argument --m: 30000 gives a value of more than 4300 digits"),
+        (("measure", "main-term", "--m", "1000000"), 1, "argument --m: 1000000 gives a value of more than 4300 digits"),
+        (("measure", "pair-ok", "--q", "3", "--alpha", "10000000"), 1, "argument --alpha: 10000000 gives a value"),
+        (("measure", "pair-ok-stated", "--q", "3", "--alpha", "10000000"), 1, "argument --alpha: 10000000 gives a value"),
+        (("measure", "block-a", "--p", "3", "--r", "1", "--k", "5000000"), 1, "argument --k: 5000000 gives a value"),
+        (("measure", "block-b", "--p", "3", "--r", "3", "--beta", "20000"), 1, "argument --beta: 20000 gives a value"),
+        # below the bound, a value of 4772 digits is refused as it is printed
+        (("measure", "z3", "--m", "10000"), 1, "error: the value has more than 4300 digits\n"),
     ],
     ids=[
         "census-zp", "pair", "pair-ok", "block-a", "audit-pairs-zp", "census-fp-huge-f", "past-the-bound",
         "census-fp-huge-m", "census-fp-4772-digits", "census-zp-huge-m", "triples-fp-huge-pmax", "conic-huge-pmax",
+        "z3-huge-m", "z3-huger-m", "main-term-huge-m", "main-term-huger-m", "pair-ok-huge-alpha",
+        "pair-ok-stated-huge-alpha", "block-a-huge-k", "block-b-huge-beta", "z3-4772-digits",
     ],
 )
 def test_huge_inputs_end_at_once(argv, code, message):
@@ -809,7 +825,15 @@ def test_huge_inputs_end_at_once(argv, code, message):
     proc = run_module(*argv, timeout=10)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
     assert Fr(proc.stdout.strip()) > 0 if code == 0 else proc.stdout == ""
+
+
+def test_measure_prints_a_value_below_the_digit_limit():
+    # (m^2 + 15m + 8)/(8 * 3^m) at m = 9000 has a denominator of 4295 digits
+    proc = run_module("measure", "z3-consistent", "--m", "9000", timeout=10)
+    want = Fr(9000**2 + 15 * 9000 + 8, 8 * 3**9000)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want.numerator}/{want.denominator}\n", "")
 
 
 def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():

@@ -175,6 +175,31 @@ def test_clique_count_is_independent_of_its_work_bounds(monkeypatch):
     assert want[5] == brute_masked_cliques(B, 5, masks)
 
 
+def test_clique_count_exact_at_depth():
+    # the walk is m - 3 calls deep; every prefix is a frontier row, so the
+    # joined pair, whose 2^m tuples are all leaves, stops at m = 20
+    loop, joined, edgeless = np.ones((1, 1), bool), np.ones((2, 2), bool), np.zeros((3, 3), bool)
+    for m in range(1, 61):
+        assert _clique_count(loop, m) == 1, m
+        assert _clique_count(edgeless, m) == (3 if m == 1 else 0), m
+    for m in range(1, 21):
+        assert _clique_count(joined, m) == 2**m, m
+
+
+def test_clique_count_holds_one_chunk_per_level():
+    # census(101, 1, 6) walks 50 masks two levels deep over a 100 x 100 table;
+    # a walk that held every chunk of a level peaked at 8.0 MB, one that joined
+    # them at 15.5 MB, and the walk over one chunk per level at 2.0 MB
+    census(101, 1, 6, budget=10**13)  # builds and caches the field
+    tracemalloc.start()
+    try:
+        census(101, 1, 6, budget=10**13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6
+
+
 # (p, f, m): the benchmark's four census shapes and three smaller ones
 FQ_SHAPES = [(1009, 1, 3), (211, 1, 4), (53, 1, 5), (3, 5, 3), (101, 1, 4), (13, 1, 6), (3, 2, 4)]
 
@@ -227,6 +252,10 @@ def test_census_refuses_r_zero_mod_p():
     for p, r, m in ((5, 0, 3), (5, 5, 2)):
         with pytest.raises(ValueError, match="r = 0 is rejected"):
             census(p, r, m)
+    # the error names the r given, not its residue
+    for field, r, named in ((3, 3, "r = 3 is 0 in F_3: "), (fq_construct(3, 2), -6, "r = -6 is 0 in F_3: ")):
+        with pytest.raises(ValueError, match=named + "r = 0 is rejected"):
+            censuses(field, [1, r], 2)
 
 
 def test_census_budget():
