@@ -33,7 +33,7 @@ AUDIT_BUDGET = 10**8  # the default `audit --budget` of every suite that takes o
 
 
 def _params_json(params: dict) -> str:
-    """The params as `to_dict` prints them, {k: str(v)}, in JSON with sorted keys."""
+    """The params as a record prints them, {k: str(v)}, in JSON with sorted keys."""
     return "{" + ", ".join([f"{_json_str(k)}: {_json_str(str(v))}" for k, v in sorted(params.items())]) + "}"
 
 
@@ -46,27 +46,9 @@ class AuditRecord(NamedTuple):
     detail: str = ""
     must_agree: bool = True
 
-    def to_dict(self) -> dict:
-        oracle = self.oracle_value
-        if isinstance(oracle, MeasureInterval):
-            oracle = {"lo": format_rational(oracle.lo), "hi": format_rational(oracle.hi)}
-        else:
-            oracle = format_rational(oracle)
-        return {
-            "quantity": self.quantity,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-            "claimed_value": None
-            if self.claimed_value is None
-            else format_rational(self.claimed_value),
-            "oracle_value": oracle,
-            "verdict": self.verdict,
-            "detail": self.detail,
-            "must_agree": self.must_agree,
-        }
-
     @property
     def json_line(self) -> str:
-        """`json.dumps(self.to_dict(), sort_keys=True)`, written in that key order without a dict or an encoder.
+        """The record as JSON with sorted keys, written in that key order without a dict or an encoder.
 
         A rational prints as digits, "-" and "/", which JSON never escapes;
         every other string is escaped as `json.dumps` escapes it.
@@ -523,7 +505,7 @@ def run_suite(name: str, **kwargs) -> list:
 
 
 def canonical_order(records):
-    """Sorted by quantity, then by the JSON of the params as `to_dict` prints them."""
+    """Sorted by quantity, then by the JSON of the params as `json_line` prints them."""
     return sorted(records, key=lambda r: (r.quantity, _params_json(r.params)))
 
 

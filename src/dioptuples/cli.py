@@ -67,32 +67,35 @@ def _measure(quantity, opts, given) -> int:
     evaluate = _MEASURES[quantity]
     taken = inspect.signature(evaluate).parameters
     _given(given, {*taken, "decimal"}, f"measure {quantity}")
-    # an exponent e puts at least 2^e in every measure's denominator, so past
-    # log2(10) times the int-to-str digit limit no value prints: refuse before the power is built
+    # an exponent e puts at least 2^e in every measure's denominator (main-term's m
+    # puts 2^C(m, 2)), so past log2(10) times the int-to-str digit limit no value
+    # prints: refuse before the power is built
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
     for flag in ("m", "alpha", "k", "beta"):
-        if limit and flag in taken and opts[flag] > math.ceil(limit * math.log2(10)):
+        e = math.comb(max(opts[flag], 0), 2) if quantity == "main-term" else opts[flag]
+        if limit and flag in taken and e > math.ceil(limit * math.log2(10)):
             raise ValueError(f"argument --{flag}: {opts[flag]} gives a value of more than {limit} digits")
     value = evaluate(**{flag: opts[flag] for flag in taken})
     print(format_rational(value) + (f" ({float(value):.12g})" if opts["decimal"] else ""))
     return 0
 
 
-def _emit(rows, fmt: str) -> None:
-    """Print rows, each a dict or, in JSON, a line already encoded with sorted keys.
+def _emit(lines, fmt: str) -> None:
+    """Print rows, each a JSON line with sorted keys: in JSON as it is, in CSV decoded, a nested object as its JSON.
 
-    JSON reads the rows once, so they may be a generator that builds each line
-    as it is printed; CSV reads them twice (the header first), so it takes a list.
+    JSON reads the lines once, so they may be a generator that builds each line
+    as it is printed; CSV decodes them all first, for a header over every key.
     """
     # line by line, never one joined string: a single large write to a pipe
     # whose reader has left can end without the BrokenPipeError `entry` reports
-    encode = json.JSONEncoder(sort_keys=True).encode
     if fmt == "json":
-        sys.stdout.writelines((row if isinstance(row, str) else encode(row)) + "\n" for row in rows)
+        sys.stdout.writelines(line + "\n" for line in lines)
         return
+    rows = [json.loads(line) for line in lines]
     writer = csv.DictWriter(sys.stdout, fieldnames=sorted({k for row in rows for k in row}))
     writer.writeheader()
-    writer.writerows({k: encode(v) if isinstance(v, dict) else v for k, v in row.items()} for row in rows)
+    for row in rows:
+        writer.writerow({k: json.dumps(v, sort_keys=True) if isinstance(v, dict) else v for k, v in row.items()})
 
 
 def _ignore_jobs(jobs: int, runs: str) -> None:
@@ -121,7 +124,7 @@ def _census(mode, opts, given) -> int:
             "hi": format_rational(interval.hi),
             "width": format_rational(interval.width),
         }
-    _emit([row], opts["format"])
+    _emit([json.dumps(row, sort_keys=True)], opts["format"])
     return 0
 
 
@@ -137,17 +140,14 @@ def _audit(suite, opts, given) -> int:
     _given(given, {flag for flag in opts if _SUITE_KEYWORD.get(flag, flag) in keywords}, f"audit {suite}")
     kwargs = {_SUITE_KEYWORD.get(flag, flag): value for flag, value in given.items() if flag not in ("format", "jobs")}
     records = run_suite(suite, **kwargs)
-    if opts["format"] == "json":
-        _emit((rec.json_line for rec in records), "json")
-    else:
-        _emit([rec.to_dict() for rec in records], "csv")
+    _emit((rec.json_line for rec in records), opts["format"])
     return exit_code_for(records)
 
 
 def _ec_check(_, opts, given) -> int:
     verdict = two_descent_equiv(*(opts[flag] for flag in "pabcr"))
     row = {field: sorted(v) if isinstance(v, frozenset) else v for field, v in asdict(verdict).items()}
-    _emit([row], "json")
+    _emit([json.dumps(row, sort_keys=True)], "json")
     return 0 if verdict.ok else 1
 
 

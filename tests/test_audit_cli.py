@@ -18,7 +18,7 @@ import pytest
 
 import dioptuples
 from dioptuples import audit
-from dioptuples.arith import PRIMALITY_BOUND, residue_tables
+from dioptuples.arith import PRIMALITY_BOUND, format_rational, residue_tables
 from dioptuples.audit import (
     AGREE,
     DISAGREE,
@@ -399,6 +399,20 @@ def test_cli_census_fp_json(capsys):
     assert list(row) == sorted(row)
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("fp", "--p", "5", "--m", "3"), "boundary,interior,m,offdiag,q,r,total\r\n37,0,3,8,5,1,45\r\n"),
+        (("fp", "--p", "3", "--f", "2", "--r", "2", "--m", "3"), "boundary,interior,m,offdiag,q,r,total\r\n121,26,3,38,9,2,185\r\n"),
+        (("zp", "--p", "3", "--r", "2", "--m", "2", "-N", "4"), "N,hi,lo,m,p,r,width\r\n4,62/243,20/81,2,3,2,2/243\r\n"),
+    ],
+    ids=["fp-prime", "fp-extension", "zp"],
+)
+def test_cli_census_csv(capsys, argv, want):
+    # the one row, a header of sorted keys over its cells, as csv writes them
+    assert run_cli(capsys, "census", *argv, "--format", "csv") == (0, want, "")
+
+
 def test_cli_census_zp(capsys):
     code, out, _ = run_cli(capsys, "census", "zp", "--p", "2", "--r", "1", "--m", "2", "-N", "8")
     assert code == 0
@@ -503,8 +517,26 @@ def test_cli_audit_all_matches_anchor(capsys):
     )
 
 
+def record_dict(rec):
+    """The record as a dict of the cells `json_line` prints: the reference its template is checked against."""
+    oracle = rec.oracle_value
+    if isinstance(oracle, MeasureInterval):
+        oracle = {"lo": format_rational(oracle.lo), "hi": format_rational(oracle.hi)}
+    else:
+        oracle = format_rational(oracle)
+    return {
+        "quantity": rec.quantity,
+        "params": {k: str(v) for k, v in sorted(rec.params.items())},
+        "claimed_value": None if rec.claimed_value is None else format_rational(rec.claimed_value),
+        "oracle_value": oracle,
+        "verdict": rec.verdict,
+        "detail": rec.detail,
+        "must_agree": rec.must_agree,
+    }
+
+
 def json_order_key(rec):
-    """The canonical order's key, from `json.dumps` of the params as `to_dict` prints them."""
+    """The canonical order's key, from `json.dumps` of the params as `record_dict` prints them."""
     return rec.quantity, json.dumps({k: str(v) for k, v in rec.params.items()}, sort_keys=True)
 
 
@@ -515,48 +547,59 @@ def test_cli_audit_all_lines_are_each_records_json_in_canonical_order(capsys):
     assert code == 0
     # `audit all` is each suite's records in turn, each suite's sorted on its own
     records = [rec for suite in audit.SUITES.values() for rec in sorted(suite(), key=json_order_key)]
-    assert out.splitlines() == [json.dumps(rec.to_dict(), sort_keys=True) for rec in records]
+    assert out.splitlines() == [json.dumps(record_dict(rec), sort_keys=True) for rec in records]
+
+
+# strings JSON must escape, in the detail, a str param and the quantity; every
+# oracle shape; an absent claim; and params whose JSON puts "10" before "9" or
+# orders strings otherwise than a sort of the unescaped values would
+ODD = 'a "quote", a back\\slash, a new\nline, a\ttab, χ ≤ 1'
+BOX = MeasureInterval(Fr(1, 4), Fr(1, 2))
+ODD_RECORDS = [
+    AuditRecord("pair", {"p": 9, "s": ODD}, Fr(1, 3), BOX, AGREE, detail=ODD),
+    AuditRecord("pair", {"p": 10, "s": "≤"}, None, Fr(-2, 3), DISAGREE, must_agree=False),
+    AuditRecord("pair", {"10": 1, "9": 2}, Fr(5), 5, AGREE),
+    AuditRecord("pair", {"9": 1}, Fr(0), 0, AGREE, detail="χ"),
+    AuditRecord('q"χ\\', {}, Fr(7, 2), BOX, INCONCLUSIVE, must_agree=False),
+    AuditRecord("count", {"p": 3, "r": -1}, Fr(0), 12, DISAGREE, detail="\n"),
+    AuditRecord("count", {"p": 3, "r": -1}, Fr(1), 12, DISAGREE),
+    # escaped, "χ" sorts before "z"; and '"' sorts before "#" as a string ends
+    *(AuditRecord("count", {"p": 3, "s": s}, Fr(1), 1, AGREE) for s in ("z", "χ", "a#", "a")),
+]
 
 
 def test_record_line_template_is_json_dumps_and_orders_like_it():
-    # strings JSON must escape, in the detail, a str param and the quantity;
-    # every oracle shape; and params whose JSON puts "10" before "9" or orders
-    # strings otherwise than a sort of the unescaped values would
-    odd = 'a "quote", a back\\slash, a new\nline, a\ttab, χ ≤ 1'
-    box = MeasureInterval(Fr(1, 4), Fr(1, 2))
-    records = [
-        AuditRecord("pair", {"p": 9, "s": odd}, Fr(1, 3), box, AGREE, detail=odd),
-        AuditRecord("pair", {"p": 10, "s": "≤"}, None, Fr(-2, 3), DISAGREE, must_agree=False),
-        AuditRecord("pair", {"10": 1, "9": 2}, Fr(5), 5, AGREE),
-        AuditRecord("pair", {"9": 1}, Fr(0), 0, AGREE, detail="χ"),
-        AuditRecord('q"χ\\', {}, Fr(7, 2), box, INCONCLUSIVE, must_agree=False),
-        AuditRecord("count", {"p": 3, "r": -1}, Fr(0), 12, DISAGREE, detail="\n"),
-        AuditRecord("count", {"p": 3, "r": -1}, Fr(1), 12, DISAGREE),
-        # escaped, "χ" sorts before "z"; and '"' sorts before "#" as a string ends
-        *(AuditRecord("count", {"p": 3, "s": s}, Fr(1), 1, AGREE) for s in ("z", "χ", "a#", "a")),
-    ]
-    for rec in records:
-        assert rec.json_line == json.dumps(rec.to_dict(), sort_keys=True), rec
+    for rec in ODD_RECORDS:
+        assert rec.json_line == json.dumps(record_dict(rec), sort_keys=True), rec
 
     for seed in range(5):
-        shuffled = random.Random(seed).sample(records, len(records))
+        shuffled = random.Random(seed).sample(ODD_RECORDS, len(ODD_RECORDS))
         assert canonical_order(shuffled) == sorted(shuffled, key=json_order_key)
 
 
-def test_cli_audit_builds_each_records_dict_only_for_csv(capsys, monkeypatch):
-    calls = []
-    to_dict = AuditRecord.to_dict
-    monkeypatch.setattr(AuditRecord, "to_dict", lambda rec: calls.append(rec) or to_dict(rec))
-    code, out, _ = run_cli(capsys, "audit", "all")
-    assert (code, calls) == (0, [])
-    lines = [json.loads(line) for line in out.splitlines()]
+def assert_csv_is_lines_decoded(out, lines):
+    """The CSV rows are the JSON lines decoded, in order and cell by cell, under a header of their sorted keys."""
+    rows = [json.loads(line) for line in lines]
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == sorted(rows[0])
+    # a nested object as its JSON, null as an empty cell, a boolean as True or False
+    cell = {dict: lambda v: json.dumps(v, sort_keys=True), type(None): lambda v: "", bool: str, str: str}
+    assert list(reader) == [{k: cell[type(v)](v) for k, v in row.items()} for row in rows]
+
+
+def test_cli_audit_csv_rows_are_its_json_lines_decoded(capsys, monkeypatch):
+    # JSON mode prints each line as the record writes it, decoding none
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(dioptuples.cli.json, "loads", lambda line: decoded.append(line) or loads(line))
+    code, lines, _ = run_cli(capsys, "audit", "all")
+    assert (code, decoded) == (0, [])
+    monkeypatch.undo()
     code, out, _ = run_cli(capsys, "audit", "all", "--format", "csv")
     assert code == 0
-    assert len(calls) == len({id(rec) for rec in calls}) == len(lines) == 1135
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert [(row["quantity"], row["params"]) for row in rows] == [
-        (line["quantity"], json.dumps(line["params"], sort_keys=True)) for line in lines
-    ]
+    assert_csv_is_lines_decoded(out, lines.splitlines())
+    # records `audit all` does not print: an absent claim, and strings JSON escapes
+    dioptuples.cli._emit((rec.json_line for rec in ODD_RECORDS), "csv")
+    assert_csv_is_lines_decoded(capsys.readouterr().out, [rec.json_line for rec in ODD_RECORDS])
 
 
 def test_cli_replays_every_benchmark_invocation(capsys):
@@ -804,6 +847,9 @@ HUGE_PRIME = str(2**61 - 1)
         (("measure", "z3", "--m", "100000000"), 1, "argument --m: 100000000 gives a value of more than 4300 digits"),
         (("measure", "main-term", "--m", "30000"), 1, "argument --m: 30000 gives a value of more than 4300 digits"),
         (("measure", "main-term", "--m", "1000000"), 1, "argument --m: 1000000 gives a value of more than 4300 digits"),
+        # main-term's denominator is 2^C(m, 2): C(170, 2) = 14365 is past the bound
+        (("measure", "main-term", "--m", "170"), 1, "argument --m: 170 gives a value of more than 4300 digits"),
+        (("measure", "main-term", "--m", "14285"), 1, "argument --m: 14285 gives a value of more than 4300 digits"),
         (("measure", "pair-ok", "--q", "3", "--alpha", "10000000"), 1, "argument --alpha: 10000000 gives a value"),
         (("measure", "pair-ok-stated", "--q", "3", "--alpha", "10000000"), 1, "argument --alpha: 10000000 gives a value"),
         (("measure", "block-a", "--p", "3", "--r", "1", "--k", "5000000"), 1, "argument --k: 5000000 gives a value"),
@@ -814,8 +860,8 @@ HUGE_PRIME = str(2**61 - 1)
     ids=[
         "census-zp", "pair", "pair-ok", "block-a", "audit-pairs-zp", "census-fp-huge-f", "past-the-bound",
         "census-fp-huge-m", "census-fp-4772-digits", "census-zp-huge-m", "triples-fp-huge-pmax", "conic-huge-pmax",
-        "z3-huge-m", "z3-huger-m", "main-term-huge-m", "main-term-huger-m", "pair-ok-huge-alpha",
-        "pair-ok-stated-huge-alpha", "block-a-huge-k", "block-b-huge-beta", "z3-4772-digits",
+        "z3-huge-m", "z3-huger-m", "main-term-huge-m", "main-term-huger-m", "main-term-170", "main-term-14285",
+        "pair-ok-huge-alpha", "pair-ok-stated-huge-alpha", "block-a-huge-k", "block-b-huge-beta", "z3-4772-digits",
     ],
 )
 def test_huge_inputs_end_at_once(argv, code, message):
@@ -834,6 +880,13 @@ def test_measure_prints_a_value_below_the_digit_limit():
     proc = run_module("measure", "z3-consistent", "--m", "9000", timeout=10)
     want = Fr(9000**2 + 15 * 9000 + 8, 8 * 3**9000)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want.numerator}/{want.denominator}\n", "")
+
+
+def test_main_term_prints_below_the_bound_and_refuses_m_below_two(capsys):
+    # C(169, 2) = 14196: a denominator of 4274 digits still prints
+    assert run_cli(capsys, "measure", "main-term", "--m", "169") == (0, f"1/{2**14196}\n", "")
+    for m in ("1", "0", "-1000"):
+        assert run_cli(capsys, "measure", "main-term", "--m", m) == (1, "", "error: m must be >= 2\n"), m
 
 
 def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():
