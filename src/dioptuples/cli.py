@@ -10,7 +10,8 @@ errors included), a gating Disagree, or a failed ec-check; 2 budget exceeded.
 Arguments are read against one table, `_COMMANDS`, which `-h`/`--help` prints
 as usage.  A flag's value follows it (`--p 5`, `-N 5`) or is attached
 (`--p=5`, `-N5`), and may be negative (`--alpha -1`, `--rset -1,2`).  An
-abbreviated (`--prec`) or repeated flag is refused, never guessed at.
+abbreviated (`--prec`) or repeated flag is refused, never guessed at, and so
+is a value repeated in a list (`--p 3,3`).
 """
 
 from __future__ import annotations
@@ -252,6 +253,10 @@ def _parse(argv: list[str]):
             given[flag] = convert(value)
         except ValueError:
             raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        values = given[flag] if isinstance(given[flag], tuple) else ()
+        twice = next((x for i, x in enumerate(values) if x in values[:i]), None)
+        if twice is not None:
+            raise ValueError(f"argument {name}: {twice} given more than once")
     missing = [positional] if positional and not words else []
     missing += [f"--{flag}" for flag, (_, default) in flags.items() if default is _REQUIRED and flag not in given]
     if missing:
@@ -269,7 +274,8 @@ def main(argv=None) -> int:
     # command pays a generation-1 pass over it no longer depends on import
     gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
+    flags = argv[: argv.index("--")] if "--" in argv else argv  # after "--" every token is a word
+    if "-h" in flags or "--help" in flags:
         print(_usage(argv[:1] if argv[0] in _COMMANDS else _COMMANDS))
         return 0
     try:

@@ -1,6 +1,5 @@
 import ast
 import csv
-import hashlib
 import importlib
 import inspect
 import io
@@ -33,6 +32,8 @@ from dioptuples.audit import (
 )
 from dioptuples.cli import main
 from dioptuples.zp_census import MeasureInterval, zp_precision
+
+import pins  # tests/pins.py
 
 
 def test_smallest_nonresidue_and_auto_rset():
@@ -342,6 +343,11 @@ CLI_CONTRACT = [
     (("measure", "pair", "--decimal=1"), 1, "", "argument --decimal: ignored explicit argument '1'"),
     # after "--" every token is a word, so a flag there is left over
     (("census", "fp", "--p", "5", "--", "--r", "2"), 1, "", "unrecognized arguments: --r 2"),
+    (("census", "fp", "--p", "5", "--", "-h"), 1, "", "unrecognized arguments: -h"),
+    # a list names each value once
+    (("audit", "pairs-zp", "--p", "3,3"), 1, "", "argument --p: 3 given more than once"),
+    (("audit", "valuation-classes", "--p", "5,5"), 1, "", "argument --p: 5 given more than once"),
+    (("audit", "pairs-zp", "--p", "3", "--rset", "1,-1,1"), 1, "", "argument --rset: 1 given more than once"),
 ]
 
 
@@ -507,16 +513,6 @@ def test_cli_audit_json_deterministic(capsys):
         assert row["verdict"] == "Agree"
 
 
-def test_cli_audit_all_matches_anchor(capsys):
-    # the byte-identity contract: refactors must not change one byte of `audit all`
-    code, out, _ = run_cli(capsys, "audit", "all")
-    assert code == 0
-    assert len(out.splitlines()) == 1135
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7555188612de39a6b2830aedef448f19011947c4d5d28e97af0cbe6977ede18f"
-    )
-
-
 def record_dict(rec):
     """The record as a dict of the cells `json_line` prints: the reference its template is checked against."""
     oracle = rec.oracle_value
@@ -602,14 +598,36 @@ def test_cli_audit_csv_rows_are_its_json_lines_decoded(capsys, monkeypatch):
     assert_csv_is_lines_decoded(capsys.readouterr().out, [rec.json_line for rec in ODD_RECORDS])
 
 
-def test_cli_replays_every_benchmark_invocation(capsys):
-    # every recorded invocation, each r of every pool included, in this one process
-    recorded = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
-    assert recorded["invocations"]
-    for invocation, want in recorded["invocations"].items():
-        code, out, _ = run_cli(capsys, *invocation.split())
-        got = (code, hashlib.sha256(out.encode()).hexdigest())
-        assert got == (want["exit"], want["sha256"]), invocation
+# every output pin, tests/pins.json and the benchmark's recorded invocations, as
+# one argv -> (exit, sha256) table; tests/pins.py runs each in a fresh process
+# under -O, and this test in this process without it
+PIN_TABLE, RECORDED = pins.tables()
+PINS = pins.merge(PIN_TABLE, RECORDED)
+
+
+@pytest.mark.parametrize("argv", PINS)
+def test_output_pin(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert pins.mismatch(argv, PINS[argv], code, out.encode()) == ""
+
+
+def test_pin_table_entries_are_well_formed():
+    assert PIN_TABLE
+    for argv, entry in PIN_TABLE.items():
+        assert set(entry) == {"exit", "sha256", "why"}, argv
+        assert entry["exit"] in (0, 1, 2), argv
+        sha256 = entry["sha256"]
+        assert sha256 is None or (len(sha256) == 64 and set(sha256) <= set("0123456789abcdef")), argv
+        assert entry["why"].strip(), argv
+        assert argv.split()[0] in dioptuples.cli._COMMANDS, argv
+
+
+def test_pin_tables_refuse_one_argv_pinned_two_ways():
+    one = {"audit z2": {"exit": 0, "sha256": "0" * 64, "why": "a pin"}}
+    for other in ({"exit": 0, "sha256": "1" * 64}, {"exit": 1, "sha256": "0" * 64}, {"exit": 0, "sha256": None}):
+        with pytest.raises(ValueError, match="^audit z2: pinned as both"):
+            pins.merge(one, {"audit z2": other, "audit ec": other})
+    assert pins.merge(one, one, {"audit ec": {"exit": 1, "sha256": None}}) == {"audit z2": (0, "0" * 64), "audit ec": (1, None)}
 
 
 def test_benchmark_trace_targets_exist():
@@ -639,15 +657,6 @@ def test_cli_audit_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("claimed_value,")
     assert len(lines) == 3
-
-
-def test_cli_audit_all_csv_matches_anchor(capsys):
-    # the CSV bytes of `audit all`, dict cells (params, interval oracles) included
-    code, out, _ = run_cli(capsys, "audit", "all", "--format", "csv")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7b337c48a3c687c5bd4a0615a729650098846099a3df4c18c4ebc83777e56f5a"
-    )
 
 
 def test_cli_audit_pairs_with_explicit_args(capsys):
@@ -801,9 +810,11 @@ def test_every_measure_meets_a_closed_form_the_audit_calls(monkeypatch):
 
 
 def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples", timeout=60):
+    # the child runs under -O, as the soundness checks must hold without asserts;
+    # this process is not optimised, so its own asserts still run
     env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, "-O", "-m", module, *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
     )
 
