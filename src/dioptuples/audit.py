@@ -22,7 +22,7 @@ import numpy as np
 from . import closed_forms as cf
 from .arith import format_rational, is_prime, legendre, require_odd_prime
 from .curves import dr_triples_distinct, extension_counts, two_descent_pass
-from .fp_census import _census_tables, _clique_count, admit, censuses, conic_sum_direct
+from .fp_census import _census_tables, _clique_count, _power_fits, admit, censuses, conic_sum_direct
 from .padic import r_shape
 from .zp_census import MeasureInterval, valuation_class_measure, zp_interval, zp_precision
 
@@ -285,10 +285,15 @@ def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
     return records
 
 
-def suite_valuation_classes(ps=(3, 5), N: int = 7):
+def suite_valuation_classes(ps=(3, 5), N: int = 7, budget: int = AUDIT_BUDGET):
+    nonresidues = [smallest_nonresidue(p) for p in ps]  # refuses a p that is not an odd prime first
+    # charged the p^N cells of each prime's status table, before any table is built
+    admit(
+        f"audit valuation-classes --precision {N}", " + ".join(f"{p}^{N}" for p in ps), "N", N,
+        lambda k: all(_power_fits(p, k, budget) for p in ps) and sum(p**k for p in ps) <= budget, budget,
+    )
     records = []
-    for p in ps:
-        n = smallest_nonresidue(p)
+    for p, n in zip(ps, nonresidues):
         for alpha in range(4):
             for s in (1, n):
                 r = p**alpha * s

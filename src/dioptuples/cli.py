@@ -282,12 +282,9 @@ def main(argv=None) -> int:
         command, choice, given = _parse(argv)
         opts = {flag: default for flag, (_, default) in _COMMANDS[command][2].items()} | given
         return _HANDLERS[command](choice, opts, given)
-    except BudgetExceededError as exc:  # a ValueError too, so it comes first
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BudgetExceededError) else 1
 
 
 def entry() -> None:  # console-script shim

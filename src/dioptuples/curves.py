@@ -37,6 +37,7 @@ import numpy as np
 
 from .arith import require_odd_prime, residue_tables
 from .fq import DESK_SCALE_BOUND
+from .padic import require_nonzero_r
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,7 @@ class TripleCurve:
             raise ValueError("triple entries must be nonzero mod p")
         if len({a, b, c}) != 3:
             raise ValueError("triple entries must be distinct mod p (singular model)")
-        if r == 0:
-            raise ValueError("r must be nonzero mod p")
+        require_nonzero_r(self.r, p)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

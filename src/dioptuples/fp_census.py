@@ -47,7 +47,7 @@ arrays, so the `conic` audit gets every sum of one p from one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -103,12 +103,8 @@ def _mul_table(field) -> np.ndarray:
     return exp[(log[1:, None] + log[1:]) % len(exp)]
 
 
-@lru_cache(maxsize=128)
 def square_table(field) -> np.ndarray:
-    """Membership bitmap of the square set: 0 and the even powers of the primitive element.
-
-    Built once per field and read-only.
-    """
+    """Membership bitmap of the square set, read-only: 0 and the even powers of the primitive element."""
     field = _as_field(field)
     q = field.q
     exp, _ = field.exp_log
@@ -354,7 +350,7 @@ def censuses(field, rs, m: int, budget: int = DEFAULT_BUDGET) -> list[CensusBrea
     Each breakdown splits its total three ways.  boundary: some coordinate is
     zero.  offdiag: all coordinates nonzero but some pairwise product + r
     vanishes.  interior: the tilde condition (all coordinates and all
-    pairwise products + r nonzero).  Every r must be nonzero mod p; the
+    pairwise products + r nonzero).  Every r must be nonzero in F_p (`padic.require_nonzero_r`); the
     budget caps each census at q^m tuples.
     """
     if m < 2:

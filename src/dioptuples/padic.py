@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import legendre, require_prime
+from .arith import legendre, require_odd_prime
 
 
 def vp(n: int, p: int) -> int:
@@ -25,9 +25,9 @@ def vp(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class RShape:
-    """The p-adic shape of a nonzero parameter r: valuation, unit part and its character.
+    """The p-adic shape of a nonzero parameter r at an odd prime p: valuation, unit part and its character.
 
-    For odd p, chi(r) is chi_s when r is a unit (alpha = 0) and 0 otherwise.
+    chi(r) is chi_s when r is a unit (alpha = 0) and 0 otherwise.
     """
 
     r: int
@@ -45,9 +45,9 @@ def require_nonzero_r(r: int, p: int = 0) -> None:
 
 
 def r_shape(r: int, p: int) -> RShape:
-    """Package r = p^alpha * s with the quadratic character of s (0 at p = 2)."""
+    """Package r = p^alpha * s, p an odd prime, with the quadratic character of s."""
     require_nonzero_r(r)
-    require_prime(p)
+    require_odd_prime(p)
     alpha = vp(r, p)
     s = r // p**alpha
-    return RShape(r=r, p=p, alpha=alpha, s=s, chi_s=0 if p == 2 else legendre(s, p))
+    return RShape(r=r, p=p, alpha=alpha, s=s, chi_s=legendre(s, p))

@@ -31,6 +31,7 @@ from dioptuples.audit import (
     verdict_for,
 )
 from dioptuples.cli import main
+from dioptuples.fp_census import BudgetExceededError
 from dioptuples.zp_census import MeasureInterval, zp_precision
 
 import pins  # tests/pins.py
@@ -84,6 +85,26 @@ def test_suite_conic_memory_is_one_slice():
 def test_suite_z2():
     records = run_suite("z2", N=8)
     assert all(r.verdict == AGREE for r in records)
+
+
+def test_suite_z2_checks_the_blocks_against_the_stated_value(monkeypatch):
+    # the pair density is the stated 1/3, not the block sum, so a wrong tail disagrees
+    monkeypatch.setattr(audit.cf, "z2_block_tail", lambda kmin=1: Fr(1, 64))
+    verdicts = {r.quantity: r.verdict for r in audit.suite_z2()}
+    assert verdicts == {"pair_density_z2": AGREE, "pair_density_z2_blocks": DISAGREE}
+
+
+def test_suite_valuation_classes_is_charged_before_any_table(monkeypatch):
+    # the default primes and precision are charged 3^7 + 5^7 = 80312 status-table cells
+    assert run_suite("valuation-classes", budget=80312)
+    built = []
+    monkeypatch.setattr(audit, "valuation_class_measure", lambda *args: built.append(args))
+    with pytest.raises(BudgetExceededError) as refused:
+        run_suite("valuation-classes", budget=80311)
+    assert str(refused.value) == (
+        "audit valuation-classes --precision 7: charge 3^7 + 5^7 exceeds budget 80311; the largest N that fits is 6"
+    )
+    assert built == []
 
 
 def test_suite_pairs_zp_small():
@@ -316,6 +337,16 @@ CLI_CONTRACT = [
     (("census", "fp", "--p", "3", "-N", "9"), 1, "", "census fp takes no --precision"),
     (("census", "zp", "--p", "3", "--m", "3", "-N", "9"), 2, "", "exceeds budget"),
     (("audit", "pairs-zp", "--p", "3", "--budget", "0"), 2, "", "exceeds budget 0"),
+    (("census", "fp", "--m", "4", "--p", "211"), 2, "", "charge 211^4 exceeds budget 1000000000; the largest q that fits is 177"),
+    (
+        ("audit", "valuation-classes", "--p", "101", "--precision", "9"), 2, "",
+        "error: audit valuation-classes --precision 9: charge 101^9 exceeds budget 100000000; the largest N that fits is 3\n",
+    ),
+    # a huge precision is weighed by bit length, never built
+    (
+        ("audit", "valuation-classes", "--precision", "100000000000"), 2, "",
+        "charge 3^100000000000 + 5^100000000000 exceeds budget 100000000; the largest N that fits is 11\n",
+    ),
     (("census", "zp", "--p", "9"), 1, "", "9 is not prime"),
     (("census", "fp", "--p", "9", "--m", "2"), 1, "", "expected an odd prime, got 9"),
     # the suites that search for a nonresidue refuse p <= 2 as every odd-prime input is refused
@@ -323,6 +354,22 @@ CLI_CONTRACT = [
     (("audit", "pairs-zp", "--p", "1"), 1, "", "expected an odd prime, got 1"),
     (("audit", "pairs-zp", "--p", "-3"), 1, "", "expected an odd prime, got -3"),
     (("audit", "valuation-classes", "--p", "2"), 1, "", "expected an odd prime, got 2"),
+    # an r-shape is for odd p, so every pair measure refuses p = 2 through the same rule
+    (("measure", "pair", "--p", "2"), 1, "", "error: expected an odd prime, got 2\n"),
+    (("measure", "pair-stated", "--p", "2"), 1, "", "error: expected an odd prime, got 2\n"),
+    (("measure", "block-a", "--p", "2", "--r", "1"), 1, "", "error: expected an odd prime, got 2\n"),
+    (("measure", "block-b", "--p", "2", "--r", "2", "--beta", "2"), 1, "", "error: expected an odd prime, got 2\n"),
+    (("measure", "triple-fp", "--p", "1", "--r", "1"), 1, "", "error: expected an odd prime, got 1\n"),
+    # r = 0 in F_p is refused by the one zero-r rule, as `census fp --p 5 --r 10` refuses it
+    (("measure", "triple-fp", "--p", "5", "--r", "10"), 1, "", "error: r = 10 is 0 in F_5: r = 0 is rejected"),
+    (("ec-check", "--p", "13", "--a", "1", "--b", "3", "--c", "8", "--r", "13"), 1, "", "error: r = 13 is 0 in F_13: "),
+    (("census", "fp", "--p", "5", "--r", "10"), 1, "", "error: r = 10 is 0 in F_5: r = 0 is rejected"),
+    # the pair forms' and blocks' own argument checks
+    (("measure", "block-b", "--p", "3", "--r", "3", "--beta", "-2"), 1, "", "error: beta must be >= 0\n"),
+    (("measure", "pair-ok", "--chi-s", "0"), 1, "", "error: chi(s) must be ±1\n"),
+    (("measure", "pair-ok-stated", "--chi-s", "0"), 1, "", "error: chi(s) must be ±1\n"),
+    (("measure", "pair-ok", "--alpha", "-1"), 1, "", "error: alpha must be >= 0\n"),
+    (("census", "fp", "--p", "3", "--f", "0"), 1, "", "error: extension degree must be >= 1\n"),
     (("measure", "pair-ok", "--q", "15"), 1, "", "15 is not a prime power"),
     (("measure", "conic", "--p", "5", "--a1", "1"), 0, "-1\n", ""),
     # an audit that checked nothing fails

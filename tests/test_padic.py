@@ -67,6 +67,8 @@ def test_r_shape_examples():
     assert (s.alpha, s.s, s.chi_s) == (2, 2, -1)
     with pytest.raises(ValueError):
         r_shape(0, 3)
+    with pytest.raises(ValueError, match="expected an odd prime, got 2"):
+        r_shape(1, 2)
 
 
 def test_r_shape_consistency():

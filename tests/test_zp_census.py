@@ -19,6 +19,7 @@ from dioptuples.closed_forms import series_consistency
 from dioptuples.fp_census import BudgetExceededError, _clique_count
 from dioptuples.padic import r_shape, vp
 from dioptuples.zp_census import (
+    MeasureInterval,
     _vp_vector,
     _zp_pair_fast,
     _zp_sweep,
@@ -334,3 +335,21 @@ def test_series_consistency():
 def test_series_consistency_validation():
     with pytest.raises(ValueError):
         series_consistency(5, 3, 1, 5)
+
+
+# library calls -> the refusal each raises, for the checks no command reaches
+LIBRARY_REFUSALS = [
+    (cf.z2_block_measure, (-1,), "block index must be >= 0"),
+    (cf.z2_block_tail, (0,), "tail starts at k >= 1"),
+    (cf.mu_B_tail, (3, 1, 1), "tail requires an even beta_start above alpha"),
+    (cf.mu_B_beta_claimed, (3, 0, 1, 0), "the stated block lemmas assume alpha > 0"),
+    (MeasureInterval, (Fr(1, 2), Fr(1, 4)), "interval must satisfy 0 <= lo <= hi <= 1"),
+    (valuation_class_measure, (3, 1, -1, 7), "target valuation must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("refuse,args,message", LIBRARY_REFUSALS, ids=[case[0].__name__ for case in LIBRARY_REFUSALS])
+def test_refusals_no_command_reaches(refuse, args, message):
+    with pytest.raises(ValueError) as refused:
+        refuse(*args)
+    assert str(refused.value) == message
