@@ -96,10 +96,7 @@ def _record(quantity, params, claimed, oracle, competitors=(), must_agree=True, 
 
 def smallest_nonresidue(p: int) -> int:
     require_odd_prime(p)  # p <= 2 leaves the search below empty, so refuse it as `legendre` would
-    for n in range(2, p):
-        if legendre(n, p) == -1:
-            return n
-    raise ValueError(f"no quadratic nonresidue below {p}")
+    return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
 def auto_rset(p: int) -> list[int]:
@@ -135,7 +132,7 @@ def _pairs_zp_item(args):
         _record(
             "pair_density_block_series",
             {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
-            cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10).block_sum,
+            cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10),
             density,
             detail="valuation-block sum with exact geometric tail vs closed form",
         ),
@@ -333,13 +330,12 @@ def suite_ok_series():
     for q in (3, 5, 7, 9, 25, 27):
         for alpha in range(7):
             for chi_s in (1, -1):
-                verdict = cf.series_consistency(q, alpha, chi_s, alpha + 6)
                 records.append(
                     _record(
                         "pair_density_ok_series",
                         {"q": q, "alpha": alpha, "chi_s": chi_s, "beta_max": alpha + 6},
-                        verdict.block_sum,
-                        verdict.closed_form,
+                        cf.series_consistency(q, alpha, chi_s, alpha + 6),
+                        cf.pair_measure(q, alpha, chi_s),
                         detail="block series with closed-form tail vs five-case density",
                     )
                 )

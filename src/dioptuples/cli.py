@@ -135,8 +135,6 @@ _SUITE_KEYWORD = {"p": "ps", "precision": "N"}
 
 def _audit(suite, opts, given) -> int:
     _ignore_jobs(opts["jobs"], "an audit")
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     keywords = {"format", "jobs", *suite_parameters(suite)}
     _given(given, {flag for flag in opts if _SUITE_KEYWORD.get(flag, flag) in keywords}, f"audit {suite}")
     kwargs = {_SUITE_KEYWORD.get(flag, flag): value for flag, value in given.items() if flag not in ("format", "jobs")}
@@ -172,7 +170,7 @@ _COMMANDS = {
         "p": (int, _REQUIRED), "f": (int, 1), "r": (int, 1), "m": (int, 2), "precision": (int, 4),
         "format": _FORMAT, "budget": (int, DEFAULT_BUDGET), "jobs": (int, 1),
     }),
-    "audit": ("suite", None, {
+    "audit": ("suite", SUITE_NAMES, {
         "p": (_int_list, None), "rset": (lambda text: None if text == "auto" else _int_list(text), None),
         "pmax": (int, None), "precision": (int, None), "seed": (int, None), "format": _FORMAT,
         "jobs": (int, 1), "budget": (int, None),

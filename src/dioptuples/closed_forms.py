@@ -22,8 +22,8 @@ valuation whose value is a square:
     beta odd:                  0
 
 A unit r is alpha = 0: its blocks A_k are these B_2k, so one formula serves.
-Summing the geometric tail in closed form gives `pair_measure`, and
-`series_consistency` checks that sum against it exactly.  The claimed
+Summing the geometric tail in closed form gives `pair_measure`; the audit
+sets that sum, `series_consistency`, against it exactly.  The claimed
 variants differ in the beta > alpha numerator ((q-1)(q^(alpha+1)-1)) and in
 the orientation of the two beta = alpha branches; the interval censuses
 adjudicate pointwise.
@@ -34,7 +34,6 @@ name; no oracle consults one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -170,21 +169,9 @@ def pair_measure(q: int, alpha: int, chi_s: int) -> Fraction:
     return base - Fraction(1, (q + 1) ** 2 * q**alpha)
 
 
-@dataclass(frozen=True)
-class SeriesVerdict:
-    """Outcome of summing valuation-block closed forms against the pair density."""
-
-    q: int
-    alpha: int
-    chi_s: int
-    beta_max: int
-    block_sum: Fraction
-    closed_form: Fraction
-
-
-def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesVerdict:
-    """Sum the valuation-block densities with an exact geometric tail and
-    compare against the assembled five-case closed form, exactly.
+def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> Fraction:
+    """Sum the valuation-block densities with an exact geometric tail past
+    beta_max; the audit sets the sum against `pair_measure`.
 
     The blocks of odd valuation are empty, so the sum runs over even beta,
     for a unit r (alpha = 0) as for any other.
@@ -192,8 +179,7 @@ def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> SeriesV
     if beta_max < alpha + 4:
         raise ValueError("need beta_max >= alpha + 4")
     evens = range(0, beta_max + 1, 2)
-    total = sum(mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens) + mu_B_tail(q, alpha, evens[-1] + 2)
-    return SeriesVerdict(q, alpha, chi_s, beta_max, total, pair_measure(q, alpha, chi_s))
+    return sum(mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens) + mu_B_tail(q, alpha, evens[-1] + 2)
 
 
 def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_linear: bool) -> Fraction:

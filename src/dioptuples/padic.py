@@ -25,15 +25,13 @@ def vp(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class RShape:
-    """The p-adic shape of a nonzero parameter r at an odd prime p: valuation, unit part and its character.
+    """The p-adic shape of a nonzero r = p^alpha * s at an odd prime p: alpha and chi_s, the character of s.
 
     chi(r) is chi_s when r is a unit (alpha = 0) and 0 otherwise.
     """
 
-    r: int
     p: int
     alpha: int
-    s: int
     chi_s: int
 
 
@@ -45,9 +43,8 @@ def require_nonzero_r(r: int, p: int = 0) -> None:
 
 
 def r_shape(r: int, p: int) -> RShape:
-    """Package r = p^alpha * s, p an odd prime, with the quadratic character of s."""
+    """The shape of r = p^alpha * s, p an odd prime: alpha and the quadratic character of s."""
     require_nonzero_r(r)
     require_odd_prime(p)
     alpha = vp(r, p)
-    s = r // p**alpha
-    return RShape(r=r, p=p, alpha=alpha, s=s, chi_s=legendre(s, p))
+    return RShape(p=p, alpha=alpha, chi_s=legendre(r // p**alpha, p))

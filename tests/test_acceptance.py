@@ -56,8 +56,7 @@ def test_criterion_02_pair_theorem_sweep():
             shape = r_shape(r, p)
             value = cf.diop2_zp(shape)
             assert value in zp_interval(p, r, 2, N), (p, r)
-            blocks = series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10)
-            assert blocks.block_sum == value, (p, r)
+            assert series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10) == value, (p, r)
             checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 300
@@ -222,8 +221,7 @@ def test_criterion_13_residue_field_specialization():
     for q in (3, 5, 7, 9, 25, 27):
         for alpha in range(7):
             for chi_s in (1, -1):
-                v = series_consistency(q, alpha, chi_s, alpha + 6)
-                assert v.block_sum == v.closed_form, (q, alpha, chi_s)
+                assert series_consistency(q, alpha, chi_s, alpha + 6) == cf.pair_measure(q, alpha, chi_s), (q, alpha, chi_s)
                 checked += 1
     _report(13, f"residue-field forms specialize exactly; {checked} block series "
                 f"identities hold with exact tails")

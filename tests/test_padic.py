@@ -1,9 +1,10 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from dioptuples.arith import legendre
-from dioptuples.padic import r_shape, vp
+from dioptuples.padic import RShape, r_shape, vp
 from dioptuples.zp_census import status_table
 
 SQ, NON, UND = 1, -1, 0  # the status_table codes
@@ -59,12 +60,11 @@ def test_undetermined_mass_bound(p, N):
 
 
 def test_r_shape_examples():
-    s = r_shape(9, 3)
-    assert (s.alpha, s.s, s.chi_s) == (2, 1, 1)
+    assert r_shape(9, 3) == RShape(p=3, alpha=2, chi_s=1)
     s = r_shape(2, 5)
     assert (s.alpha, s.chi_s) == (0, -1) == (0, legendre(2, 5))
-    s = r_shape(18, 3)
-    assert (s.alpha, s.s, s.chi_s) == (2, 2, -1)
+    assert r_shape(18, 3) == RShape(p=3, alpha=2, chi_s=-1)
+    assert [field.name for field in fields(RShape)] == ["p", "alpha", "chi_s"]
     with pytest.raises(ValueError):
         r_shape(0, 3)
     with pytest.raises(ValueError, match="expected an odd prime, got 2"):
@@ -75,7 +75,7 @@ def test_r_shape_consistency():
     for p in (3, 5, 7):
         for r in range(1, 200):
             s = r_shape(r, p)
-            assert s.r == p**s.alpha * s.s
-            assert s.s % p != 0
+            assert s.p == p
+            assert r % p**s.alpha == 0 and r // p**s.alpha % p != 0
             # chi(r) is chi_s for a unit r and 0 otherwise
             assert legendre(r, p) == (s.chi_s if s.alpha == 0 else 0)

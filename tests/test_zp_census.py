@@ -319,17 +319,22 @@ def test_valuation_class_measure_validation():
 
 
 def test_series_consistency():
-    v = series_consistency(3, 1, 1, 11)
-    assert v.block_sum == v.closed_form == Fr(5, 18)
-    v = series_consistency(9, 0, 1, 6)
-    assert v.block_sum == v.closed_form == Fr(23, 45)
-    v = series_consistency(5, 2, 1, 10)
-    assert v.block_sum == v.closed_form == Fr(46, 125)
+    assert series_consistency(3, 1, 1, 11) == cf.pair_measure(3, 1, 1) == Fr(5, 18)
+    assert series_consistency(9, 0, 1, 6) == cf.pair_measure(9, 0, 1) == Fr(23, 45)
+    assert series_consistency(5, 2, 1, 10) == cf.pair_measure(5, 2, 1) == Fr(46, 125)
     for q in (3, 5, 7, 9, 25, 27):
         for alpha in range(0, 7):
             for chi_s in (1, -1):
-                v = series_consistency(q, alpha, chi_s, alpha + 4)
-                assert v.block_sum == v.closed_form, (q, alpha, chi_s)
+                assert series_consistency(q, alpha, chi_s, alpha + 4) == cf.pair_measure(q, alpha, chi_s), (q, alpha, chi_s)
+
+
+def test_series_consistency_sums_blocks_without_the_pair_form(monkeypatch):
+    # the block sum is a value of its own; the audit, not this sum, sets it against pair_measure
+    def refuse(*args):
+        raise AssertionError("series_consistency evaluated pair_measure")
+
+    monkeypatch.setattr(cf, "pair_measure", refuse)
+    assert series_consistency(3, 1, 1, 11) == Fr(5, 18)
 
 
 def test_series_consistency_validation():
@@ -343,12 +348,21 @@ LIBRARY_REFUSALS = [
     (cf.z2_block_tail, (0,), "tail starts at k >= 1"),
     (cf.mu_B_tail, (3, 1, 1), "tail requires an even beta_start above alpha"),
     (cf.mu_B_beta_claimed, (3, 0, 1, 0), "the stated block lemmas assume alpha > 0"),
+    (cf.mu_B_beta_claimed, (3, 1, 1, 3), "blocks of odd valuation != alpha are empty; beta must be even"),
+    (cf.mu_B_beta_q, (3, 0, 0, 0), "chi(s) must be ±1"),
     (MeasureInterval, (Fr(1, 2), Fr(1, 4)), "interval must satisfy 0 <= lo <= hi <= 1"),
     (valuation_class_measure, (3, 1, -1, 7), "target valuation must be >= 0"),
 ]
 
 
-@pytest.mark.parametrize("refuse,args,message", LIBRARY_REFUSALS, ids=[case[0].__name__ for case in LIBRARY_REFUSALS])
+# each row is named by its call, and a call named before also by its arguments
+REFUSAL_IDS = [
+    f.__name__ + (str(args) if any(g is f for g, *_ in LIBRARY_REFUSALS[:i]) else "")
+    for i, (f, args, _) in enumerate(LIBRARY_REFUSALS)
+]
+
+
+@pytest.mark.parametrize("refuse,args,message", LIBRARY_REFUSALS, ids=REFUSAL_IDS)
 def test_refusals_no_command_reaches(refuse, args, message):
     with pytest.raises(ValueError) as refused:
         refuse(*args)
