@@ -24,7 +24,7 @@ from .arith import format_rational, is_prime, legendre, require_odd_prime
 from .curves import dr_triples_distinct, extension_counts, two_descent_pass
 from .fp_census import _census_tables, _clique_count, _power_fits, admit, censuses, conic_sum_direct
 from .padic import r_shape
-from .zp_census import MeasureInterval, valuation_class_measure, zp_interval, zp_precision
+from .zp_census import MeasureInterval, valuation_class_measures, zp_interval, zp_precision
 
 AGREE = "Agree"
 DISAGREE = "Disagree"
@@ -37,14 +37,25 @@ def _params_json(params: dict) -> str:
     return "{" + ", ".join([f"{_json_str(k)}: {_json_str(str(v))}" for k, v in sorted(params.items())]) + "}"
 
 
-class AuditRecord(NamedTuple):
+class _RecordFields(NamedTuple):
     quantity: str
     params: dict
     claimed_value: object  # Fraction or None
     oracle_value: object   # Fraction, int, or MeasureInterval
     verdict: str
-    detail: str = ""
-    must_agree: bool = True
+    detail: str
+    must_agree: bool
+    params_json: str  # `_params_json(params)`, set by `AuditRecord` alone
+
+
+class AuditRecord(_RecordFields):
+    __slots__ = ()
+
+    def __new__(cls, quantity, params, claimed_value, oracle_value, verdict, detail="", must_agree=True):
+        """The record, its params encoded here once for both the sort key and the line."""
+        return super().__new__(
+            cls, quantity, params, claimed_value, oracle_value, verdict, detail, must_agree, _params_json(params)
+        )
 
     @property
     def json_line(self) -> str:
@@ -62,7 +73,7 @@ class AuditRecord(NamedTuple):
         return (
             f'{{"claimed_value": {claimed}, "detail": {_json_str(self.detail)}, '
             f'"must_agree": {"true" if self.must_agree else "false"}, "oracle_value": {oracle}, '
-            f'"params": {_params_json(self.params)}, "quantity": {_json_str(self.quantity)}, '
+            f'"params": {self.params_json}, "quantity": {_json_str(self.quantity)}, '
             f'"verdict": {_json_str(self.verdict)}}}'
         )
 
@@ -208,14 +219,15 @@ def _charge(suite: str, pmax: int, cells, formula: str, budget: int):
     return _primes_upto(pmax)
 
 
-def _triples_fp_item(result):
+def _triples_fp_item(args):
+    result, (boundary, offdiag, interior, density) = args
     p, r = result.q, result.r
     p3 = p**3
     return [
         _record(
             "triple_boundary_count",
             {"p": p, "r": r},
-            cf.count_boundary_claimed(p, r),
+            boundary,
             result.boundary,
         ),
         _record(
@@ -228,7 +240,7 @@ def _triples_fp_item(result):
         _record(
             "triple_offdiag_count",
             {"p": p, "r": r},
-            cf.count_offdiag_claimed(p, r),
+            offdiag,
             result.offdiag,
             must_agree=False,
             detail="stated off-diagonal count vs census (known suspect)",
@@ -236,7 +248,7 @@ def _triples_fp_item(result):
         _record(
             "triple_interior_density",
             {"p": p, "r": r},
-            cf.tilde3_fp_claimed(p, r),
+            interior,
             Fraction(result.interior, p3),
             must_agree=False,
             detail="stated interior density vs census (known suspect)",
@@ -244,7 +256,7 @@ def _triples_fp_item(result):
         _record(
             "triple_density",
             {"p": p, "r": r},
-            cf.diop3_fp_claimed(p, r),
+            density,
             Fraction(result.total, p3),
             must_agree=False,
             detail="stated total density vs census (known suspect)",
@@ -255,9 +267,13 @@ def _triples_fp_item(result):
 def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
     # charged p^3 cells per prime, the tuples of its census as `census` counts
     # them, above the (p - 1)^2 cells of the stacked pass over every r
-    ps = _charge("triples-fp", pmax, lambda p: p**3, "p^3", budget)
+    ps = list(_charge("triples-fp", pmax, lambda p: p**3, "p^3", budget))
     results = [result for p in ps for result in censuses(p, range(1, p), 3, budget)]
-    return [rec for recs in _pmap(_triples_fp_item, results) for rec in recs]
+    # the stated forms read r only through chi(r): one evaluation per square class of each p
+    forms = (cf.count_boundary_claimed, cf.count_offdiag_claimed, cf.tilde3_fp_claimed, cf.diop3_fp_claimed)
+    stated = {(p, legendre(r, p)): [form(p, r) for form in forms] for p in ps for r in (1, smallest_nonresidue(p))}
+    items = [(result, stated[result.q, legendre(result.r, result.q)]) for result in results]
+    return [rec for recs in _pmap(_triples_fp_item, items) for rec in recs]
 
 
 def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
@@ -291,37 +307,36 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7, budget: int = AUDIT_BUDGET):
     )
     records = []
     for p, n in zip(ps, nonresidues):
-        for alpha in range(4):
-            for s in (1, n):
-                r = p**alpha * s
-                shape = r_shape(r, p)
-                for v in range(N - 2):
-                    if v % 2 == 1 and v != alpha:
-                        continue
-                    oracle = valuation_class_measure(p, r, v, N)
-                    if alpha == 0:
-                        claimed = cf.mu_A_k(shape, v // 2)
-                        quantity = "pair_block_A"
-                    else:
-                        claimed = cf.mu_B_beta(shape, v)
-                        quantity = "pair_block_B"
-                    params = {
-                        "p": p, "r": r, "alpha": alpha, "chi_s": shape.chi_s, "beta": v, "N": N,
-                    }
-                    records.append(_record(quantity, params, claimed, oracle))
-                    if alpha > 0:
-                        stated = cf.mu_B_beta_claimed(p, alpha, shape.chi_s, v)
-                        if stated != claimed:
-                            records.append(
-                                _record(
-                                    "pair_block_B_stated",
-                                    params,
-                                    stated,
-                                    oracle,
-                                    must_agree=False,
-                                    detail="stated block density differs from the validated one here",
-                                )
+        shapes = {p**alpha * s: r_shape(p**alpha * s, p) for alpha in range(4) for s in (1, n)}
+        for v in range(N - 2):
+            # an odd valuation is checked only at v = alpha, its one nonempty block
+            rs = [r for r, shape in shapes.items() if v % 2 == 0 or v == shape.alpha]
+            for r, oracle in zip(rs, valuation_class_measures(p, rs, v, N)):
+                shape = shapes[r]
+                alpha = shape.alpha
+                if alpha == 0:
+                    claimed = cf.mu_A_k(shape, v // 2)
+                    quantity = "pair_block_A"
+                else:
+                    claimed = cf.mu_B_beta(shape, v)
+                    quantity = "pair_block_B"
+                params = {
+                    "p": p, "r": r, "alpha": alpha, "chi_s": shape.chi_s, "beta": v, "N": N,
+                }
+                records.append(_record(quantity, params, claimed, oracle))
+                if alpha > 0:
+                    stated = cf.mu_B_beta_claimed(p, alpha, shape.chi_s, v)
+                    if stated != claimed:
+                        records.append(
+                            _record(
+                                "pair_block_B_stated",
+                                params,
+                                stated,
+                                oracle,
+                                must_agree=False,
+                                detail="stated block density differs from the validated one here",
                             )
+                        )
     return records
 
 
@@ -507,7 +522,7 @@ def run_suite(name: str, **kwargs) -> list:
 
 def canonical_order(records):
     """Sorted by quantity, then by the JSON of the params as `json_line` prints them."""
-    return sorted(records, key=lambda r: (r.quantity, _params_json(r.params)))
+    return sorted(records, key=lambda r: (r.quantity, r.params_json))
 
 
 def exit_code_for(records) -> int:

@@ -86,19 +86,24 @@ def mu_B_beta(shape: RShape, beta: int) -> Fraction:
     return mu_B_beta_q(shape.p, shape.alpha, shape.chi_s, beta)
 
 
-def mu_B_beta_q(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
+def _require_block_args(alpha: int, chi_s: int, beta: int) -> None:
+    """The arguments every valuation block takes: beta >= 0, chi(s) = ±1, and beta even unless it is alpha."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if chi_s not in (-1, 1):
         raise ValueError("chi(s) must be ±1")
+    if beta % 2 == 1 and beta != alpha:
+        raise ValueError("blocks of odd valuation != alpha are empty; beta must be even")
+
+
+def mu_B_beta_q(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
+    _require_block_args(alpha, chi_s, beta)
     if beta == alpha:
         if alpha % 2 == 1:
             return Fraction(0)
         if chi_s == 1:
             return Fraction(alpha * (q - 1) ** 2 + q * q + 1, 2 * q ** (alpha + 2))
         return Fraction((alpha + 1) * (q - 1) ** 2, 2 * q ** (alpha + 2))
-    if beta % 2 == 1:
-        raise ValueError("blocks of odd valuation != alpha are empty; beta must be even")
     if beta < alpha:
         return Fraction((beta + 1) * (q - 1) ** 2, 2 * q ** (beta + 2))
     return Fraction((alpha + 1) * (q - 1) ** 2, 2 * q ** (beta + 2))
@@ -120,14 +125,13 @@ def mu_B_beta_claimed(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
     """
     if alpha < 1:
         raise ValueError("the stated block lemmas assume alpha > 0")
+    _require_block_args(alpha, chi_s, beta)
     if beta == alpha:
         if alpha % 2 == 1:
             return Fraction(0)
         if chi_s == 1:
             return Fraction((alpha + 1) * (q - 1) ** 2, 2 * q ** (alpha + 2))
         return Fraction(alpha * (q - 1) ** 2 + q * q + 1, 2 * q ** (alpha + 2))
-    if beta % 2 == 1:
-        raise ValueError("blocks of odd valuation != alpha are empty; beta must be even")
     if beta < alpha:
         return Fraction((beta + 1) * (q - 1) ** 2, 2 * q ** (beta + 2))
     return Fraction((q - 1) * (q ** (alpha + 1) - 1), 2 * q ** (beta + 2))

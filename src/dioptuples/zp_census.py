@@ -25,7 +25,8 @@ negation (0, and 2^(N-1) when p = 2), weighted 1, and of one a of each
 
 The valuation vector (built shell by shell with strided adds) and the status
 table are built once per (p, N) and cached read-only; callers read them at
-the values ab + r and never roll a copy by r.
+the values ab + r and never roll a copy by r.  The valuation-block measures
+take a stack of r, so one (p, N, beta) builds its shell mask once.
 """
 
 from __future__ import annotations
@@ -231,11 +232,13 @@ def zp_interval(
     return _interval_from_counts(lo, hi, p ** (m * N), p, N, m)
 
 
-def valuation_class_measure(p: int, r: int, target_valuation: int, N: int) -> Fraction:
-    """Exact measure of pairs with v_p(ab + r) = target and ab + r a square.
+def valuation_class_measures(p: int, rs, target_valuation: int, N: int) -> list[Fraction]:
+    """Exact measure of pairs with v_p(ab + r) = target and ab + r a square, one per r of rs.
 
     Requires target_valuation + 3 <= N so that membership of every touched
-    class is fully determined; the result is then independent of N.
+    class is fully determined; the results are then independent of N.  The
+    shell's square mask depends on no r: it is built and checked once, and
+    every r is counted against it.
     """
     require_odd_prime(p)
     if target_valuation < 0:
@@ -248,5 +251,10 @@ def valuation_class_measure(p: int, r: int, target_valuation: int, N: int) -> Fr
     shell[0] = False  # ab + r = 0 lies in no shell
     if (shell & (st == 0)).any():
         raise RuntimeError("class membership is undetermined at this precision")
-    return Fraction(_pair_count(p, N, r, shell & (st == 1)), q * q)
+    squares = shell & (st == 1)
+    return [Fraction(_pair_count(p, N, r, squares), q * q) for r in rs]
 
+
+def valuation_class_measure(p: int, r: int, target_valuation: int, N: int) -> Fraction:
+    """The measure of one r: `valuation_class_measures` of a stack of one."""
+    return valuation_class_measures(p, [r], target_valuation, N)[0]

@@ -98,13 +98,23 @@ def test_suite_valuation_classes_is_charged_before_any_table(monkeypatch):
     # the default primes and precision are charged 3^7 + 5^7 = 80312 status-table cells
     assert run_suite("valuation-classes", budget=80312)
     built = []
-    monkeypatch.setattr(audit, "valuation_class_measure", lambda *args: built.append(args))
+    monkeypatch.setattr(audit, "valuation_class_measures", lambda *args: built.append(args))
     with pytest.raises(BudgetExceededError) as refused:
         run_suite("valuation-classes", budget=80311)
     assert str(refused.value) == (
         "audit valuation-classes --precision 7: charge 3^7 + 5^7 exceeds budget 80311; the largest N that fits is 6"
     )
     assert built == []
+
+
+def test_suite_valuation_classes_counts_every_r_of_one_shell_at_once(monkeypatch):
+    # one stacked call per (p, beta): beta = 0..4 at N = 7 for each of p = 3, 5
+    stacks = []
+    measures = audit.valuation_class_measures
+    monkeypatch.setattr(audit, "valuation_class_measures", lambda p, rs, *a: stacks.append((p, rs)) or measures(p, rs, *a))
+    records = run_suite("valuation-classes")
+    assert len(stacks) == 10
+    assert sum(len(rs) for _, rs in stacks) == len({(r.params["p"], r.params["r"], r.params["beta"]) for r in records})
 
 
 def test_suite_pairs_zp_small():
@@ -615,6 +625,16 @@ def test_record_line_template_is_json_dumps_and_orders_like_it():
     for seed in range(5):
         shuffled = random.Random(seed).sample(ODD_RECORDS, len(ODD_RECORDS))
         assert canonical_order(shuffled) == sorted(shuffled, key=json_order_key)
+
+
+def test_audit_all_encodes_each_records_params_once(monkeypatch):
+    # the sort key and the line both read the one encoding the record made
+    encoded = []
+    encode = audit._params_json
+    monkeypatch.setattr(audit, "_params_json", lambda params: encoded.append(params) or encode(params))
+    records = run_suite("all")
+    lines = [rec.json_line for rec in records]
+    assert len(encoded) == len(records) == len(lines) == 1135
 
 
 def assert_csv_is_lines_decoded(out, lines):

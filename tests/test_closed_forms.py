@@ -214,6 +214,18 @@ def test_triple_fp_stated_forms_match_their_term_by_term_sums():
             assert cf.diop3_fp_claimed(p, r) == total, (p, r)
 
 
+@pytest.mark.parametrize("p", [*(q for q in range(3, 32, 2) if is_prime(q)), 53, 101])
+def test_triple_fp_stated_forms_take_one_value_per_square_class(p):
+    # they read r only through chi(r) and chi(-r) = chi(-1) chi(r), so the
+    # triples-fp suite evaluates them once per (p, chi(r))
+    forms = (cf.count_boundary_claimed, cf.count_offdiag_claimed, cf.tilde3_fp_claimed, cf.diop3_fp_claimed)
+    for form in forms:
+        values = {1: set(), -1: set()}
+        for r in range(1, p):
+            values[legendre(r, p)].add(form(p, r))
+        assert [len(v) for v in values.values()] == [1, 1], (form.__name__, values)
+
+
 def test_conic_sum_closed_arrays_match_the_scalar_form():
     for p in (3, 5, 7, 11, 13):
         a1, a0 = np.arange(p)[:, None], np.arange(p)

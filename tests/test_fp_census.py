@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import accumulate, product
 from math import comb
@@ -652,6 +653,17 @@ def test_census_over_f27_matches_field_arithmetic():
     got = census(field, 1, 3)
     assert got.total == want
     assert got.r == 1 and got.q == 27
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_census_is_one_breakdown_per_square_class_of_r(m):
+    # r -> c^2 r with (a, b) -> (ca, cb) maps D(r) tuples onto D(c^2 r) ones,
+    # so the census depends on r only through chi(r)
+    for p in (q for q in range(3, 32, 2) if is_prime(q)):
+        classes = {1: set(), -1: set()}
+        for result in censuses(p, range(1, p), m):
+            classes[legendre(result.r, p)].add(replace(result, r=None))
+        assert [len(c) for c in classes.values()] == [1, 1], (p, classes)
 
 
 def test_census_symmetry_under_coordinate_permutation():

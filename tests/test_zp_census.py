@@ -15,6 +15,7 @@ import pytest
 import dioptuples
 from dioptuples import closed_forms as cf
 from dioptuples import zp_census
+from dioptuples.audit import auto_rset
 from dioptuples.closed_forms import series_consistency
 from dioptuples.fp_census import BudgetExceededError, _clique_count
 from dioptuples.padic import r_shape, vp
@@ -27,6 +28,7 @@ from dioptuples.zp_census import (
     pair_product_weights,
     status_table,
     valuation_class_measure,
+    valuation_class_measures,
     zp_interval,
 )
 
@@ -318,6 +320,35 @@ def test_valuation_class_measure_validation():
         valuation_class_measure(2, 1, 0, 5)  # odd p only
 
 
+@pytest.mark.parametrize("p,N", [(3, 7), (5, 7)])
+def test_stacked_valuation_measures_are_each_r_on_its_own(p, N):
+    rs = auto_rset(p)
+    for beta in range(N - 2):
+        assert valuation_class_measures(p, rs, beta, N) == [valuation_class_measure(p, r, beta, N) for r in rs], beta
+
+
+@pytest.mark.parametrize("args", [(3, 1, -1, 7), (3, 1, 3, 5), (2, 1, 0, 5), (4, 1, 0, 5)])
+def test_stacked_valuation_measures_refuse_as_one_r_does(args):
+    p, r, beta, N = args
+    with pytest.raises(ValueError) as alone:
+        valuation_class_measure(p, r, beta, N)
+    with pytest.raises(ValueError) as stacked:
+        valuation_class_measures(p, [r, 2 * r], beta, N)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_valuation_measures_refuse_an_undetermined_shell(monkeypatch):
+    # no odd-p status table leaves a shell class undetermined, so plant one:
+    # t = 9 lies in the valuation-2 shell of Z/3^5
+    table = status_table(3, 5).copy()
+    table[9] = 0
+    monkeypatch.setattr(zp_census, "status_table", lambda p, N: table)
+    for measure in (lambda: valuation_class_measures(3, [1, 2], 2, 5), lambda: valuation_class_measure(3, 1, 2, 5)):
+        with pytest.raises(RuntimeError, match="^class membership is undetermined at this precision$"):
+            measure()
+    assert valuation_class_measures(3, [1, 2], 0, 5)  # the other shells stay determined
+
+
 def test_series_consistency():
     assert series_consistency(3, 1, 1, 11) == cf.pair_measure(3, 1, 1) == Fr(5, 18)
     assert series_consistency(9, 0, 1, 6) == cf.pair_measure(9, 0, 1) == Fr(23, 45)
@@ -349,6 +380,8 @@ LIBRARY_REFUSALS = [
     (cf.mu_B_tail, (3, 1, 1), "tail requires an even beta_start above alpha"),
     (cf.mu_B_beta_claimed, (3, 0, 1, 0), "the stated block lemmas assume alpha > 0"),
     (cf.mu_B_beta_claimed, (3, 1, 1, 3), "blocks of odd valuation != alpha are empty; beta must be even"),
+    (cf.mu_B_beta_claimed, (3, 1, 1, -2), "beta must be >= 0"),
+    (cf.mu_B_beta_claimed, (3, 2, 0, 2), "chi(s) must be ±1"),
     (cf.mu_B_beta_q, (3, 0, 0, 0), "chi(s) must be ±1"),
     (MeasureInterval, (Fr(1, 2), Fr(1, 4)), "interval must satisfy 0 <= lo <= hi <= 1"),
     (valuation_class_measure, (3, 1, -1, 7), "target valuation must be >= 0"),
