@@ -1,11 +1,12 @@
 """Formula-vs-oracle audit suites with machine-readable verdict records.
 
-Each suite sweeps a parameter family, evaluates claimed closed forms against
-the matching exhaustive oracle, and emits one record per quantity.  Records
-marked must_agree gate the process exit code; adjudication records document
-discrepancies in known-suspect statements and never gate.  Verdicts are
-recomputable from the record fields alone.  Every formula a record compares
-against comes from `closed_forms`.  Every suite runs serially in one process.
+Each suite is one loop over its parameter family: it evaluates claimed
+closed forms against the matching exhaustive oracle and emits one record per
+quantity.  The quantities in `ADJUDICATIONS` document discrepancies in
+known-suspect statements and never gate; every other quantity gates the
+process exit code.  Verdicts are recomputable from the record fields alone.
+Every formula a record compares against comes from `closed_forms`.  Every
+suite runs serially in one process.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ AGREE = "Agree"
 DISAGREE = "Disagree"
 INCONCLUSIVE = "Inconclusive"
 AUDIT_BUDGET = 10**8  # the default `audit --budget` of every suite that takes one
+
+# the quantities that never gate: each sets a known-suspect statement against its oracle
+ADJUDICATIONS = frozenset({
+    "mtuple_density_z3_stated",
+    "mtuple_density_z3_consistent",
+    "triple_offdiag_count",
+    "triple_interior_density",
+    "triple_density",
+    "pair_block_B_stated",
+})
 
 
 def _params_json(params: dict) -> str:
@@ -93,7 +104,7 @@ def verdict_for(claimed, oracle, competitors=()) -> str:
     return AGREE if claimed == oracle else DISAGREE
 
 
-def _record(quantity, params, claimed, oracle, competitors=(), must_agree=True, detail=""):
+def _record(quantity, params, claimed, oracle, competitors=(), detail=""):
     return AuditRecord(
         quantity=quantity,
         params=params,
@@ -101,7 +112,7 @@ def _record(quantity, params, claimed, oracle, competitors=(), must_agree=True, 
         oracle_value=oracle,
         verdict=verdict_for(claimed, oracle, competitors),
         detail=detail,
-        must_agree=must_agree,
+        must_agree=quantity not in ADJUDICATIONS,
     )
 
 
@@ -118,8 +129,8 @@ def auto_rset(p: int) -> list[int]:
 
 
 def _pmap(fn, items):
-    # one serial map, kept as a function only because the benchmark's traced
-    # run (bench/spans.py) times `audit._pmap` by name
+    # one serial map that no suite calls, kept only because the benchmark's
+    # traced run (bench/spans.py) times `audit._pmap` by name
     return [fn(item) for item in items]
 
 
@@ -127,32 +138,31 @@ def _pmap(fn, items):
 # suites
 
 
-def _pairs_zp_item(args):
-    p, r, budget = args
-    shape = r_shape(r, p)
-    N = max(1, zp_precision(p, 2, budget))  # below p^2 the census itself refuses
-    interval = zp_interval(p, r, 2, N, budget)
-    density = cf.diop2_zp(shape)
-    return [
-        _record(
-            "pair_density_zp",
-            {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s, "N": N},
-            density,
-            interval,
-        ),
-        _record(
-            "pair_density_block_series",
-            {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
-            cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10),
-            density,
-            detail="valuation-block sum with exact geometric tail vs closed form",
-        ),
-    ]
-
-
 def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=AUDIT_BUDGET):
-    items = [(p, r, budget) for p in ps for r in (rset if rset is not None else auto_rset(p))]
-    return [rec for recs in _pmap(_pairs_zp_item, items) for rec in recs]
+    # every p's automatic rset first, so it refuses a bad p before any census
+    rsets = [(p, auto_rset(p) if rset is None else rset) for p in ps]
+    records = []
+    for p, rs in rsets:
+        for r in rs:
+            shape = r_shape(r, p)
+            N = max(1, zp_precision(p, 2, budget))  # below p^2 the census itself refuses
+            density = cf.diop2_zp(shape)
+            records += [
+                _record(
+                    "pair_density_zp",
+                    {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s, "N": N},
+                    density,
+                    zp_interval(p, r, 2, N, budget),
+                ),
+                _record(
+                    "pair_density_block_series",
+                    {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
+                    cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10),
+                    density,
+                    detail="valuation-block sum with exact geometric tail vs closed form",
+                ),
+            ]
+    return records
 
 
 def suite_z2(N: int = 10):
@@ -198,7 +208,6 @@ def suite_z3_adjudicate():
                     value,
                     interval,
                     competitors=candidates,
-                    must_agree=False,
                     detail=detail,
                 )
             )
@@ -219,61 +228,37 @@ def _charge(suite: str, pmax: int, cells, formula: str, budget: int):
     return _primes_upto(pmax)
 
 
-def _triples_fp_item(args):
-    result, (boundary, offdiag, interior, density) = args
-    p, r = result.q, result.r
-    p3 = p**3
-    return [
-        _record(
-            "triple_boundary_count",
-            {"p": p, "r": r},
-            boundary,
-            result.boundary,
-        ),
-        _record(
-            "triple_partition",
-            {"p": p, "r": r},
-            Fraction(result.boundary + result.offdiag + result.interior),
-            result.total,
-            detail="boundary + offdiag + interior vs total",
-        ),
-        _record(
-            "triple_offdiag_count",
-            {"p": p, "r": r},
-            offdiag,
-            result.offdiag,
-            must_agree=False,
-            detail="stated off-diagonal count vs census (known suspect)",
-        ),
-        _record(
-            "triple_interior_density",
-            {"p": p, "r": r},
-            interior,
-            Fraction(result.interior, p3),
-            must_agree=False,
-            detail="stated interior density vs census (known suspect)",
-        ),
-        _record(
-            "triple_density",
-            {"p": p, "r": r},
-            density,
-            Fraction(result.total, p3),
-            must_agree=False,
-            detail="stated total density vs census (known suspect)",
-        ),
-    ]
-
-
 def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
+    forms = (cf.count_boundary_claimed, cf.count_offdiag_claimed, cf.tilde3_fp_claimed, cf.diop3_fp_claimed)
+    records = []
     # charged p^3 cells per prime, the tuples of its census as `census` counts
     # them, above the (p - 1)^2 cells of the stacked pass over every r
-    ps = list(_charge("triples-fp", pmax, lambda p: p**3, "p^3", budget))
-    results = [result for p in ps for result in censuses(p, range(1, p), 3, budget)]
-    # the stated forms read r only through chi(r): one evaluation per square class of each p
-    forms = (cf.count_boundary_claimed, cf.count_offdiag_claimed, cf.tilde3_fp_claimed, cf.diop3_fp_claimed)
-    stated = {(p, legendre(r, p)): [form(p, r) for form in forms] for p in ps for r in (1, smallest_nonresidue(p))}
-    items = [(result, stated[result.q, legendre(result.r, result.q)]) for result in results]
-    return [rec for recs in _pmap(_triples_fp_item, items) for rec in recs]
+    for p in _charge("triples-fp", pmax, lambda p: p**3, "p^3", budget):
+        # the stated forms read r only through chi(r): one evaluation per square class
+        stated = {legendre(r, p): [form(p, r) for form in forms] for r in (1, smallest_nonresidue(p))}
+        p3 = p**3
+        for result in censuses(p, range(1, p), 3, budget):
+            boundary, offdiag, interior, density = stated[legendre(result.r, p)]
+            params = {"p": p, "r": result.r}
+            for quantity, claimed, oracle, detail in (
+                ("triple_boundary_count", boundary, result.boundary, ""),
+                (
+                    "triple_partition",
+                    Fraction(result.boundary + result.offdiag + result.interior),
+                    result.total,
+                    "boundary + offdiag + interior vs total",
+                ),
+                ("triple_offdiag_count", offdiag, result.offdiag, "stated off-diagonal count vs census (known suspect)"),
+                (
+                    "triple_interior_density",
+                    interior,
+                    Fraction(result.interior, p3),
+                    "stated interior density vs census (known suspect)",
+                ),
+                ("triple_density", density, Fraction(result.total, p3), "stated total density vs census (known suspect)"),
+            ):
+                records.append(_record(quantity, params, claimed, oracle, detail=detail))
+    return records
 
 
 def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
@@ -333,7 +318,6 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7, budget: int = AUDIT_BUDGET):
                                 params,
                                 stated,
                                 oracle,
-                                must_agree=False,
                                 detail="stated block density differs from the validated one here",
                             )
                         )
@@ -427,23 +411,24 @@ def _extension_census_crosscheck(*cases):
     return records
 
 
-def _eqd_item(args):
-    p, r = args
-    lo, hi = cf.extension_count_envelope(p)
-    triples = dr_triples_distinct(p, r)
-    counts = extension_counts(p, r, triples, include_boundary=False)
-    violations = [(*abc, nd) for abc, nd in zip(triples, counts) if not lo <= 8 * nd <= hi]
-    return _record(
-        "extension_count_envelope",
-        {"p": p, "r": r, "lo": lo, "hi": hi},
-        Fraction(0),
-        len(violations),
-        detail=f"triples violating the integer envelope on 8*#extensions: {violations[:5]}",
-    )
-
-
 def suite_eqd():
-    return _pmap(_eqd_item, [(p, r) for p in (13, 17, 29) for r in (1, 2)])
+    records = []
+    for p in (13, 17, 29):
+        lo, hi = cf.extension_count_envelope(p)
+        for r in (1, 2):
+            triples = dr_triples_distinct(p, r)
+            counts = extension_counts(p, r, triples, include_boundary=False)
+            violations = [(*abc, nd) for abc, nd in zip(triples, counts) if not lo <= 8 * nd <= hi]
+            records.append(
+                _record(
+                    "extension_count_envelope",
+                    {"p": p, "r": r, "lo": lo, "hi": hi},
+                    Fraction(0),
+                    len(violations),
+                    detail=f"triples violating the integer envelope on 8*#extensions: {violations[:5]}",
+                )
+            )
+    return records
 
 
 def _asymptotics_item(result):
@@ -473,7 +458,7 @@ def _asymptotics_item(result):
 
 def suite_asymptotics():
     shapes = [(3, p) for p in (31, 61, 101)] + [(4, p) for p in (53, 101)]
-    return _pmap(_asymptotics_item, [result for m, p in shapes for result in censuses(p, (1, 2), m)])
+    return [_asymptotics_item(result) for m, p in shapes for result in censuses(p, (1, 2), m)]
 
 
 SUITES = {

@@ -250,17 +250,21 @@ def diopm_z3_claimed(m: int) -> Fraction:
 
 
 def diopm_z3_consistent(m: int) -> Fraction:
-    """The recombination that matches the pair theorem at m = 2: (m^2+15m+8)/(8*3^m).
+    """The m-tuple density over Z_3 for a unit r = 1 (mod 3), proved for every m >= 2: (m^2+15m+8)/(8*3^m).
 
-    Over Z_3 with chi(r) = 1 it adds three case densities: the all-zero
-    block 1/3^m, m single-unit positions of 2/3^m each, and C(m, 2)
-    unordered two-unit positions, each the pair core 1/36 times (1/3)^(m-2)
-    for the remaining coordinates:
+    Such an r is a square in Z_3, so a -> s*a with s^2 = r maps D(1) tuples
+    onto D(r) tuples and keeps the measure; take r = 1.  A non-unit a has
+    ab + 1 = 1 (mod 3) against every b, a square, so non-units constrain
+    nothing.  Two units need ab = -1 (mod 3), since 2 is a nonsquare mod 3;
+    ab + 1 is then uniform on 3Z_3 and a square with probability
+    sum_{j >= 1} (2/3)(1/3)^(2j-1)/2 = 1/8, so a unit pair counts
+    (4/9)(1/2)(1/8) = 1/36.  No three units have pairwise opposite residues,
+    so a D(1) tuple has at most two unit coordinates.  Summing no unit, one
+    unit in m positions and a unit pair in C(m, 2) positions:
 
-        (1 + 2m)/3^m + (m(m-1)/2)(1/36)(9/3^m) = (8 + 16m + m(m-1))/(8*3^m).
+        1/3^m + m(2/3^m) + (m(m-1)/2)(1/36)/3^(m-2) = (m^2 + 15m + 8)/(8*3^m).
 
-    The stated `diopm_z3_claimed` counts the pair positions as m(m-1)
-    ordered ones and scales the core by 1/3^m instead.
+    The stated `diopm_z3_claimed` equals it only where 7m^2 = 7m, so at no m >= 2.
     """
     if m < 2:
         raise ValueError("m must be >= 2")

@@ -199,9 +199,17 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
     return int(counts[0]), int(counts[1])
 
 
+def _census_fits(p: int, m: int, budget: int):
+    """N -> p^(mN) <= budget, the one admission predicate of a Z/p^N m-tuple census; refuses a p or m none takes."""
+    require_prime(p)
+    if m < 2:
+        raise ValueError("need m >= 2")
+    return lambda N: _power_fits(p, m * N, budget)
+
+
 def zp_precision(p: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """The largest N whose census charge p^(mN) fits the budget; 0 when N = 1 does not."""
-    return _largest_fitting(lambda N: _power_fits(p, m * N, budget))
+    return _largest_fitting(_census_fits(p, m, budget))
 
 
 def zp_interval(
@@ -218,10 +226,10 @@ def zp_interval(
     r must be nonzero; its class mod p^N may vanish.
     """
     require_nonzero_r(r)
-    require_prime(p)
-    if m < 2 or N < 1:
-        raise ValueError("need m >= 2 and N >= 1")
-    admit(f"census of Z/{p}^{N} at m = {m}", f"{p}^{m * N}", "N", N, lambda k: _power_fits(p, m * k, budget), budget)
+    fits = _census_fits(p, m, budget)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    admit(f"census of Z/{p}^{N} at m = {m}", f"{p}^{m * N}", "N", N, fits, budget)
     r = r % p**N
     if m == 2:
         lo, hi = _zp_pair_fast(p, r, N)

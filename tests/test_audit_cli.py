@@ -142,6 +142,14 @@ def test_suite_z3_adjudicate_documents_discrepancy():
     assert m3.verdict in (DISAGREE, INCONCLUSIVE)
 
 
+def test_gating_is_decided_by_the_quantity():
+    # the quantities emitted as non-gating are exactly ADJUDICATIONS, each emitted,
+    # and no quantity is emitted both ways
+    records = run_suite("all")
+    assert {r.quantity for r in records if not r.must_agree} == audit.ADJUDICATIONS
+    assert all(r.must_agree == (r.quantity not in audit.ADJUDICATIONS) for r in records)
+
+
 def test_suite_valuation_classes_gating_records_agree():
     records = run_suite("valuation-classes", ps=(3,), N=6)
     gating = [r for r in records if r.must_agree]
@@ -363,6 +371,8 @@ CLI_CONTRACT = [
     # the suites that search for a nonresidue refuse p <= 2 as every odd-prime input is refused
     (("audit", "pairs-zp", "--p", "2"), 1, "", "expected an odd prime, got 2"),
     (("audit", "pairs-zp", "--p", "1"), 1, "", "expected an odd prime, got 1"),
+    # a given rset reaches the census precision, which must come after the refusal of p
+    (("audit", "pairs-zp", "--p", "1", "--rset", "1"), 1, "", "expected an odd prime, got 1"),
     (("audit", "pairs-zp", "--p", "-3"), 1, "", "expected an odd prime, got -3"),
     (("audit", "valuation-classes", "--p", "2"), 1, "", "expected an odd prime, got 2"),
     # an r-shape is for odd p, so every pair measure refuses p = 2 through the same rule

@@ -30,6 +30,7 @@ from dioptuples.zp_census import (
     valuation_class_measure,
     valuation_class_measures,
     zp_interval,
+    zp_precision,
 )
 
 
@@ -385,6 +386,9 @@ LIBRARY_REFUSALS = [
     (cf.mu_B_beta_q, (3, 0, 0, 0), "chi(s) must be ±1"),
     (MeasureInterval, (Fr(1, 2), Fr(1, 4)), "interval must satisfy 0 <= lo <= hi <= 1"),
     (valuation_class_measure, (3, 1, -1, 7), "target valuation must be >= 0"),
+    (zp_precision, (4, 2), "4 is not prime"),
+    (zp_precision, (-3, 2), "-3 is not prime"),
+    (zp_precision, (3, 1), "need m >= 2"),
 ]
 
 
@@ -400,3 +404,25 @@ def test_refusals_no_command_reaches(refuse, args, message):
     with pytest.raises(ValueError) as refused:
         refuse(*args)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("p,m,message", [(1, 2, "1 is not prime"), (3, 0, "need m >= 2")])
+def test_precision_refuses_a_search_that_would_not_end(p, m, message):
+    # 1^(mN) and p^0 fit every budget, so the doubling search for the largest N
+    # would never stop: the refusal must come first, checked in a fresh process
+    code = f"from dioptuples.zp_census import zp_precision\nzp_precision({p}, {m})\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(f"ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("p,m,budget", [(2, 2, 10**3), (3, 2, 10**8), (3, 3, 10**9), (5, 4, 10**6), (7, 3, 100)])
+def test_precision_is_the_largest_n_the_census_admits(p, m, budget):
+    # one admission predicate: the census one step past zp_precision refuses, naming it
+    N = zp_precision(p, m, budget)
+    with pytest.raises(BudgetExceededError) as refused:
+        zp_interval(p, 1, m, N + 1, budget)
+    assert str(refused.value).endswith(f"; the largest N that fits is {N}")
