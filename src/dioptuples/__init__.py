@@ -3,7 +3,7 @@ against exhaustive brute-force oracles."""
 
 from types import ModuleType as _ModuleType
 
-from .arith import format_rational, is_prime, legendre
+from .arith import RShape, format_rational, is_prime, legendre, r_shape, vp
 from .closed_forms import (
     conic_sum_closed,
     diop2_ok_claimed,
@@ -30,7 +30,6 @@ from .fp_census import (
     square_table,
 )
 from .fq import FqField, fq_construct
-from .padic import RShape, r_shape, vp
 from .zp_census import (
     MeasureInterval,
     valuation_class_measure,

@@ -1,12 +1,15 @@
-"""Exact integer helpers: primality, Legendre symbol, residue tables, rational formatting.
+"""Exact integer helpers: primality, Legendre symbol, residue tables, valuations and r-shapes, rational formatting.
 
-All measures in this package are `fractions.Fraction` values; helpers here
-keep the "num/den" wire format in one place.
+Each argument rule the public forms share (m >= 2, a prime, an odd prime, an
+odd prime power, a nonzero r) is one function here.  All measures in this
+package are `fractions.Fraction` values; helpers here keep the "num/den" wire
+format in one place.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,6 +56,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_order(m: int) -> None:
+    if m < 2:
+        raise ValueError("m must be >= 2")
+
+
 def require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -73,8 +81,9 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+@lru_cache(maxsize=None)
 def odd_prime_power(q: int) -> tuple[int, int]:
-    """Factor q = p^f with p an odd prime, or raise ValueError."""
+    """Factor q = p^f with p an odd prime, or raise ValueError; cached per q."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"expected an odd prime power, got {q}")
     for f in range(q.bit_length(), 0, -1):  # f = 1 always has the root q
@@ -95,6 +104,46 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else 1
+
+
+def vp(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer, p prime."""
+    if n == 0:
+        raise ValueError("valuation of 0 is undefined; handle the zero class explicitly")
+    require_prime(p)
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@dataclass(frozen=True)
+class RShape:
+    """The p-adic shape of a nonzero r = p^alpha * s at an odd prime p: alpha and chi_s, the character of s.
+
+    chi(r) is chi_s when r is a unit (alpha = 0) and 0 otherwise.
+    """
+
+    p: int
+    alpha: int
+    chi_s: int
+
+
+def require_nonzero_r(r: int, p: int = 0) -> None:
+    """r must be nonzero in the ring whose measure is computed: F_p when p is given."""
+    if (r % p if p else r) == 0:
+        given = f"r = {r} is 0 in F_{p}: " if r else ""
+        raise ValueError(given + "r = 0 is rejected (appending 0 extends any tuple trivially)")
+
+
+def r_shape(r: int, p: int) -> RShape:
+    """The shape of r = p^alpha * s, p an odd prime: alpha and the quadratic character of s."""
+    require_nonzero_r(r)
+    require_odd_prime(p)
+    alpha = vp(r, p)
+    return RShape(p=p, alpha=alpha, chi_s=legendre(r // p**alpha, p))
 
 
 class ResidueTables(NamedTuple):

@@ -21,10 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_forms as cf
-from .arith import format_rational, is_prime, legendre, require_odd_prime
+from .arith import format_rational, is_prime, legendre, r_shape, require_odd_prime
 from .curves import dr_triples_distinct, extension_counts, two_descent_pass
 from .fp_census import _census_tables, _clique_count, _power_fits, admit, censuses, conic_sum_direct
-from .padic import r_shape
 from .zp_census import MeasureInterval, valuation_class_measures, zp_interval, zp_precision
 
 AGREE = "Agree"

@@ -26,12 +26,11 @@ import sys
 from dataclasses import asdict
 
 from . import closed_forms as cf
-from .arith import format_rational
+from .arith import format_rational, r_shape
 from .audit import SUITE_NAMES, exit_code_for, run_suite, suite_parameters
 from .curves import two_descent_equiv
 from .fp_census import DEFAULT_BUDGET, BudgetExceededError, census
 from .fq import fq_construct
-from .padic import r_shape
 from .zp_census import zp_interval
 
 

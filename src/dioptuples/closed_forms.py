@@ -37,8 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-from .arith import legendre, odd_prime_power, require_odd_prime
-from .padic import RShape, require_nonzero_r
+from .arith import RShape, legendre, odd_prime_power, require_nonzero_r, require_odd_prime, require_order
 
 # ---------------------------------------------------------------------------
 # 2-adic pairs
@@ -86,18 +85,29 @@ def mu_B_beta(shape: RShape, beta: int) -> Fraction:
     return mu_B_beta_q(shape.p, shape.alpha, shape.chi_s, beta)
 
 
-def _require_block_args(alpha: int, chi_s: int, beta: int) -> None:
-    """The arguments every valuation block takes: beta >= 0, chi(s) = ±1, and beta even unless it is alpha."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+def _require_q_alpha(q: int, alpha: int) -> None:
+    odd_prime_power(q)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+
+
+def _require_pair_args(q: int, alpha: int, chi_s: int) -> None:
+    _require_q_alpha(q, alpha)
     if chi_s not in (-1, 1):
         raise ValueError("chi(s) must be ±1")
+
+
+def _require_block_args(q: int, alpha: int, chi_s: int, beta: int) -> None:
+    """The arguments every valuation block takes: those of its pair form, beta >= 0, and beta even unless it is alpha."""
+    _require_pair_args(q, alpha, chi_s)
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
     if beta % 2 == 1 and beta != alpha:
         raise ValueError("blocks of odd valuation != alpha are empty; beta must be even")
 
 
 def mu_B_beta_q(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
-    _require_block_args(alpha, chi_s, beta)
+    _require_block_args(q, alpha, chi_s, beta)
     if beta == alpha:
         if alpha % 2 == 1:
             return Fraction(0)
@@ -111,6 +121,7 @@ def mu_B_beta_q(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
 
 def mu_B_tail(q: int, alpha: int, beta_start: int) -> Fraction:
     """Exact tail over even beta >= beta_start, beta_start even and > alpha."""
+    _require_q_alpha(q, alpha)
     if beta_start <= alpha or beta_start % 2 == 1:
         raise ValueError("tail requires an even beta_start above alpha")
     # sum over even beta of (alpha+1)(q-1)^2 / (2 q^(beta+2))
@@ -125,7 +136,7 @@ def mu_B_beta_claimed(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
     """
     if alpha < 1:
         raise ValueError("the stated block lemmas assume alpha > 0")
-    _require_block_args(alpha, chi_s, beta)
+    _require_block_args(q, alpha, chi_s, beta)
     if beta == alpha:
         if alpha % 2 == 1:
             return Fraction(0)
@@ -139,14 +150,6 @@ def mu_B_beta_claimed(q: int, alpha: int, chi_s: int, beta: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # odd-q pairs: assembled five-case closed forms
-
-
-def _require_pair_args(q: int, alpha: int, chi_s: int) -> None:
-    odd_prime_power(q)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if chi_s not in (-1, 1):
-        raise ValueError("chi(s) must be ±1")
 
 
 def pair_measure(q: int, alpha: int, chi_s: int) -> Fraction:
@@ -244,8 +247,7 @@ def diop2_ok_claimed(q: int, alpha: int, chi_s: int) -> Fraction:
 
 def diopm_z3_claimed(m: int) -> Fraction:
     """The stated m-tuple density over Z_3 for chi(r) = 1: (m^2+71m+36)/(36*3^m)."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    require_order(m)
     return Fraction(m * m + 71 * m + 36, 36 * 3**m)
 
 
@@ -266,8 +268,7 @@ def diopm_z3_consistent(m: int) -> Fraction:
 
     The stated `diopm_z3_claimed` equals it only where 7m^2 = 7m, so at no m >= 2.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    require_order(m)
     return Fraction(m * m + 15 * m + 8, 8 * 3**m)
 
 
@@ -330,6 +331,7 @@ def extension_count_envelope(p: int) -> tuple[int, int]:
     p/8 + sqrt(p)/4 bounds on the number of d extending a distinct-entry
     D(r) triple over F_p.
     """
+    require_odd_prime(p)
     s = isqrt(4 * p)
     ceil_2sqrt = s if s * s == 4 * p else s + 1
     return p - ceil_2sqrt - 8, p + ceil_2sqrt
@@ -358,8 +360,7 @@ def conic_sum_closed(a2: int, a1, a0, p: int):
 
 def main_term(m: int) -> Fraction:
     """Independence heuristic main term 2^(-C(m,2)) for m-tuple densities."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    require_order(m)
     return Fraction(1, 2 ** comb(m, 2))
 
 

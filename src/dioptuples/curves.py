@@ -35,9 +35,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import require_odd_prime, residue_tables
+from .arith import require_nonzero_r, require_odd_prime, residue_tables
 from .fq import DESK_SCALE_BOUND
-from .padic import require_nonzero_r
 
 
 @dataclass(frozen=True)
@@ -189,6 +188,7 @@ def doubling_image(curve: TripleCurve, x: np.ndarray, y: np.ndarray) -> tuple[np
 def _extension_rows(p: int, xs, r: int, include_boundary: bool) -> np.ndarray:
     """Bool table M[i, d] = [xs[i] d + r in the square set], nonzero too unless include_boundary."""
     chi = residue_tables(p).chi
+    require_nonzero_r(r, p)
     d = np.arange(p, dtype=np.int64)
     return chi[(np.asarray(xs, dtype=np.int64)[:, None] % p * d + r % p) % p] >= (0 if include_boundary else 1)
 
@@ -372,6 +372,7 @@ def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdi
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:
     """All D(r) triples over F_p with distinct nonzero entries (sorted ascending)."""
     chi = residue_tables(p).chi.tolist()  # Python ints: the loop reads no numpy scalar
+    require_nonzero_r(r, p)
     out = []
     for a in range(1, p):
         for b in range(a + 1, p):

@@ -52,9 +52,8 @@ from math import comb
 
 import numpy as np
 
-from .arith import residue_tables
+from .arith import require_nonzero_r, require_order, residue_tables
 from .fq import FqField, fq_construct
-from .padic import require_nonzero_r
 
 DEFAULT_BUDGET = 10**9
 
@@ -350,11 +349,10 @@ def censuses(field, rs, m: int, budget: int = DEFAULT_BUDGET) -> list[CensusBrea
     Each breakdown splits its total three ways.  boundary: some coordinate is
     zero.  offdiag: all coordinates nonzero but some pairwise product + r
     vanishes.  interior: the tilde condition (all coordinates and all
-    pairwise products + r nonzero).  Every r must be nonzero in F_p (`padic.require_nonzero_r`); the
+    pairwise products + r nonzero).  Every r must be nonzero in F_p (`arith.require_nonzero_r`); the
     budget caps each census at q^m tuples.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    require_order(m)
     field = _as_field(field)
     for r in rs:
         require_nonzero_r(r, field.p)

@@ -37,12 +37,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import require_odd_prime, require_prime, residue_tables
+from .arith import require_nonzero_r, require_odd_prime, require_order, require_prime, residue_tables
 # imported only because the benchmark's traced run (bench/spans.py) times
 # `zp_census.series_consistency` by that name; no code here calls it
 from .closed_forms import series_consistency  # noqa: F401
 from .fp_census import DEFAULT_BUDGET, _class_triangles, _clique_count, _largest_fitting, _power_fits, admit
-from .padic import require_nonzero_r
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,7 @@ def _zp_triples(p: int, r: int, N: int) -> tuple[int, int]:
 def _census_fits(p: int, m: int, budget: int):
     """N -> p^(mN) <= budget, the one admission predicate of a Z/p^N m-tuple census; refuses a p or m none takes."""
     require_prime(p)
-    if m < 2:
-        raise ValueError("need m >= 2")
+    require_order(m)
     return lambda N: _power_fits(p, m * N, budget)
 
 
@@ -249,6 +247,9 @@ def valuation_class_measures(p: int, rs, target_valuation: int, N: int) -> list[
     every r is counted against it.
     """
     require_odd_prime(p)
+    rs = list(rs)  # read twice: checked, then counted
+    for r in rs:
+        require_nonzero_r(r)
     if target_valuation < 0:
         raise ValueError("target valuation must be >= 0")
     if target_valuation + 3 > N:

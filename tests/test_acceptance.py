@@ -9,7 +9,7 @@ from fractions import Fraction as Fr
 
 from dioptuples import closed_forms as cf
 from dioptuples.closed_forms import extension_count_envelope, series_consistency
-from dioptuples.arith import legendre
+from dioptuples.arith import legendre, r_shape
 from dioptuples.audit import (
     AGREE,
     DISAGREE,
@@ -26,7 +26,6 @@ from dioptuples.curves import (
     TripleCurve,
 )
 from dioptuples.fp_census import census, conic_sum_direct
-from dioptuples.padic import r_shape
 from dioptuples.zp_census import valuation_class_measure, zp_interval, zp_precision
 from test_curves import curve_order  # the scalar reference oracle
 

@@ -64,6 +64,37 @@ MUTANTS = {
         lambda f: lambda p: (f(p)[0] + 2, f(p)[1] - 2),
         {"extension_count_envelope": 2},
     ),
+    # the character of s or r swapped: each row reads one form at the other square class
+    "pair_measure-at-minus-chi_s": (
+        "pair_measure",
+        lambda f: lambda q, alpha, chi_s: f(q, alpha, -chi_s),
+        {"pair_density_zp": 18, "pair_density_block_series": 20, "pair_density_ok_series": 48},
+    ),
+    "mu_B_beta_q-at-minus-chi_s": (
+        "mu_B_beta_q",
+        lambda f: lambda q, alpha, chi_s, beta: f(q, alpha, -chi_s, beta),
+        {"pair_block_A": 4, "pair_block_B": 4, "pair_density_block_series": 20, "pair_density_ok_series": 48},
+    ),
+    "diop2_zp-pair_measure-at-minus-chi_s": (
+        "diop2_zp",
+        lambda f: lambda shape: cf.pair_measure(shape.p, shape.alpha, -shape.chi_s),
+        {"pair_density_zp": 18, "pair_density_block_series": 20, "pair_density_ok_vs_zp": 20},
+    ),
+    "triple_density_leading-at-minus-chi_r": (
+        "triple_density_leading",
+        lambda f: lambda p, r: cf.main_term(3) + Fr(6 - 3 * legendre(r, p), 8 * p),
+        {"triple_density_envelope": 6},
+    ),
+    "conic_sum_closed-negated": (
+        "conic_sum_closed",
+        lambda f: lambda a2, a1, a0, p: -f(a2, a1, a0, p),
+        {"conic_sum": 5},
+    ),
+    "count_boundary_claimed-chi_r-branches-swapped": (
+        "count_boundary_claimed",
+        lambda f: lambda p, r: Fr(3 * p * p - 1, 2) if legendre(r, p) == -1 else Fr(0),
+        {"triple_boundary_count": 148},
+    ),
 }
 
 
@@ -76,13 +107,12 @@ def test_mutant_disagrees_in_exactly(monkeypatch, form, mutant, caught):
 
 def test_gating_quantities_no_mutant_reaches():
     # triple_partition, two_descent_equivalence and extension_census_crosscheck read
-    # no closed form, pair_density_ok_vs_zp sets pair_measure against itself, and
-    # the Z_2 bracket and the 1/sqrt(p) main-term bound are too wide for the mutants
+    # no closed form, and the Z_2 bracket and the 1/sqrt(p) main-term bound are too
+    # wide for the mutants
     gating = {r.quantity for r in run_suite("all") if r.must_agree}
     reached = {quantity for *_, caught in MUTANTS.values() for quantity in caught}
     assert gating - reached == {
         "triple_partition",
-        "pair_density_ok_vs_zp",
         "pair_density_z2",
         "quadruple_density_main_term",
         "two_descent_equivalence",

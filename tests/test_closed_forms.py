@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dioptuples import closed_forms as cf
-from dioptuples.arith import is_prime, legendre
-from dioptuples.padic import r_shape
+from dioptuples.arith import is_prime, legendre, r_shape
 
 
 def test_z2_pair_value_and_blocks():

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dioptuples.arith import legendre
-from dioptuples.padic import RShape, r_shape, vp
+from dioptuples.arith import RShape, legendre, r_shape, vp
 from dioptuples.zp_census import status_table
 
 SQ, NON, UND = 1, -1, 0  # the status_table codes

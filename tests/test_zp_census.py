@@ -15,10 +15,11 @@ import pytest
 import dioptuples
 from dioptuples import closed_forms as cf
 from dioptuples import zp_census
+from dioptuples.arith import r_shape, vp
 from dioptuples.audit import auto_rset
 from dioptuples.closed_forms import series_consistency
+from dioptuples.curves import dr_triples_distinct, extension_counts, extension_dset
 from dioptuples.fp_census import BudgetExceededError, _clique_count
-from dioptuples.padic import r_shape, vp
 from dioptuples.zp_census import (
     MeasureInterval,
     _vp_vector,
@@ -388,7 +389,22 @@ LIBRARY_REFUSALS = [
     (valuation_class_measure, (3, 1, -1, 7), "target valuation must be >= 0"),
     (zp_precision, (4, 2), "4 is not prime"),
     (zp_precision, (-3, 2), "-3 is not prime"),
-    (zp_precision, (3, 1), "need m >= 2"),
+    (zp_precision, (3, 1), "m must be >= 2"),
+    # the block forms refuse what their pair form refuses
+    (cf.mu_B_beta_q, (3, -2, 1, 0), "alpha must be >= 0"),
+    (cf.mu_B_beta_q, (4, 0, 1, 0), "expected an odd prime power, got 4"),
+    (cf.mu_B_beta_q, (1, 0, 1, 0), "expected an odd prime power, got 1"),
+    (cf.mu_B_tail, (3, -3, 2), "alpha must be >= 0"),
+    (series_consistency, (4, 0, 1, 4), "expected an odd prime power, got 4"),
+    (cf.mu_B_beta_claimed, (4, 1, 1, 2), "expected an odd prime power, got 4"),
+    # a valuation is at a prime, and every D(r) count refuses r = 0 and a p that is not an odd prime
+    (vp, (5, 0), "0 is not prime"),
+    (vp, (12, 4), "4 is not prime"),
+    (valuation_class_measure, (3, 0, 0, 3), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
+    (dr_triples_distinct, (13, 0), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
+    (extension_counts, (13, 0, [(1, 2, 3)]), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
+    (extension_dset, (13, 1, 2, 3, 0), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
+    (cf.extension_count_envelope, (4,), "expected an odd prime, got 4"),
 ]
 
 
@@ -406,17 +422,29 @@ def test_refusals_no_command_reaches(refuse, args, message):
     assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("p,m,message", [(1, 2, "1 is not prime"), (3, 0, "need m >= 2")])
-def test_precision_refuses_a_search_that_would_not_end(p, m, message):
-    # 1^(mN) and p^0 fit every budget, so the doubling search for the largest N
-    # would never stop: the refusal must come first, checked in a fresh process
-    code = f"from dioptuples.zp_census import zp_precision\nzp_precision({p}, {m})\n"
+def refused_in_fresh_process(code: str) -> str:
+    """The stderr of code run under -O in a fresh process, which must exit 1 within 10 s."""
     env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=10
     )
     assert proc.returncode == 1
-    assert proc.stderr.endswith(f"ValueError: {message}\n")
+    return proc.stderr
+
+
+@pytest.mark.parametrize("p,m,message", [(1, 2, "1 is not prime"), (3, 0, "m must be >= 2")])
+def test_precision_refuses_a_search_that_would_not_end(p, m, message):
+    # 1^(mN) and p^0 fit every budget, so the doubling search for the largest N
+    # would never stop: the refusal must come first, checked in a fresh process
+    stderr = refused_in_fresh_process(f"from dioptuples.zp_census import zp_precision\nzp_precision({p}, {m})\n")
+    assert stderr.endswith(f"ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("p", [1, -1])
+def test_valuation_refuses_a_unit_base(p):
+    # n % p == 0 always holds at p = ±1, so the division loop would never stop
+    stderr = refused_in_fresh_process(f"from dioptuples import vp\nvp(5, {p})\n")
+    assert stderr.endswith(f"ValueError: {p} is not prime\n")
 
 
 @pytest.mark.parametrize("p,m,budget", [(2, 2, 10**3), (3, 2, 10**8), (3, 3, 10**9), (5, 4, 10**6), (7, 3, 100)])
