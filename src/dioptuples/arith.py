@@ -172,8 +172,7 @@ def residue_tables(p: int) -> ResidueTables:
 
 def format_rational(x) -> str:
     """Canonical string for exact values: "num/den", or "num" when den == 1, as a Fraction prints."""
-    f = x if type(x) is int or isinstance(x, Fraction) else Fraction(x)  # not bool, whose str is "True"
-    try:
-        return str(f)
+    try:  # an int or a Fraction prints as it is; anything else (bool, whose str is "True") as its Fraction
+        return str(x if type(x) in (int, Fraction) else Fraction(x))
     except ValueError:  # past the int-to-str digit limit
         raise ValueError(f"the value has more than {sys.get_int_max_str_digits()} digits") from None

@@ -23,7 +23,7 @@ import numpy as np
 from . import closed_forms as cf
 from .arith import format_rational, is_prime, legendre, r_shape, require_odd_prime
 from .curves import dr_triples_distinct, extension_counts, two_descent_pass
-from .fp_census import _census_tables, _clique_count, _power_fits, admit, censuses, conic_sum_direct
+from .fp_census import PRODUCT_CELLS, _census_tables, _clique_count, _power_fits, admit, censuses, conic_sum_direct
 from .zp_census import MeasureInterval, valuation_class_measures, zp_interval, zp_precision
 
 AGREE = "Agree"
@@ -103,16 +103,14 @@ def verdict_for(claimed, oracle, competitors=()) -> str:
     return AGREE if claimed == oracle else DISAGREE
 
 
-def _record(quantity, params, claimed, oracle, competitors=(), detail=""):
-    return AuditRecord(
-        quantity=quantity,
-        params=params,
-        claimed_value=claimed,
-        oracle_value=oracle,
-        verdict=verdict_for(claimed, oracle, competitors),
-        detail=detail,
-        must_agree=quantity not in ADJUDICATIONS,
-    )
+def _point(params: dict) -> tuple:
+    """(params, their JSON): one encoding for every record at this point."""
+    return params, _params_json(params)
+
+
+def _record(quantity, point, claimed, oracle, competitors=(), detail=""):
+    verdict, must_agree = verdict_for(claimed, oracle, competitors), quantity not in ADJUDICATIONS
+    return tuple.__new__(AuditRecord, (quantity, point[0], claimed, oracle, verdict, detail, must_agree, point[1]))
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -146,16 +144,12 @@ def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=AUDIT_BUDGET):
             shape = r_shape(r, p)
             N = max(1, zp_precision(p, 2, budget))  # below p^2 the census itself refuses
             density = cf.diop2_zp(shape)
+            params = {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s}
             records += [
-                _record(
-                    "pair_density_zp",
-                    {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s, "N": N},
-                    density,
-                    zp_interval(p, r, 2, N, budget),
-                ),
+                _record("pair_density_zp", _point({**params, "N": N}), density, zp_interval(p, r, 2, N, budget)),
                 _record(
                     "pair_density_block_series",
-                    {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
+                    _point(params),
                     cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10),
                     density,
                     detail="valuation-block sum with exact geometric tail vs closed form",
@@ -167,10 +161,10 @@ def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=AUDIT_BUDGET):
 def suite_z2(N: int = 10):
     interval = zp_interval(2, 1, 2, N)
     return [
-        _record("pair_density_z2", {"p": 2, "r": 1, "N": N}, cf.diop2_z2(), interval),
+        _record("pair_density_z2", _point({"p": 2, "r": 1, "N": N}), cf.diop2_z2(), interval),
         _record(
             "pair_density_z2_blocks",
-            {"p": 2, "r": 1},
+            _point({"p": 2, "r": 1}),
             cf.z2_block_measure(0) + cf.z2_block_tail(1),
             cf.diop2_z2(),
             detail="5/16 head plus 1/48 geometric tail",
@@ -189,27 +183,12 @@ def suite_z3_adjudicate():
             f"candidates: stated {format_rational(claimed)} vs "
             f"pair-consistent recombination {format_rational(consistent)}"
         )
-        params = {
-            "p": 3,
-            "r": 1,
-            "m": m,
-            "N": N,
-            "candidates": ",".join(format_rational(x) for x in candidates),
-        }
+        point = _point({"p": 3, "r": 1, "m": m, "N": N, "candidates": ",".join(map(format_rational, candidates))})
         for quantity, value in (
             ("mtuple_density_z3_stated", claimed),
             ("mtuple_density_z3_consistent", consistent),
         ):
-            records.append(
-                _record(
-                    quantity,
-                    params,
-                    value,
-                    interval,
-                    competitors=candidates,
-                    detail=detail,
-                )
-            )
+            records.append(_record(quantity, point, value, interval, competitors=candidates, detail=detail))
     return records
 
 
@@ -238,12 +217,12 @@ def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
         p3 = p**3
         for result in censuses(p, range(1, p), 3, budget):
             boundary, offdiag, interior, density = stated[legendre(result.r, p)]
-            params = {"p": p, "r": result.r}
+            point = _point({"p": p, "r": result.r})
             for quantity, claimed, oracle, detail in (
                 ("triple_boundary_count", boundary, result.boundary, ""),
                 (
                     "triple_partition",
-                    Fraction(result.boundary + result.offdiag + result.interior),
+                    result.boundary + result.offdiag + result.interior,
                     result.total,
                     "boundary + offdiag + interior vs total",
                 ),
@@ -256,7 +235,7 @@ def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
                 ),
                 ("triple_density", density, Fraction(result.total, p3), "stated total density vs census (known suspect)"),
             ):
-                records.append(_record(quantity, params, claimed, oracle, detail=detail))
+                records.append(_record(quantity, point, claimed, oracle, detail=detail))
     return records
 
 
@@ -266,15 +245,16 @@ def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
     for p in _charge("conic", pmax, lambda p: (p - 1) * p * p, "(p - 1)p^2", budget):
         a1, a0 = np.arange(p)[:, None], np.arange(p)
         mismatches = 0
-        for a2 in range(1, p):
-            # both sides over the p x p slice [a1, a0] of one a2, so memory stays O(p^2)
-            direct = conic_sum_direct(a2, a1, a0, p)
-            mismatches += int(np.count_nonzero(direct != cf.conic_sum_closed(a2, a1, a0, p)))
+        # direct sums in chunks of a2 of at most PRODUCT_CELLS terms (p^3 per a2), or one a2
+        for a2s in np.array_split(np.arange(1, p), min(p - 1, -(-(p - 1) * p**3 // PRODUCT_CELLS))):
+            direct = conic_sum_direct(a2s[:, None, None], a1, a0, p)
+            for a2, sums in zip(a2s.tolist(), direct):
+                mismatches += int(np.count_nonzero(sums != cf.conic_sum_closed(a2, a1, a0, p)))
         records.append(
             _record(
                 "conic_sum",
-                {"p": p, "cases": (p - 1) * p * p},
-                Fraction(0),
+                _point({"p": p, "cases": (p - 1) * p * p}),
+                0,
                 mismatches,
                 detail="closed-form vs direct-sum mismatches over all (a2, a1, a0)",
             )
@@ -304,17 +284,15 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7, budget: int = AUDIT_BUDGET):
                 else:
                     claimed = cf.mu_B_beta(shape, v)
                     quantity = "pair_block_B"
-                params = {
-                    "p": p, "r": r, "alpha": alpha, "chi_s": shape.chi_s, "beta": v, "N": N,
-                }
-                records.append(_record(quantity, params, claimed, oracle))
+                point = _point({"p": p, "r": r, "alpha": alpha, "chi_s": shape.chi_s, "beta": v, "N": N})
+                records.append(_record(quantity, point, claimed, oracle))
                 if alpha > 0:
                     stated = cf.mu_B_beta_claimed(p, alpha, shape.chi_s, v)
                     if stated != claimed:
                         records.append(
                             _record(
                                 "pair_block_B_stated",
-                                params,
+                                point,
                                 stated,
                                 oracle,
                                 detail="stated block density differs from the validated one here",
@@ -331,7 +309,7 @@ def suite_ok_series():
                 records.append(
                     _record(
                         "pair_density_ok_series",
-                        {"q": q, "alpha": alpha, "chi_s": chi_s, "beta_max": alpha + 6},
+                        _point({"q": q, "alpha": alpha, "chi_s": chi_s, "beta_max": alpha + 6}),
                         cf.series_consistency(q, alpha, chi_s, alpha + 6),
                         cf.pair_measure(q, alpha, chi_s),
                         detail="block series with closed-form tail vs five-case density",
@@ -343,7 +321,7 @@ def suite_ok_series():
             records.append(
                 _record(
                     "pair_density_ok_vs_zp",
-                    {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s},
+                    _point({"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s}),
                     cf.pair_measure(p, shape.alpha, shape.chi_s),
                     cf.diop2_zp(shape),
                     detail="residue-field specialization q = p against the p-adic form",
@@ -372,28 +350,29 @@ def suite_ec(seed: int = 20240):
         records.append(
             _record(
                 "two_descent_equivalence",
-                {"p": p, "a": a, "b": b, "c": c, "r": r},
-                Fraction(1),
-                Fraction(1 if v.ok else 0),
+                _point({"p": p, "a": a, "b": b, "c": c, "r": r}),
+                1,
+                1 if v.ok else 0,
                 detail=(
                     f"order={v.order} |2E|={v.doubling_image_size} twist={v.twist} "
                     f"naive_dset_eq_image={v.dset_matches_image}"
                 ),
             )
         )
-    records.extend(suite_eqd())
-    records.extend(_extension_census_crosscheck((13, 1), (13, 2), (17, 1)))
+    triples = {(p, r): dr_triples_distinct(p, r) for p in (13, 17, 29) for r in (1, 2)}
+    records.extend(suite_eqd(triples))
+    records.extend(_extension_census_crosscheck({case: triples[case] for case in ((13, 1), (13, 2), (17, 1))}))
     return records
 
 
-def _extension_census_crosscheck(*cases):
+def _extension_census_crosscheck(triples):
     # ordered quadruple count with distinct unit first-three, two ways:
     # summed extension sets vs the census kernel, which counts the triangles
     # of distinct units inside the neighbourhood of each fourth coordinate;
     # a zero fourth coordinate is compatible with every unit or with none
     records = []
-    for p, r in cases:
-        ext_total = 6 * sum(extension_counts(p, r, dr_triples_distinct(p, r)))
+    for (p, r), distinct in triples.items():
+        ext_total = 6 * sum(extension_counts(p, r, distinct))
         zero, member, _ = _census_tables(p, r)
         units = member.copy()
         np.fill_diagonal(units, False)
@@ -401,8 +380,8 @@ def _extension_census_crosscheck(*cases):
         records.append(
             _record(
                 "extension_census_crosscheck",
-                {"p": p, "r": r},
-                Fraction(ext_total),
+                _point({"p": p, "r": r}),
+                ext_total,
                 direct,
                 detail="summed extension sets vs direct restricted quadruple sweep",
             )
@@ -410,23 +389,22 @@ def _extension_census_crosscheck(*cases):
     return records
 
 
-def suite_eqd():
+def suite_eqd(triples):
     records = []
-    for p in (13, 17, 29):
-        lo, hi = cf.extension_count_envelope(p)
-        for r in (1, 2):
-            triples = dr_triples_distinct(p, r)
-            counts = extension_counts(p, r, triples, include_boundary=False)
-            violations = [(*abc, nd) for abc, nd in zip(triples, counts) if not lo <= 8 * nd <= hi]
-            records.append(
-                _record(
-                    "extension_count_envelope",
-                    {"p": p, "r": r, "lo": lo, "hi": hi},
-                    Fraction(0),
-                    len(violations),
-                    detail=f"triples violating the integer envelope on 8*#extensions: {violations[:5]}",
-                )
+    envelopes = {p: cf.extension_count_envelope(p) for p in {p for p, _ in triples}}
+    for (p, r), distinct in triples.items():
+        lo, hi = envelopes[p]
+        counts = extension_counts(p, r, distinct, include_boundary=False)
+        violations = [(*abc, nd) for abc, nd in zip(distinct, counts) if not lo <= 8 * nd <= hi]
+        records.append(
+            _record(
+                "extension_count_envelope",
+                _point({"p": p, "r": r, "lo": lo, "hi": hi}),
+                0,
+                len(violations),
+                detail=f"triples violating the integer envelope on 8*#extensions: {violations[:5]}",
             )
+        )
     return records
 
 
@@ -438,19 +416,17 @@ def _asymptotics_item(result):
         bound = Fraction(10, p * p)
         return _record(
             "triple_density_envelope",
-            {"p": p, "r": r, "m": 3},
-            Fraction(0),
-            Fraction(0 if gap <= bound else 1),
+            _point({"p": p, "r": r, "m": 3}),
+            0,
+            int(gap > bound),
             detail=f"|density - 1/8 - (6+3chi)/8p| = {format_rational(gap)} vs 10/p^2",
         )
-    density = Fraction(result.total, p**4)
-    gap = abs(density - cf.main_term(4))
-    ok = gap * gap <= Fraction(1, p)  # gap <= 1/sqrt(p), exactly
+    gap = abs(Fraction(result.total, p**4) - cf.main_term(4))
     return _record(
         "quadruple_density_main_term",
-        {"p": p, "r": r, "m": 4},
-        Fraction(0),
-        Fraction(0 if ok else 1),
+        _point({"p": p, "r": r, "m": 4}),
+        0,
+        int(gap * gap > Fraction(1, p)),  # gap > 1/sqrt(p), exactly
         detail=f"|density - 1/64| = {format_rational(gap)}; bound 1/sqrt({p})",
     )
 

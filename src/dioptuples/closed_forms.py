@@ -35,7 +35,7 @@ name; no oracle consults one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .arith import RShape, legendre, odd_prime_power, require_nonzero_r, require_odd_prime, require_order
 
@@ -186,7 +186,9 @@ def series_consistency(q: int, alpha: int, chi_s: int, beta_max: int) -> Fractio
     if beta_max < alpha + 4:
         raise ValueError("need beta_max >= alpha + 4")
     evens = range(0, beta_max + 1, 2)
-    return sum(mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens) + mu_B_tail(q, alpha, evens[-1] + 2)
+    terms = [mu_B_beta_q(q, alpha, chi_s, beta) for beta in evens] + [mu_B_tail(q, alpha, evens[-1] + 2)]
+    den = lcm(*(t.denominator for t in terms))  # one integer sum over the common denominator, then one Fraction
+    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
 
 
 def pair_measure_claimed(q: int, alpha: int, chi_s: int, even_branch_plus_is_linear: bool) -> Fraction:

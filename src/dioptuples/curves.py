@@ -36,6 +36,7 @@ from itertools import accumulate
 import numpy as np
 
 from .arith import require_nonzero_r, require_odd_prime, residue_tables
+from .fp_census import PRODUCT_CELLS
 from .fq import DESK_SCALE_BOUND
 
 
@@ -371,14 +372,15 @@ def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdi
 
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:
     """All D(r) triples over F_p with distinct nonzero entries (sorted ascending)."""
-    chi = residue_tables(p).chi.tolist()  # Python ints: the loop reads no numpy scalar
+    chi = residue_tables(p).chi
     require_nonzero_r(r, p)
+    x = np.arange(p)
+    up = np.triu(chi[(np.outer(x, x) + r) % p] >= 0, 1)  # up[x, y]: x < y, and xy + r is a square or zero
     out = []
-    for a in range(1, p):
-        for b in range(a + 1, p):
-            if chi[(a * b + r) % p] < 0:
-                continue
-            for c in range(b + 1, p):
-                if chi[(a * c + r) % p] >= 0 and chi[(b * c + r) % p] >= 0:
-                    out.append((a, b, c))
+    step = max(1, PRODUCT_CELLS // (p * p))  # the a of one pass: at most PRODUCT_CELLS cells, or one a
+    for start in range(1, p, step):
+        rows = up[start : start + step]
+        # (a, b, c) with up[a, b], up[a, c] and up[b, c], in sorted order, as Python ints (no np.int64 repr)
+        a, b, c = np.nonzero(rows[:, :, None] & rows[:, None, :] & up)
+        out += zip((a + start).tolist(), b.tolist(), c.tolist())
     return out

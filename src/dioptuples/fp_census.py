@@ -41,7 +41,7 @@ includes 0; the interior/tilde class separately demands nonzero products.
 
 The direct character sums `conic_sum_direct` read the character from
 `arith.residue_tables`, never from a closed form, and take coefficient
-arrays, so the `conic` audit gets every sum of one p from one call.
+arrays, so the `conic` audit gets the sums of a chunk of a2 from one call.
 """
 
 from __future__ import annotations
@@ -354,6 +354,7 @@ def censuses(field, rs, m: int, budget: int = DEFAULT_BUDGET) -> list[CensusBrea
     """
     require_order(m)
     field = _as_field(field)
+    rs = list(rs)  # read twice: checked, then reduced
     for r in rs:
         require_nonzero_r(r, field.p)
     rs = [r % field.p for r in rs]  # censuses only ever see r as an element of F_p
@@ -380,8 +381,10 @@ def conic_sum_direct(a2, a1, a0, p: int):
     The coefficients may be integer arrays: they broadcast, and the result
     holds one sum per coefficient triple, summed over c one residue at a
     time, so memory stays at the broadcast size.  Scalar coefficients give a
-    numpy integer.
+    numpy integer.  Below p = 2^15 the work is in int32, which holds
+    a2 (c^2 mod p) + a1 c + a0 < 2p^2 + p, in half the memory.
     """
-    chi = residue_tables(p).chi
-    a2, a1, a0 = (np.asarray(t, dtype=np.int64) % p for t in (a2, a1, a0))
-    return sum(chi[(a2 * (c * c) + a1 * c + a0) % p] for c in range(p))
+    dtype = np.int32 if p < 2**15 else np.int64
+    chi = residue_tables(p).chi.astype(dtype)
+    a2, a1, a0 = ((np.asarray(t, dtype=np.int64) % p).astype(dtype) for t in (a2, a1, a0))
+    return sum(chi[(a2 * (c * c % p) + a1 * c + a0) % p] for c in range(p))

@@ -13,6 +13,7 @@ import types
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dioptuples
@@ -31,6 +32,7 @@ from dioptuples.audit import (
     verdict_for,
 )
 from dioptuples.cli import main
+from dioptuples.curves import dr_triples_distinct
 from dioptuples.fp_census import BudgetExceededError
 from dioptuples.zp_census import MeasureInterval, zp_precision
 
@@ -70,8 +72,8 @@ def test_suite_conic_all_agree():
 
 
 def test_suite_conic_memory_is_one_slice():
-    # one p x p slice of direct sums per a2, not the (p - 1) p^2 array of every
-    # a2 at once, which peaked near 1 MB at pmax 31
+    # direct sums over chunks of a2 of at most PRODUCT_CELLS terms each, not the
+    # (p - 1) p^2 array of every a2 at once, which peaked near 1 MB at pmax 31
     tracemalloc.start()
     try:
         records = run_suite("conic", pmax=31)
@@ -80,6 +82,34 @@ def test_suite_conic_memory_is_one_slice():
         tracemalloc.stop()
     assert len(records) == 10 and all(r.verdict == AGREE for r in records)
     assert peak < 2**17
+
+
+def test_suite_conic_chunks_count_what_one_a2_at_a_time_counts(monkeypatch):
+    # a closed form off by one at every zero discriminant, so each prime has
+    # mismatches to count, and chunks small enough to split inside primes
+    from dioptuples import closed_forms as cf
+    from dioptuples.fp_census import conic_sum_direct
+
+    closed = cf.conic_sum_closed
+
+    def mutant(a2, a1, a0, p):
+        return closed(a2, a1, a0, p) + ((a1 * a1 - 4 * a0 * a2) % p == 0)
+
+    calls = []
+    direct = audit.conic_sum_direct
+    monkeypatch.setattr(cf, "conic_sum_closed", mutant)
+    monkeypatch.setattr(audit, "PRODUCT_CELLS", 5000)
+    monkeypatch.setattr(audit, "conic_sum_direct", lambda a2, a1, a0, p: calls.append(p) or direct(a2, a1, a0, p))
+    records = run_suite("conic", pmax=31)
+    want = {}
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        a1, a0 = np.arange(p)[:, None], np.arange(p)
+        want[p] = sum(
+            int(np.count_nonzero(conic_sum_direct(a2, a1, a0, p) != mutant(a2, a1, a0, p))) for a2 in range(1, p)
+        )
+    assert {rec.params["p"]: rec.oracle_value for rec in records} == want
+    assert all(want.values())
+    assert [calls.count(p) for p in want] == [1, 1, 1, 3, 6, 16, 18, 22, 28, 30]
 
 
 def test_suite_z2():
@@ -196,11 +226,11 @@ def test_run_suite_all_passes_each_suite_only_its_arguments(monkeypatch):
 
     def one(pmax=0):
         seen["one"] = pmax
-        return [audit._record("one", {"pmax": pmax}, Fr(0), Fr(0))]
+        return [audit._record("one", audit._point({"pmax": pmax}), Fr(0), Fr(0))]
 
     def two(N=0, depth=1):
         seen["two"] = (N, depth)
-        return [audit._record("two", {"N": N, "depth": depth}, Fr(0), Fr(0))]
+        return [audit._record("two", audit._point({"N": N, "depth": depth}), Fr(0), Fr(0))]
 
     monkeypatch.setattr(audit, "SUITES", {"one": one, "two": two})
     assert [rec.quantity for rec in run_suite("all", pmax=5, depth=2)] == ["one", "two"]
@@ -639,13 +669,23 @@ def test_record_line_template_is_json_dumps_and_orders_like_it():
 
 
 def test_audit_all_encodes_each_records_params_once(monkeypatch):
-    # the sort key and the line both read the one encoding the record made
+    # one encoding per parameter point, which the sort key and the line of every
+    # record made at that point read: triples-fp's five records per (p, r),
+    # valuation-classes' block and stated pair, z3-adjudicate's two
     encoded = []
     encode = audit._params_json
     monkeypatch.setattr(audit, "_params_json", lambda params: encoded.append(params) or encode(params))
     records = run_suite("all")
     lines = [rec.json_line for rec in records]
-    assert len(encoded) == len(records) == len(lines) == 1135
+    assert len(records) == len(lines) == 1135
+    assert len(encoded) == 521
+
+
+def test_audit_all_records_carry_their_own_params_encoding():
+    # a shared encoding can never go stale: each record's is its own params' encoding
+    records = run_suite("all")
+    assert len(records) == 1135
+    assert all(rec.params_json == audit._params_json(rec.params) for rec in records)
 
 
 def assert_csv_is_lines_decoded(out, lines):
@@ -1101,5 +1141,5 @@ def reference_quadruple_count(p, r):
 
 @pytest.mark.parametrize("p,r", [(13, 1), (13, 2), (17, 1), (7, 3), (11, 1), (19, 5), (23, 2)])
 def test_extension_crosscheck_counts_quadruples_like_plain_loops(p, r):
-    [record] = audit._extension_census_crosscheck((p, r))
+    [record] = audit._extension_census_crosscheck({(p, r): dr_triples_distinct(p, r)})
     assert record.oracle_value == reference_quadruple_count(p, r)

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from dioptuples import curves
 from dioptuples.arith import legendre
 from dioptuples.closed_forms import extension_count_envelope
 from dioptuples.curves import (
@@ -342,6 +343,32 @@ def test_extension_count_envelope():
     assert (lo, hi) == (29 - 11 - 8, 29 + 11)
     assert lo <= 8 * 5 <= hi  # 8*5 = 40 = hi
     assert not lo <= 8 * 6 <= hi
+
+
+def reference_dr_triples_distinct(p, r):
+    """The D(r) triples a < b < c of nonzero residues, by the plain triple loop."""
+    ok = [legendre(x, p) >= 0 for x in range(p)]
+    return [
+        (a, b, c)
+        for a in range(1, p)
+        for b in range(a + 1, p)
+        if ok[(a * b + r) % p]
+        for c in range(b + 1, p)
+        if ok[(a * c + r) % p] and ok[(b * c + r) % p]
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_dr_triples_distinct_is_the_triple_loop(monkeypatch, p):
+    # every r, in the loop's sorted order and as Python ints, which print without np.int64;
+    # in one pass over every a, and in passes of two a each
+    for cells in (curves.PRODUCT_CELLS, 2 * p * p):
+        monkeypatch.setattr(curves, "PRODUCT_CELLS", cells)
+        for r in range(1, p):
+            triples = dr_triples_distinct(p, r)
+            assert triples == reference_dr_triples_distinct(p, r), (cells, r)
+            assert all(type(x) is int for triple in triples for x in triple)
+    assert dr_triples_distinct(13, -1) == dr_triples_distinct(13, 12)
 
 
 def test_eqd_envelope_over_small_primes():

@@ -366,6 +366,14 @@ def test_conic_sum_direct_arrays_match_the_literal_sum():
             assert got[a2, a1, a0] == want, (p, a2, a1, a0)
 
 
+# the last prime below 2^15, whose sums run in int32, and the last below 2^16,
+# where a2 (c^2 mod p) + a1 c + a0 passes 2^31 and the sums run in int64
+@pytest.mark.parametrize("p", [32749, 65521])
+def test_conic_sum_direct_holds_the_largest_coefficients(p):
+    for a2, a1, a0 in ((p - 1, p - 1, p - 1), (p - 2, 3, p - 1)):
+        assert conic_sum_direct(a2, a1, a0, p) == conic_sum_closed(a2, a1, a0, p), (a2, a1, a0)
+
+
 def test_z3_structure_check():
     # r = 1 mod 3: every D(r) triple over F_3 has a zero coordinate
     for r in (1, 4):
@@ -480,6 +488,8 @@ def test_stacked_censuses_equal_the_census_of_each_r(p, f):
         if field.q <= 31:  # the clique kernel, which shares no class-sum code
             assert [census_counts(c) for c in stacked] == [kernel_counts(field, r, m) for r in rs], m
     assert censuses(field, [], 3) == []
+    # rs is read once: a generator gives what its list gives
+    assert censuses(field, (r for r in [1, 2, p - 1]), 3) == censuses(field, [1, 2, p - 1], 3)
     # r is read mod p, in any order and with repeats
     assert censuses(field, [p + 1, 1, 2 * p + 1], 3) == [census(field, 1, 3)] * 3
 

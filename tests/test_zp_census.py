@@ -370,6 +370,23 @@ def test_series_consistency_sums_blocks_without_the_pair_form(monkeypatch):
     assert series_consistency(3, 1, 1, 11) == Fr(5, 18)
 
 
+def test_series_consistency_is_the_fraction_sum_of_its_blocks(monkeypatch):
+    # the one integer sum over a common denominator equals the Fraction sum of
+    # the blocks and the tail, and still evaluates each block once by name
+    block = cf.mu_B_beta_q
+    calls = []
+    monkeypatch.setattr(cf, "mu_B_beta_q", lambda *args: calls.append(args) or block(*args))
+    for q in (3, 5, 7, 9, 11, 25, 27, 49):
+        for alpha in range(9):
+            for chi_s in (1, -1):
+                for beta_max in range(alpha + 4, alpha + 14):
+                    evens = range(0, beta_max + 1, 2)
+                    want = sum(block(q, alpha, chi_s, beta) for beta in evens) + cf.mu_B_tail(q, alpha, evens[-1] + 2)
+                    calls.clear()
+                    assert series_consistency(q, alpha, chi_s, beta_max) == want, (q, alpha, chi_s, beta_max)
+                    assert calls == [(q, alpha, chi_s, beta) for beta in evens]
+
+
 def test_series_consistency_validation():
     with pytest.raises(ValueError):
         series_consistency(5, 3, 1, 5)
