@@ -47,7 +47,7 @@ def _params_json(params: dict) -> str:
     return "{" + ", ".join([f"{_json_str(k)}: {_json_str(str(v))}" for k, v in sorted(params.items())]) + "}"
 
 
-class _RecordFields(NamedTuple):
+class AuditRecord(NamedTuple):
     quantity: str
     params: dict
     claimed_value: object  # Fraction or None
@@ -55,17 +55,7 @@ class _RecordFields(NamedTuple):
     verdict: str
     detail: str
     must_agree: bool
-    params_json: str  # `_params_json(params)`, set by `AuditRecord` alone
-
-
-class AuditRecord(_RecordFields):
-    __slots__ = ()
-
-    def __new__(cls, quantity, params, claimed_value, oracle_value, verdict, detail="", must_agree=True):
-        """The record, its params encoded here once for both the sort key and the line."""
-        return super().__new__(
-            cls, quantity, params, claimed_value, oracle_value, verdict, detail, must_agree, _params_json(params)
-        )
+    params_json: str  # `_params_json(params)`, shared by every record of one `_point`
 
     @property
     def json_line(self) -> str:
@@ -110,7 +100,7 @@ def _point(params: dict) -> tuple:
 
 def _record(quantity, point, claimed, oracle, competitors=(), detail=""):
     verdict, must_agree = verdict_for(claimed, oracle, competitors), quantity not in ADJUDICATIONS
-    return tuple.__new__(AuditRecord, (quantity, point[0], claimed, oracle, verdict, detail, must_agree, point[1]))
+    return AuditRecord(quantity, point[0], claimed, oracle, verdict, detail, must_agree, point[1])
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -457,7 +447,9 @@ def suite_parameters(name: str) -> set[str]:
 
 
 def run_suite(name: str, **kwargs) -> list:
-    """Run one named suite (or "all") and return records in canonical order.
+    """Run one named suite and return its records in canonical order; for "all",
+    each suite's records in its canonical order, one suite after another in
+    `SUITES` order, as `audit all` prints them.
 
     "all" passes each suite only the arguments it takes, and refuses an
     argument that no suite takes.  A suite that produces no records checked

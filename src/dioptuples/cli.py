@@ -7,8 +7,8 @@ command refuses a flag it does not read.  Exit codes, all decided in `main`:
 0 success (and no gating Disagree in audits); 1 bad input of any kind (usage
 errors included), a gating Disagree, or a failed ec-check; 2 budget exceeded.
 
-Arguments are read against one table, `_COMMANDS`, which `-h`/`--help` prints
-as usage.  A flag's value follows it (`--p 5`, `-N 5`) or is attached
+Arguments are read against one table, `_COMMANDS`, which names each command's
+handler and which `-h`/`--help` prints as usage.  A flag's value follows it (`--p 5`, `-N 5`) or is attached
 (`--p=5`, `-N5`), and may be negative (`--alpha -1`, `--rset -1,2`).  An
 abbreviated (`--prec`) or repeated flag is refused, never guessed at, and so
 is a value repeated in a list (`--p 3,3`).
@@ -157,34 +157,32 @@ _REQUIRED = object()  # the default of a flag that must be given
 _FORMAT = (("json", "csv"), "json")  # a tuple converts a value by choice from it
 
 # command -> (its positional argument, that argument's choices (None: any),
-#             {flag: (conversion of its value (None: a switch), default)})
+#             {flag: (conversion of its value (None: a switch), default)}, its handler)
 _COMMANDS = {
     "measure": ("quantity", _MEASURES, {
         **{flag: (int, default) for flag, default in dict(
             p=3, q=3, r=1, m=2, k=0, beta=0, alpha=0, chi_s=1, a2=1, a1=0, a0=0,
         ).items()},
         "decimal": (None, False),
-    }),
+    }, _measure),
     "census": ("mode", ("fp", "zp"), {
         "p": (int, _REQUIRED), "f": (int, 1), "r": (int, 1), "m": (int, 2), "precision": (int, 4),
         "format": _FORMAT, "budget": (int, DEFAULT_BUDGET), "jobs": (int, 1),
-    }),
+    }, _census),
     "audit": ("suite", SUITE_NAMES, {
         "p": (_int_list, None), "rset": (lambda text: None if text == "auto" else _int_list(text), None),
         "pmax": (int, None), "precision": (int, None), "seed": (int, None), "format": _FORMAT,
         "jobs": (int, 1), "budget": (int, None),
-    }),
-    "ec-check": (None, None, dict.fromkeys("pabcr", (int, _REQUIRED))),
+    }, _audit),
+    "ec-check": (None, None, dict.fromkeys("pabcr", (int, _REQUIRED)), _ec_check),
 }
-
-_HANDLERS = {"measure": _measure, "census": _census, "audit": _audit, "ec-check": _ec_check}
 
 
 def _usage(commands) -> str:
     """One line per command; a flag not required is bracketed, with its default if it has one."""
     lines = ["usage:"]
     for command in commands:
-        positional, choices, flags = _COMMANDS[command]
+        positional, choices, flags, _ = _COMMANDS[command]
         words = [f"  dioptuples {command}", "{" + ",".join(choices) + "}" if choices else (positional or "").upper()]
         for flag, (convert, default) in flags.items():
             word = f"--{flag.replace('_', '-')}" + ("/-N" if flag == "precision" else "")
@@ -210,7 +208,7 @@ def _parse(argv: list[str]):
     """(command, its positional argument, {flag: value} for each flag given)."""
     if not argv:
         raise ValueError("the following arguments are required: command")
-    positional, choices, flags = _COMMANDS[_choose("command", argv[0], _COMMANDS)]
+    positional, choices, flags, _ = _COMMANDS[_choose("command", argv[0], _COMMANDS)]
     names = {f"--{flag.replace('_', '-')}": flag for flag in flags} | ({"-N": "precision"} if "precision" in flags else {})
     words, given, extra = [], {}, []
     tokens = iter(argv[1:])
@@ -277,8 +275,9 @@ def main(argv=None) -> int:
         return 0
     try:
         command, choice, given = _parse(argv)
-        opts = {flag: default for flag, (_, default) in _COMMANDS[command][2].items()} | given
-        return _HANDLERS[command](choice, opts, given)
+        _, _, flags, handle = _COMMANDS[command]
+        opts = {flag: default for flag, (_, default) in flags.items()} | given
+        return handle(choice, opts, given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BudgetExceededError) else 1

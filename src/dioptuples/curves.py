@@ -372,10 +372,7 @@ def two_descent_equiv(p: int, a: int, b: int, c: int, r: int) -> TwoDescentVerdi
 
 def dr_triples_distinct(p: int, r: int) -> list[tuple[int, int, int]]:
     """All D(r) triples over F_p with distinct nonzero entries (sorted ascending)."""
-    chi = residue_tables(p).chi
-    require_nonzero_r(r, p)
-    x = np.arange(p)
-    up = np.triu(chi[(np.outer(x, x) + r) % p] >= 0, 1)  # up[x, y]: x < y, and xy + r is a square or zero
+    up = np.triu(_extension_rows(p, range(p), r, True), 1)  # up[x, y]: x < y, and xy + r is a square or zero
     out = []
     step = max(1, PRODUCT_CELLS // (p * p))  # the a of one pass: at most PRODUCT_CELLS cells, or one a
     for start in range(1, p, step):

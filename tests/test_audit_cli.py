@@ -37,6 +37,7 @@ from dioptuples.fp_census import BudgetExceededError
 from dioptuples.zp_census import MeasureInterval, zp_precision
 
 import pins  # tests/pins.py
+from conftest import fresh_python
 
 
 def test_smallest_nonresidue_and_auto_rset():
@@ -646,16 +647,23 @@ def test_cli_audit_all_lines_are_each_records_json_in_canonical_order(capsys):
 # orders strings otherwise than a sort of the unescaped values would
 ODD = 'a "quote", a back\\slash, a new\nline, a\ttab, χ ≤ 1'
 BOX = MeasureInterval(Fr(1, 4), Fr(1, 2))
+
+
+def odd_record(quantity, params, claimed, oracle, verdict, detail="", must_agree=True):
+    """A record built outside any suite, its params encoded as `audit._point` encodes them."""
+    return AuditRecord(quantity, params, claimed, oracle, verdict, detail, must_agree, audit._params_json(params))
+
+
 ODD_RECORDS = [
-    AuditRecord("pair", {"p": 9, "s": ODD}, Fr(1, 3), BOX, AGREE, detail=ODD),
-    AuditRecord("pair", {"p": 10, "s": "≤"}, None, Fr(-2, 3), DISAGREE, must_agree=False),
-    AuditRecord("pair", {"10": 1, "9": 2}, Fr(5), 5, AGREE),
-    AuditRecord("pair", {"9": 1}, Fr(0), 0, AGREE, detail="χ"),
-    AuditRecord('q"χ\\', {}, Fr(7, 2), BOX, INCONCLUSIVE, must_agree=False),
-    AuditRecord("count", {"p": 3, "r": -1}, Fr(0), 12, DISAGREE, detail="\n"),
-    AuditRecord("count", {"p": 3, "r": -1}, Fr(1), 12, DISAGREE),
+    odd_record("pair", {"p": 9, "s": ODD}, Fr(1, 3), BOX, AGREE, detail=ODD),
+    odd_record("pair", {"p": 10, "s": "≤"}, None, Fr(-2, 3), DISAGREE, must_agree=False),
+    odd_record("pair", {"10": 1, "9": 2}, Fr(5), 5, AGREE),
+    odd_record("pair", {"9": 1}, Fr(0), 0, AGREE, detail="χ"),
+    odd_record('q"χ\\', {}, Fr(7, 2), BOX, INCONCLUSIVE, must_agree=False),
+    odd_record("count", {"p": 3, "r": -1}, Fr(0), 12, DISAGREE, detail="\n"),
+    odd_record("count", {"p": 3, "r": -1}, Fr(1), 12, DISAGREE),
     # escaped, "χ" sorts before "z"; and '"' sorts before "#" as a string ends
-    *(AuditRecord("count", {"p": 3, "s": s}, Fr(1), 1, AGREE) for s in ("z", "χ", "a#", "a")),
+    *(odd_record("count", {"p": 3, "s": s}, Fr(1), 1, AGREE) for s in ("z", "χ", "a#", "a")),
 ]
 
 
@@ -949,11 +957,7 @@ def test_every_measure_meets_a_closed_form_the_audit_calls(monkeypatch):
 def run_module(*argv, stdout=subprocess.PIPE, module="dioptuples", timeout=60):
     # the child runs under -O, as the soundness checks must hold without asserts;
     # this process is not optimised, so its own asserts still run
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-O", "-m", module, *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
-    )
+    return fresh_python("-O", "-m", module, *argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize(
@@ -1055,10 +1059,9 @@ def test_python_m_runs_cli_and_ends_quietly_on_broken_pipe():
 def test_python_m_exits_1_when_the_reader_leaves_mid_output(fmt):
     # `audit all | head -c 100`: 1135 lines overflow the pipe, so a later write
     # fails; one joined write of them all could end with exit 0 instead
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dioptuples", "audit", "all", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    proc = fresh_python(
+        "-m", "dioptuples", "audit", "all", "--format", fmt,
+        run=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
         assert len(proc.stdout.read(100)) == 100
@@ -1077,10 +1080,7 @@ def test_cli_import_loads_no_process_pool():
         "import dioptuples.cli\n"
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = fresh_python("-c", code, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
@@ -1096,10 +1096,7 @@ def test_kernel_censuses_leave_numpy_ma_unimported(argv):
         f"code = main({argv.split()!r})\n"
         "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = fresh_python("-c", code, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "0 False\n")
 
 
@@ -1112,10 +1109,7 @@ def test_cli_leaves_argparse_gettext_and_locale_unimported(argv):
         f"code = main({argv.split()!r})\n"
         "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = fresh_python("-c", code, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "0 []\n")
 
 

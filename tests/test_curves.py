@@ -24,6 +24,8 @@ from dioptuples.curves import (
 )
 from dioptuples.fp_census import census
 
+from conftest import fresh_python
+
 # ---------------------------------------------------------------------------
 # scalar reference oracle: one point at a time, plain Python integers; the
 # library's array passes are checked against it
@@ -336,6 +338,21 @@ def test_batched_two_descent_verdicts_ignore_their_batch_mates():
     assert [two_descent_pass([instance])[0] for instance in instances] == want
     assert [two_descent_equiv(*instance) for instance in instances] == want
     assert two_descent_pass([]) == []
+
+
+def test_two_descent_refuses_an_order_past_the_hasse_bound():
+    # a planted fault under -O: no affine point, so order 1 at p = 5
+    proc = fresh_python(
+        "-O", "-c",
+        "import numpy as np\n"
+        "from dioptuples import curves\n"
+        "root_y = curves._Curves.root_y\n"
+        "curves._Curves.root_y = lambda E: np.full_like(root_y(E), -1)\n"
+        "curves.two_descent_pass([(5, 1, 2, 3, 1)])\n",
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("RuntimeError: Hasse bound violated: order 1 at p=5\n"), proc.stderr
 
 
 def test_extension_count_envelope():

@@ -1,17 +1,12 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import accumulate, product
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dioptuples
 from dioptuples import audit, fp_census
 from dioptuples.arith import is_prime, legendre
 from dioptuples.closed_forms import conic_sum_closed, main_term
@@ -29,6 +24,7 @@ from dioptuples.fp_census import (
 )
 from dioptuples.fq import fq_construct
 from dioptuples.zp_census import zp_interval, zp_precision
+from conftest import fresh_python
 from test_fq import decode, elem, elements, one, quad_char_fq  # the scalar reference
 
 
@@ -227,10 +223,7 @@ def test_census_counts_equal_the_kernel_without_negation(p, f, m):
 
 
 def run_optimized(code):
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    return fresh_python("-O", "-c", code, capture_output=True, text=True, timeout=60)
 
 
 def test_clique_count_refuses_inexact_sizes_under_optimize():
@@ -247,6 +240,30 @@ def test_clique_count_refuses_inexact_sizes_under_optimize():
     proc = run_optimized(code)
     assert proc.returncode == 0
     assert proc.stdout.count("exact only below 2^24") == 1
+
+
+@pytest.mark.parametrize("fault,message", [
+    (
+        "import numpy as np\n"
+        "from dioptuples.fp_census import square_table\n"
+        "from dioptuples.fq import fq_construct\n"
+        "field = fq_construct(5, 1)\n"
+        "exp, log = field.exp_log\n"
+        "field.exp_log = np.zeros_like(exp), log\n"
+        "square_table(field)\n",
+        "RuntimeError: square set of F_5 has 1 elements",
+    ),
+    (
+        "from dioptuples.fp_census import CensusBreakdown\n"
+        "CensusBreakdown(q=5, r=1, m=3, total=3, boundary=1, offdiag=1, interior=0)\n",
+        "ValueError: boundary, off-diagonal and interior counts must sum to the total",
+    ),
+], ids=["square-count", "breakdown-partition"])
+def test_soundness_guards_hold_under_optimize(fault, message):
+    # a planted fault each: a square set of the wrong size, parts that miss the total
+    proc = run_optimized(fault)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(message + "\n"), proc.stderr
 
 
 def test_census_refuses_r_zero_mod_p():

@@ -1,8 +1,5 @@
 import ast
 import inspect
-import os
-import subprocess
-import sys
 import tracemalloc
 import types
 from fractions import Fraction as Fr
@@ -12,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dioptuples
 from dioptuples import closed_forms as cf
 from dioptuples import zp_census
 from dioptuples.arith import r_shape, vp
@@ -33,6 +29,8 @@ from dioptuples.zp_census import (
     zp_interval,
     zp_precision,
 )
+
+from conftest import fresh_python
 
 
 def scalar_status(p, N, value):
@@ -103,10 +101,7 @@ def test_union_bound_raises_under_optimize():
         "from dioptuples.zp_census import _interval_from_counts\n"
         "_interval_from_counts(0, 243, 243, 3, 5, 2)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = fresh_python("-O", "-c", code, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "exceeds the union bound" in proc.stderr
 
@@ -441,10 +436,7 @@ def test_refusals_no_command_reaches(refuse, args, message):
 
 def refused_in_fresh_process(code: str) -> str:
     """The stderr of code run under -O in a fresh process, which must exit 1 within 10 s."""
-    env = {**os.environ, "PYTHONPATH": str(Path(dioptuples.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=10
-    )
+    proc = fresh_python("-O", "-c", code, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1
     return proc.stderr
 
@@ -455,6 +447,18 @@ def test_precision_refuses_a_search_that_would_not_end(p, m, message):
     # would never stop: the refusal must come first, checked in a fresh process
     stderr = refused_in_fresh_process(f"from dioptuples.zp_census import zp_precision\nzp_precision({p}, {m})\n")
     assert stderr.endswith(f"ValueError: {message}\n")
+
+
+def test_shell_triples_refuse_a_non_integral_count():
+    # a planted fault: one triangle too many in every class sum, which the first
+    # hit count above 1 cannot divide
+    stderr = refused_in_fresh_process(
+        "from dioptuples import zp_census\n"
+        "triangles = zp_census._class_triangles\n"
+        "zp_census._class_triangles = lambda *sums: triangles(*sums) + 1\n"
+        "zp_census._zp_triples(3, 1, 2)\n"
+    )
+    assert stderr.endswith("RuntimeError: shell triple (0, 0, 1) of Z/3^2 has a non-integral count\n")
 
 
 @pytest.mark.parametrize("p", [1, -1])
