@@ -11,14 +11,16 @@ this encoding, and a prime field F_p is F_{p^1}, where the code of a residue
 is the residue.  All arithmetic is on f x f matrices over F_p: multiplying
 by h = sum h_i x^i is M_h = sum h_i C^i, with C the companion matrix of the
 modulus.  Products of codes go through one pair of log/antilog tables of g,
-the primitive element with the smallest code: each code's powers are built
-by such matrix products until one of them is 1, and the first code that
-reaches q - 1 powers is g.  The tables are built lazily and cached read-only.
+the primitive element with the smallest code: the first code c with
+c^((q-1)/l) != 1 for every prime l | q - 1, the primes found by trial
+division and the powers taken in integers (Python's pow at f = 1,
+square-and-multiply on M_c at f > 1).  The tables are built lazily and
+cached read-only.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -33,6 +35,18 @@ def _digits(k, p, width):
         out.append(k % p)
         k //= p
     return out
+
+
+def _prime_factors(n):
+    # trial division by 2, then the odd ell with ell^2 <= n: n < 10^5, so at most about 160 steps
+    primes, ell = [], 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            primes.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1 if ell == 2 else 2
+    return primes + [n] * (n > 1)
 
 
 def _poly_rem(a, b, p):
@@ -75,6 +89,17 @@ def find_irreducible(p: int, f: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {f} over F_{p}")
 
 
+def _doubled_powers(one, squares, n, times):
+    # h^0 = one, h, ..., h^(n-1) along axis 0 of one array, given squares[b] = h^(2^b):
+    # the block h^0 .. h^(L-1) times h^L is h^L .. h^(2L-1)
+    out = np.empty((n, *np.shape(one)), dtype=np.int64)
+    out[0] = one
+    for b, H in enumerate(squares):
+        L = 1 << b
+        out[L : 2 * L] = times(out[: min(L, n - L)], H)
+    return out
+
+
 class FqField:
     """F_{p^f} with odd p; immutable after construction."""
 
@@ -101,33 +126,51 @@ class FqField:
 
         Multiplying by h is the f x f matrix M_h = sum h_i C^i over F_p, C
         the companion matrix of the modulus, so column i of M_h is h * x^i.
-        The codes are walked in order, and each one's powers are built by
-        doubling blocks of digit vectors: the block c^0 .. c^(L-1) times M_h
-        for h = c^L is c^L .. c^(2L-1), and squaring M_h moves to the next
-        block.  A code stops as soon as a block holds 1, that is c^k = 1 for
-        some 0 < k < q-1; g is the first code whose build reaches q-1 powers.
+        At f = 1, M_h is the residue h.  g is the first code c with
+        c^(n/l) != 1 for every prime l | n = q-1, the primes found by trial
+        division and the powers taken in integers: Python's pow at f = 1, and
+        at f > 1 square-and-multiply on M_c for blocks of 8, 16, 32, ... codes
+        at a time.  The powers of g are built by doubling in one array: the
+        block g^0 .. g^(L-1) times M_h for h = g^L is g^L .. g^(2L-1), where
+        the M_g^L are the squares the test took.  Raises RuntimeError, also
+        under -O, unless the q-1 powers are q-1 distinct nonzero codes.
         """
         n, p, f = self.q - 1, self.p, self.f
-        C = np.eye(f, k=-1, dtype=np.int64)  # x * x^i = x^(i+1) for i < f-1
-        C[:, -1] = -np.array(self.modulus[:f]) % p  # x^f = -(c_0 + ... + c_{f-1} x^(f-1))
-        powers = [np.eye(f, dtype=np.int64)]  # C^0 .. C^(f-1)
-        while len(powers) < f:
-            powers.append(powers[-1] @ C % p)
-        place = p ** np.arange(f)
-        for code in range(1, self.q):
-            M = np.tensordot(_digits(code, p, f), powers, axes=1) % p  # M_c
-            digits = np.eye(1, f, dtype=np.int64)  # c^0 = 1
-            while len(digits) < n:
-                block = (digits @ M.T % p)[: n - len(digits)]
-                if (block @ place == 1).any():  # c^k = 1 with 0 < k < q-1
+        cofactors = [n // ell for ell in _prime_factors(n)]
+        bits = (n - 1).bit_length()  # the table takes g^(2^b) for 2^b < n
+        if f == 1:  # g = 0 if no code passes, and the check below refuses its powers
+            g = next((c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors)), 0)
+            exp = _doubled_powers(1, [pow(g, 1 << b, p) for b in range(bits)], n, lambda a, h: a * h % p)
+        else:
+            C = np.eye(f, k=-1, dtype=np.int64)  # x * x^i = x^(i+1) for i < f-1
+            C[:, -1] = -np.array(self.modulus[:f]) % p  # x^f = -(c_0 + ... + c_{f-1} x^(f-1))
+            powers = [np.eye(f, dtype=np.int64)]  # C^0 .. C^(f-1)
+            while len(powers) < f:
+                powers.append(powers[-1] @ C % p)
+            powers = np.array(powers).reshape(f, -1)
+            place = p ** np.arange(f)
+            start, size = 1, 8
+            while start < self.q:  # codes in order, in blocks of 8, 16, 32, ...
+                codes = np.arange(start, min(start + size, self.q))
+                squares = [(codes[:, None] // place % p @ powers).reshape(-1, f, f) % p]  # M_c for each code c
+                while len(squares) < bits:  # M_c^(2^b)
+                    squares.append(squares[-1] @ squares[-1] % p)
+                R = [reduce(lambda A, B: A @ B % p, (Q for b, Q in enumerate(squares) if e >> b & 1))
+                     for e in cofactors]  # R[j][c] = M_c^(e_j)
+                primitive = (np.array(R)[..., 0] @ place != 1).all(axis=0)  # column 0 of M_h is h
+                if primitive.any():
+                    i = primitive.argmax()
                     break
-                digits = np.concatenate([digits, block])
-                M = M @ M % p
-            else:  # q - 1 powers and no 1 among them: c is g
-                break
-        exp = (digits @ place).astype(np.int32)
+                start, size = start + size, 2 * size
+            else:  # no code passes: g = 0, whose powers the check below refuses
+                codes, i, squares = [0], 0, [np.zeros((1, f, f), dtype=np.int64)] * bits
+            g = int(codes[i])
+            exp = _doubled_powers(_digits(1, p, f), [Q[i].T for Q in squares], n, lambda a, h: a @ h % p) @ place
+        exp = exp.astype(np.int32)
         log = np.zeros(self.q, dtype=np.int32)
-        log[exp] = np.arange(n)
+        log[exp] = k = np.arange(n, dtype=np.int32)
+        if log[0] or (log[exp] != k).any():  # 0 is among the powers (exp[0] = 1), or one repeats
+            raise RuntimeError(f"the powers of code {g} in F_{self.q} are not its {n} nonzero codes")
         exp.flags.writeable = log.flags.writeable = False
         return exp, log
 

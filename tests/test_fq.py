@@ -3,7 +3,8 @@ from dataclasses import dataclass
 import pytest
 
 from dioptuples.arith import is_prime, legendre
-from dioptuples.fq import FqField, fq_construct
+from dioptuples.fq import FqField, _prime_factors, fq_construct
+from conftest import fresh_python
 
 # The scalar reference: an element of F_q is its coefficient vector, and
 # products are polynomial products reduced by the modulus of fq_construct(p, f).
@@ -172,10 +173,41 @@ WALKED_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("p,f", WALKED_FIELDS)
+@pytest.mark.parametrize(
+    "p,f", WALKED_FIELDS + [(p, 1) for p in range(3, 500) if is_prime(p) and (p, 1) not in WALKED_FIELDS]
+)
 def test_exp_log_equals_the_scalar_walk(p, f):
     exp, log = fq_construct(p, f).exp_log
     assert (exp.tolist(), log.tolist()) == walked_exp_log(fq_construct(p, f))
+
+
+def test_prime_factors_equal_the_scan_by_is_prime():
+    for n in [*range(1, 5000), *(p**f - 1 for p, f in WALKED_FIELDS)]:
+        assert _prime_factors(n) == [ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)], n
+
+
+@pytest.mark.parametrize("factors,p,f,g", [
+    ("[ell for ell in factors(n) if ell != 2]", 1009, 1, 2),
+    ("[ell for ell in factors(n) if ell != 2]", 7, 2, 2),
+    ("[1]", 3, 1, 0),
+    ("[1]", 5, 2, 0),
+])
+def test_exp_log_refuses_powers_that_repeat_under_optimize(factors, p, f, g):
+    # without l = 2 the cofactor test passes a code of order below q - 1: code 2
+    # of F_1009 (order 504; every code from 2 to 10 has order dividing 504) and
+    # code 2 of F_49, a residue of order 3; with l = 1 no code passes, and g = 0
+    # (F_3 checks that 0 is no power, F_25 the f > 1 search running out)
+    code = (
+        "from dioptuples import fq\n"
+        "factors = fq._prime_factors\n"
+        f"fq._prime_factors = lambda n: {factors}\n"
+        f"fq.fq_construct({p}, {f}).exp_log\n"
+    )
+    proc = fresh_python("-O", "-c", code, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(
+        f"RuntimeError: the powers of code {g} in F_{p**f} are not its {p**f - 1} nonzero codes\n"
+    ), proc.stderr
 
 
 def test_prime_field_agrees_with_legendre():
