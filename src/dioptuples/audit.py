@@ -22,7 +22,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from .arith import format_rational, is_prime, legendre, r_shape, require_odd_prime
-from .curves import dr_triples_distinct, extension_counts, two_descent_pass
+from .curves import extension_census, two_descent_pass
 from .fp_census import PRODUCT_CELLS, _census_tables, _clique_count, _power_fits, admit, censuses, conic_sum_direct
 from .zp_census import MeasureInterval, valuation_class_measures, zp_interval, zp_precision
 
@@ -334,68 +334,56 @@ def ec_instances(seed: int):
 
 
 def suite_ec(seed: int = 20240):
-    records = []
     instances = ec_instances(seed)
-    for (p, a, b, c, r), v in zip(instances, two_descent_pass(instances)):
-        records.append(
-            _record(
-                "two_descent_equivalence",
-                _point({"p": p, "a": a, "b": b, "c": c, "r": r}),
-                1,
-                1 if v.ok else 0,
-                detail=(
-                    f"order={v.order} |2E|={v.doubling_image_size} twist={v.twist} "
-                    f"naive_dset_eq_image={v.dset_matches_image}"
-                ),
-            )
+    records = [
+        _record(
+            "two_descent_equivalence",
+            _point({"p": p, "a": a, "b": b, "c": c, "r": r}),
+            1,
+            1 if v.ok else 0,
+            detail=(
+                f"order={v.order} |2E|={v.doubling_image_size} twist={v.twist} "
+                f"naive_dset_eq_image={v.dset_matches_image}"
+            ),
         )
-    triples = {(p, r): dr_triples_distinct(p, r) for p in (13, 17, 29) for r in (1, 2)}
-    records.extend(suite_eqd(triples))
-    records.extend(_extension_census_crosscheck({case: triples[case] for case in ((13, 1), (13, 2), (17, 1))}))
+        for (p, a, b, c, r), v in zip(instances, two_descent_pass(instances))
+    ]
+    for p in (13, 17, 29):
+        lo, hi = cf.extension_count_envelope(p)
+        for r in (1, 2):
+            triples, counts, strict = extension_census(p, r)
+            violations = [(*abc, nd) for abc, nd in zip(triples, strict) if not lo <= 8 * nd <= hi]
+            records.append(
+                _record(
+                    "extension_count_envelope",
+                    _point({"p": p, "r": r, "lo": lo, "hi": hi}),
+                    0,
+                    len(violations),
+                    detail=f"triples violating the integer envelope on 8*#extensions: {violations[:5]}",
+                )
+            )
+            if (p, r) in ((13, 1), (13, 2), (17, 1)):
+                records.append(_extension_census_crosscheck(p, r, counts))
     return records
 
 
-def _extension_census_crosscheck(triples):
-    # ordered quadruple count with distinct unit first-three, two ways:
-    # summed extension sets vs the census kernel, which counts the triangles
-    # of distinct units inside the neighbourhood of each fourth coordinate;
-    # a zero fourth coordinate is compatible with every unit or with none
-    records = []
-    for (p, r), distinct in triples.items():
-        ext_total = 6 * sum(extension_counts(p, r, distinct))
-        zero, member, _ = _census_tables(p, r)
-        units = member.copy()
-        np.fill_diagonal(units, False)
-        direct = zero * _clique_count(units, 3) + _clique_count(units, 3, member)
-        records.append(
-            _record(
-                "extension_census_crosscheck",
-                _point({"p": p, "r": r}),
-                ext_total,
-                direct,
-                detail="summed extension sets vs direct restricted quadruple sweep",
-            )
-        )
-    return records
-
-
-def suite_eqd(triples):
-    records = []
-    envelopes = {p: cf.extension_count_envelope(p) for p in {p for p, _ in triples}}
-    for (p, r), distinct in triples.items():
-        lo, hi = envelopes[p]
-        counts = extension_counts(p, r, distinct, include_boundary=False)
-        violations = [(*abc, nd) for abc, nd in zip(distinct, counts) if not lo <= 8 * nd <= hi]
-        records.append(
-            _record(
-                "extension_count_envelope",
-                _point({"p": p, "r": r, "lo": lo, "hi": hi}),
-                0,
-                len(violations),
-                detail=f"triples violating the integer envelope on 8*#extensions: {violations[:5]}",
-            )
-        )
-    return records
+def _extension_census_crosscheck(p, r, counts):
+    # ordered quadruple count with distinct unit first-three, two ways: the
+    # zero-convention extension counts of the distinct triples, summed, vs the
+    # census kernel, which counts the triangles of distinct units inside the
+    # neighbourhood of each fourth coordinate; a zero fourth coordinate is
+    # compatible with every unit or with none
+    zero, member, _ = _census_tables(p, r)
+    units = member.copy()
+    np.fill_diagonal(units, False)
+    direct = zero * _clique_count(units, 3) + _clique_count(units, 3, member)
+    return _record(
+        "extension_census_crosscheck",
+        _point({"p": p, "r": r}),
+        6 * sum(counts),
+        direct,
+        detail="summed extension sets vs direct restricted quadruple sweep",
+    )
 
 
 def _asymptotics_item(result):

@@ -32,7 +32,7 @@ from dioptuples.audit import (
     verdict_for,
 )
 from dioptuples.cli import main
-from dioptuples.curves import dr_triples_distinct
+from dioptuples.curves import extension_census
 from dioptuples.fp_census import BudgetExceededError
 from dioptuples.zp_census import MeasureInterval, zp_precision
 
@@ -1135,5 +1135,6 @@ def reference_quadruple_count(p, r):
 
 @pytest.mark.parametrize("p,r", [(13, 1), (13, 2), (17, 1), (7, 3), (11, 1), (19, 5), (23, 2)])
 def test_extension_crosscheck_counts_quadruples_like_plain_loops(p, r):
-    [record] = audit._extension_census_crosscheck({(p, r): dr_triples_distinct(p, r)})
+    _, counts, _ = extension_census(p, r)
+    record = audit._extension_census_crosscheck(p, r, counts)
     assert record.oracle_value == reference_quadruple_count(p, r)

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dioptuples import curves
+from dioptuples import audit, curves
 from dioptuples.arith import legendre
 from dioptuples.closed_forms import extension_count_envelope
 from dioptuples.curves import (
@@ -17,7 +17,7 @@ from dioptuples.curves import (
     curve_points,
     doubling_image,
     dr_triples_distinct,
-    extension_counts,
+    extension_census,
     extension_dset,
     two_descent_equiv,
     two_descent_pass,
@@ -396,21 +396,35 @@ def test_eqd_envelope_over_small_primes():
             assert lo <= 8 * nd <= hi, (p, r, a, b, c, nd)
 
 
-# the suite_eqd shapes and the census cross-check's cases
-EXTENSION_SHAPES = [(p, r) for p in (13, 17, 29) for r in (1, 2)] + [(13, 1), (13, 2), (17, 1)]
+# the (p, r) of the `ec` suite's envelope records, which hold its census cross-check's cases
+EXTENSION_SHAPES = [(p, r) for p in (13, 17, 29) for r in (1, 2)]
 
 
 @pytest.mark.parametrize("p,r", EXTENSION_SHAPES)
 def test_batched_extension_counts_match_per_triple_sets(p, r):
-    triples = dr_triples_distinct(p, r)
-    for include_boundary in (True, False):
-        counts = extension_counts(p, r, triples, include_boundary)
-        assert all(type(n) is int for n in counts)
-        for (a, b, c), n in zip(triples, counts):
+    triples, *counts = extension_census(p, r)
+    assert triples == dr_triples_distinct(p, r)
+    for include_boundary, convention in zip((True, False), counts):
+        assert len(convention) == len(triples)
+        assert all(type(n) is int for n in convention)
+        for (a, b, c), n in zip(triples, convention):
             dset = extension_dset(p, a, b, c, r, include_boundary)
             assert dset == reference_extension_dset(p, a, b, c, r, include_boundary), (a, b, c)
             assert n == len(dset), (a, b, c, include_boundary)
-    assert extension_counts(p, r, []) == []
+    assert extension_census(3, r) == ([], [], [])  # F_3 has no distinct nonzero triple
+
+
+def test_ec_suite_builds_one_extension_table_per_shape(monkeypatch):
+    calls = []
+    rows = curves._extension_rows
+
+    def counted(p, xs, r):
+        calls.append((p, r))
+        return rows(p, xs, r)
+
+    monkeypatch.setattr(curves, "_extension_rows", counted)
+    audit.run_suite("ec")
+    assert sorted(calls) == EXTENSION_SHAPES
 
 
 def test_extension_sum_matches_restricted_quadruple_census():

@@ -14,7 +14,7 @@ from dioptuples import zp_census
 from dioptuples.arith import r_shape, vp
 from dioptuples.audit import auto_rset
 from dioptuples.closed_forms import series_consistency
-from dioptuples.curves import dr_triples_distinct, extension_counts, extension_dset
+from dioptuples.curves import dr_triples_distinct, extension_census, extension_dset
 from dioptuples.fp_census import BudgetExceededError, _clique_count
 from dioptuples.zp_census import (
     MeasureInterval,
@@ -414,7 +414,7 @@ LIBRARY_REFUSALS = [
     (vp, (12, 4), "4 is not prime"),
     (valuation_class_measure, (3, 0, 0, 3), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
     (dr_triples_distinct, (13, 0), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
-    (extension_counts, (13, 0, [(1, 2, 3)]), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
+    (extension_census, (13, 0), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
     (extension_dset, (13, 1, 2, 3, 0), "r = 0 is rejected (appending 0 extends any tuple trivially)"),
     (cf.extension_count_envelope, (4,), "expected an odd prime, got 4"),
 ]
