@@ -11,8 +11,10 @@ For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
 depends only on v_p(t), so counting the selected residues per valuation
 shell and weighting each shell once replaces the p^(2N) sweep.  The ab of
 shell k or deeper are the multiples of p^k, so each shell count is the
-difference of two strided counts of the selected values of ab + r.  Triples
-go through the F_q census's square-class engine (`_class_triangles`): with
+difference of the counts over the classes of t = ab + r mod p^k and mod
+p^(k+1); each class, contiguous, is the one before it sliced at digit k of
+r, and its nonzero and positive statuses give both brackets.  Triples go
+through the F_q census's square-class engine (`_class_triangles`): with
 a = p^k x for a unit x, ab + r depends on xy and on min(k + l, N) alone, so
 each triple of valuation shells is one class sum over the unit group, one
 stacked engine call per first shell, and no p^(2N) array is built.  Both
@@ -23,10 +25,10 @@ makes two kernel calls, whose masks are the grid rows of the fixed points of
 negation (0, and 2^(N-1) when p = 2), weighted 1, and of one a of each
 {a, -a} pair, weighted 2.
 
-The valuation vector (built shell by shell with strided adds) and the status
-table are built once per (p, N) and cached read-only; callers read them at
-the values ab + r and never roll a copy by r.  The valuation-block measures
-take a stack of r, so one (p, N, beta) builds its shell mask once.
+The valuation vector and the status table (built shell by shell with strided
+adds and fills) are built once per (p, N) and cached read-only; callers read
+them at the values ab + r and never roll a copy by r.  The valuation-block
+measures take a stack of r, so one (p, N, beta) builds its shell mask once.
 """
 
 from __future__ import annotations
@@ -83,28 +85,30 @@ def status_table(p: int, N: int) -> np.ndarray:
     k is odd.  For even k, u mod p decides it when p is odd.  When p = 2,
     u mod 8 decides it once N - k >= 3; below that, u = 3 mod 4 seen mod 4 is
     a nonsquare and the rest is undetermined, as is the zero class.  Tests
-    pin every status against the lifts two levels up.  Read-only, built once
-    per (p, N).
+    pin every status against the lifts two levels up.  Each shell is filled in
+    place: a strided fill per unit class while p <= 7, else one broadcast over
+    its rows (p - 1 fills were slower from p = 11).  Read-only, once per (p, N).
     """
     require_prime(p)
-    # shell k is t = p^k j, for j >= 1 along st[p**k::p**k]; the j divisible
-    # by p are multiples of p^(k+1), which the next shell overwrites, so the
-    # pattern for the remaining j depends on j mod p (mod 8 when p = 2)
+    # shell k is t = p^k j, j a unit; j mod the period (p, or 8 when p = 2) fixes its status
     period = 8 if p == 2 else p
-    j = np.arange(1, period + 1) % period
+    c = np.arange(period)
     st = np.zeros(p**N, dtype=np.int8)
     for k in range(N):
         visible = N - k  # the unit is known mod p^(N-k)
         if k % 2:
-            pattern = np.full(period, -1)
+            status = np.full(period, -1)
         elif p != 2:
-            pattern = np.where(residue_tables(p).chi[j] >= 0, 1, -1)
+            status = residue_tables(p).chi
         elif visible >= 3:
-            pattern = np.where(j == 1, 1, -1)
-        else:  # the unit is seen mod 4 or mod 2: only j = 3 mod 4 is decided
-            pattern = np.where((visible == 2) & (j % 4 == 3), -1, 0)
-        length = p ** (N - k) - 1
-        st[p**k :: p**k] = np.tile(pattern.astype(np.int8), -(-length // period))[:length]
+            status = np.where(c == 1, 1, -1)
+        else:  # the unit is seen mod 4 or mod 2: only c = 3 mod 4 is decided
+            status = np.where((visible == 2) & (c % 4 == 3), -1, 0)
+        if period <= 8:  # a class past a short shell (p = 2, N - k < 3) is an empty slice
+            for u in c[c % p > 0]:
+                st[u * p**k :: period * p**k] = status[u]
+        else:  # row i of the shell holds j = i p + column; column 0 is the next shell's
+            st[:: p**k].reshape(-1, p)[:, 1:] = status[1:]
     st.flags.writeable = False
     return st
 
@@ -121,16 +125,14 @@ def pair_product_weights(p: int, N: int) -> tuple[int, ...]:
     return (*((j + 1) * unit for j in range(N)), N * unit + p**N)
 
 
-def _pair_count(p: int, N: int, r: int, good: np.ndarray) -> int:
-    """#{(a, b) in (Z/p^N)^2 : good[ab + r]}, for a bool vector good over Z/p^N, summed shell by shell.
+def _pair_count(p: int, N: int, deeper: list[int]) -> int:
+    """#{(a, b) in (Z/p^N)^2 : ab + r is good}, given deeper[k], the good values of the class t = r mod p^k.
 
-    The products ab in shell k or deeper are the multiples of p^k, so their
-    good values are those of good[r % p^k :: p^k]; shell k counts the
-    difference of consecutive such counts (shell N, ab = 0, is good[r]), and
-    each is weighted by `pair_product_weights`.
+    The ab of shell k or deeper are the multiples of p^k, so shell k counts
+    deeper[k] - deeper[k + 1] values (shell N, ab = 0, counts deeper[N]),
+    each weighted by `pair_product_weights`.
     """
-    deeper = [int(np.count_nonzero(good[r % p**k :: p**k])) for k in range(N + 1)] + [0]
-    return sum((deeper[k] - deeper[k + 1]) * w for k, w in enumerate(pair_product_weights(p, N)))
+    return sum((d - e) * w for d, e, w in zip(deeper, [*deeper[1:], 0], pair_product_weights(p, N)))
 
 
 def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: int, m: int) -> MeasureInterval:
@@ -146,8 +148,15 @@ def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: i
 
 
 def _zp_pair_fast(p: int, r: int, N: int) -> tuple[int, int]:
-    st = status_table(p, N)
-    return _pair_count(p, N, r, st == 1), _pair_count(p, N, r, st != -1)
+    sub, lo, hi = status_table(p, N), [], []
+    for k in range(N + 1):  # sub: the values ab + r with p^k | ab, the class of r mod p^k
+        positive = 0
+        for i in range(0, sub.size, 2**16):  # 2^16 values at a time: the comparison's buffer stays small and warm
+            positive += int(np.count_nonzero(sub[i : i + 2**16] > 0))
+        lo.append(positive)
+        hi.append(sub.size - int(np.count_nonzero(sub)) + positive)
+        sub = sub[r // p**k % p :: p].copy()
+    return _pair_count(p, N, lo), _pair_count(p, N, hi)
 
 
 def _zp_sweep(p: int, r: int, m: int, N: int) -> tuple[int, int]:
@@ -261,7 +270,8 @@ def valuation_class_measures(p: int, rs, target_valuation: int, N: int) -> list[
     if (shell & (st == 0)).any():
         raise RuntimeError("class membership is undetermined at this precision")
     squares = shell & (st == 1)
-    return [Fraction(_pair_count(p, N, r, squares), q * q) for r in rs]
+    deeper = ([int(np.count_nonzero(squares[r % p**k :: p**k])) for k in range(N + 1)] for r in rs)
+    return [Fraction(_pair_count(p, N, counts), q * q) for counts in deeper]
 
 
 def valuation_class_measure(p: int, r: int, target_valuation: int, N: int) -> Fraction:

@@ -33,13 +33,13 @@ from dioptuples.zp_census import (
 from conftest import fresh_python
 
 
-def scalar_status(p, N, value):
+def scalar_status(p, N, value, squares):
     """The classification rule, one class at a time: 1 square, -1 not, 0 undetermined.
 
     A class with p^N | value carries no unit information; an odd valuation
     rules out every lift; an even one leaves the unit u known mod p^(N-k),
-    which decides odd p by its residue mod p and p = 2 once u is seen mod 8
-    (u = 3 mod 4 already rules out a square).
+    which decides odd p by its residue mod p (squares: the squares mod p) and
+    p = 2 once u is seen mod 8 (u = 3 mod 4 already rules out a square).
     """
     k = vp(value, p) if value else N
     if k >= N:
@@ -48,17 +48,20 @@ def scalar_status(p, N, value):
         return -1
     unit, visible = value // p**k, N - k
     if p > 2:
-        return 1 if unit % p in {x * x % p for x in range(p)} else -1
+        return 1 if unit % p in squares else -1
     if visible >= 3:
         return 1 if unit % 8 == 1 else -1
     return -1 if visible == 2 and unit % 4 == 3 else 0
 
 
-@pytest.mark.parametrize("p,N", [(2, 6), (3, 4), (5, 3), (7, 2)])
+# every N to 9 at p = 2 (units seen mod 2, mod 4 and mod 8), the per-class
+# fills at p = 3, 5, 7, and the broadcast over a shell's rows at p = 13, 211
+@pytest.mark.parametrize("p,N", [(2, N) for N in range(1, 10)] + [(3, 4), (5, 3), (7, 2), (3, 7), (13, 3), (211, 2)])
 def test_status_table_matches_scalar_classifier(p, N):
     table = status_table(p, N)
+    squares = {x * x % p for x in range(p)}
     for v in range(p**N):
-        assert table[v] == scalar_status(p, N, v), (p, N, v)
+        assert table[v] == scalar_status(p, N, v, squares), (p, N, v)
 
 
 @pytest.mark.parametrize("p,N", [(2, 4), (2, 6), (3, 3), (5, 2)])
@@ -134,6 +137,22 @@ def test_pair_fast_path_equals_the_sweep(p, N):
     for r in sorted({1, 2, 3, 5, p, 2 * p, p ** (N - 1), p**N}):
         r %= p**N
         assert _zp_pair_fast(p, r, N) == _zp_sweep(p, r, 2, N), r
+
+
+# Z/3^11 has 177,147 values: the squares are counted over 2^16-value blocks, the last one partial
+@pytest.mark.parametrize("p,N", [(2, 12), (3, 8), (5, 5), (13, 3), (3, 11)])
+def test_pair_fast_path_equals_the_weighted_table(p, N):
+    # past the sweep's reach: lo and hi weigh each value t = ab + r by the
+    # number of products ab = t - r, read from the shell of t - r
+    q = p**N
+    st = status_table(p, N)
+    w = np.array(pair_product_weights(p, N))
+    t = np.arange(q)
+    for r in [u * p**j for j in range(N) for u in (1, 2 * p - 1)] + [q]:  # units 1 and -1 mod p (3 at p = 2)
+        ab = (t - r) % q
+        shell = sum(ab % p**k == 0 for k in range(1, N + 1))  # v_p(ab), and N at ab = 0
+        expected = int(w[shell][st == 1].sum()), int(w[shell][st != -1].sum())
+        assert _zp_pair_fast(p, r % q, N) == expected, r
 
 
 def test_shell_route_reads_no_closed_form():
