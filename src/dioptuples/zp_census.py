@@ -25,8 +25,9 @@ makes two kernel calls, whose masks are the grid rows of the fixed points of
 negation (0, and 2^(N-1) when p = 2), weighted 1, and of one a of each
 {a, -a} pair, weighted 2.
 
-The valuation vector and the status table (built shell by shell with strided
-adds and fills) are built once per (p, N) and cached read-only; callers read
+The valuation vector (one strided assignment per shell) and the status table
+(one nonsquare fill, then writes of the squares and undetermined classes of
+the even shells) are built once per (p, N) and cached read-only; callers read
 them at the values ab + r and never roll a copy by r.  The valuation-block
 measures take a stack of r, so one (p, N, beta) builds its shell mask once.
 """
@@ -69,8 +70,8 @@ class MeasureInterval:
 def _vp_vector(p: int, N: int) -> np.ndarray:
     """v_p(t) for t in Z/p^N, with 0 at t = 0; read-only, built once per (p, N)."""
     v = np.zeros(p**N, dtype=np.int8)
-    for k in range(1, N):
-        v[p**k :: p**k] += 1
+    for k in range(1, N):  # the multiples of p^k; deeper shells overwrite these later
+        v[p**k :: p**k] = k
     v.flags.writeable = False
     return v
 
@@ -85,30 +86,26 @@ def status_table(p: int, N: int) -> np.ndarray:
     k is odd.  For even k, u mod p decides it when p is odd.  When p = 2,
     u mod 8 decides it once N - k >= 3; below that, u = 3 mod 4 seen mod 4 is
     a nonsquare and the rest is undetermined, as is the zero class.  Tests
-    pin every status against the lifts two levels up.  Each shell is filled in
-    place: a strided fill per unit class while p <= 7, else one broadcast over
-    its rows (p - 1 fills were slower from p = 11).  Read-only, once per (p, N).
+    pin every status against the lifts two levels up.  The table starts as one
+    nonsquare fill, and only the squares and undetermined classes of the even
+    shells are written over it: one strided fill per square unit class while
+    p <= 7 (u = 1 mod 8 when p = 2), else one broadcast of the character over
+    the shell's rows, which beat the (p - 1)/2 strided fills, each a sweep of
+    the whole shell, at Z/11^3, Z/13^3 and Z/211^2.  Read-only, once per (p, N).
     """
     require_prime(p)
-    # shell k is t = p^k j, j a unit; j mod the period (p, or 8 when p = 2) fixes its status
-    period = 8 if p == 2 else p
-    c = np.arange(period)
-    st = np.zeros(p**N, dtype=np.int8)
-    for k in range(N):
-        visible = N - k  # the unit is known mod p^(N-k)
-        if k % 2:
-            status = np.full(period, -1)
-        elif p != 2:
-            status = residue_tables(p).chi
-        elif visible >= 3:
-            status = np.where(c == 1, 1, -1)
-        else:  # the unit is seen mod 4 or mod 2: only c = 3 mod 4 is decided
-            status = np.where((visible == 2) & (c % 4 == 3), -1, 0)
-        if period <= 8:  # a class past a short shell (p = 2, N - k < 3) is an empty slice
-            for u in c[c % p > 0]:
-                st[u * p**k :: period * p**k] = status[u]
-        else:  # row i of the shell holds j = i p + column; column 0 is the next shell's
-            st[:: p**k].reshape(-1, p)[:, 1:] = status[1:]
+    st = np.full(p**N, -1, dtype=np.int8)  # the odd shells are nonsquares in every lift and stay so
+    st[0] = 0
+    for k in range(0, N, 2):  # shell k is t = p^k u, u a unit known mod p^(N-k)
+        if p == 2 and N - k >= 3:
+            st[2**k :: 2 ** (k + 3)] = 1
+        elif p == 2:  # u seen mod 4 or mod 2: u = 1 is undetermined, u = 3 mod 4 not a square
+            st[2**k] = 0
+        elif p <= 7:
+            for u in np.flatnonzero(residue_tables(p).chi == 1):
+                st[u * p**k :: p ** (k + 1)] = 1
+        else:  # row i of the shell holds u = i p + column; column 0 is the next shell's
+            st[:: p**k].reshape(-1, p)[:, 1:] = residue_tables(p).chi[1:]
     st.flags.writeable = False
     return st
 

@@ -54,9 +54,13 @@ def scalar_status(p, N, value, squares):
     return -1 if visible == 2 and unit % 4 == 3 else 0
 
 
-# every N to 9 at p = 2 (units seen mod 2, mod 4 and mod 8), the per-class
-# fills at p = 3, 5, 7, and the broadcast over a shell's rows at p = 13, 211
-@pytest.mark.parametrize("p,N", [(2, N) for N in range(1, 10)] + [(3, 4), (5, 3), (7, 2), (3, 7), (13, 3), (211, 2)])
+# every branch of the build over its nonsquare fill: p = 2 at every N to 12,
+# so the short shells (units seen mod 2 or mod 4) fall at both even and odd
+# k; the square-class fills at p = 3, 5, 7; and the broadcast over a shell's
+# rows from p = 11, where it starts, to 211
+@pytest.mark.parametrize(
+    "p,N", [(2, N) for N in range(1, 13)] + [(3, 4), (5, 3), (7, 2), (3, 7), (11, 3), (13, 3), (211, 2)]
+)
 def test_status_table_matches_scalar_classifier(p, N):
     table = status_table(p, N)
     squares = {x * x % p for x in range(p)}
@@ -83,6 +87,20 @@ def test_vp_vector_matches_scalar_valuation(p, N):
     v = _vp_vector(p, N)
     assert v[0] == 0
     assert all(v[t] == vp(t, p) for t in range(1, p**N))
+
+
+@pytest.mark.parametrize("p,N", [(2, 16), (13, 4)])
+def test_status_table_build_holds_one_byte_per_class(p, N):
+    # the strided fills at p = 2 and the broadcast at p = 13 write in place:
+    # no table-sized temporary (an np.where over the table would double it)
+    status_table.__wrapped__(p, N)  # warms the character table and numpy's dispatch
+    tracemalloc.start()
+    try:
+        status_table.__wrapped__(p, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p**N + 4096
 
 
 @pytest.mark.parametrize("table", [status_table, _vp_vector])
