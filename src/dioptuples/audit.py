@@ -2,9 +2,10 @@
 
 Each suite is one loop over its parameter family: it evaluates claimed
 closed forms against the matching exhaustive oracle and emits one record per
-quantity.  The quantities in `ADJUDICATIONS` document discrepancies in
-known-suspect statements and never gate; every other quantity gates the
-process exit code.  Verdicts are recomputable from the record fields alone.
+quantity.  `QUANTITIES` states once, per quantity, whether it gates the
+process exit code and its fixed detail text; the quantities that do not gate
+document discrepancies in known-suspect statements.  Verdicts are
+recomputable from the record fields alone.
 Every formula a record compares against comes from `closed_forms`.  Every
 suite runs serially in one process.
 """
@@ -31,15 +32,32 @@ DISAGREE = "Disagree"
 INCONCLUSIVE = "Inconclusive"
 AUDIT_BUDGET = 10**8  # the default `audit --budget` of every suite that takes one
 
-# the quantities that never gate: each sets a known-suspect statement against its oracle
-ADJUDICATIONS = frozenset({
-    "mtuple_density_z3_stated",
-    "mtuple_density_z3_consistent",
-    "triple_offdiag_count",
-    "triple_interior_density",
-    "triple_density",
-    "pair_block_B_stated",
-})
+# every quantity a suite emits: (gates, detail).  One that does not gate sets a known-suspect
+# statement against its oracle; a None detail carries values, so its call site builds it
+QUANTITIES = {
+    "pair_density_zp": (True, ""),
+    "pair_density_block_series": (True, "valuation-block sum with exact geometric tail vs closed form"),
+    "pair_density_z2": (True, ""),
+    "pair_density_z2_blocks": (True, "5/16 head plus 1/48 geometric tail"),
+    "mtuple_density_z3_stated": (False, None),
+    "mtuple_density_z3_consistent": (False, None),
+    "triple_boundary_count": (True, ""),
+    "triple_partition": (True, "boundary + offdiag + interior vs total"),
+    "triple_offdiag_count": (False, "stated off-diagonal count vs census (known suspect)"),
+    "triple_interior_density": (False, "stated interior density vs census (known suspect)"),
+    "triple_density": (False, "stated total density vs census (known suspect)"),
+    "conic_sum": (True, "closed-form vs direct-sum mismatches over all (a2, a1, a0)"),
+    "pair_block_A": (True, ""),
+    "pair_block_B": (True, ""),
+    "pair_block_B_stated": (False, "stated block density differs from the validated one here"),
+    "pair_density_ok_series": (True, "block series with closed-form tail vs five-case density"),
+    "pair_density_ok_vs_zp": (True, "residue-field specialization q = p against the p-adic form"),
+    "two_descent_equivalence": (True, None),
+    "extension_count_envelope": (True, None),
+    "extension_census_crosscheck": (True, "summed extension sets vs direct restricted quadruple sweep"),
+    "triple_density_envelope": (True, None),
+    "quadruple_density_main_term": (True, None),
+}
 
 
 def _params_json(params: dict) -> str:
@@ -98,9 +116,11 @@ def _point(params: dict) -> tuple:
     return params, _params_json(params)
 
 
-def _record(quantity, point, claimed, oracle, competitors=(), detail=""):
-    verdict, must_agree = verdict_for(claimed, oracle, competitors), quantity not in ADJUDICATIONS
-    return AuditRecord(quantity, point[0], claimed, oracle, verdict, detail, must_agree, point[1])
+def _record(quantity, point, claimed, oracle, competitors=(), detail=None):
+    """One quantity's record at one point: its gating, and its detail unless one is passed, from `QUANTITIES`."""
+    gates, text = QUANTITIES[quantity]  # KeyError: a quantity must first declare whether it gates
+    verdict = verdict_for(claimed, oracle, competitors)
+    return AuditRecord(quantity, point[0], claimed, oracle, verdict, text if detail is None else detail, gates, point[1])
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -134,31 +154,21 @@ def suite_pairs_zp(ps=(3, 5, 7, 11, 13), rset=None, budget=AUDIT_BUDGET):
             shape = r_shape(r, p)
             N = max(1, zp_precision(p, 2, budget))  # below p^2 the census itself refuses
             density = cf.diop2_zp(shape)
+            series = cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10)
             params = {"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s}
             records += [
                 _record("pair_density_zp", _point({**params, "N": N}), density, zp_interval(p, r, 2, N, budget)),
-                _record(
-                    "pair_density_block_series",
-                    _point(params),
-                    cf.series_consistency(p, shape.alpha, shape.chi_s, shape.alpha + 10),
-                    density,
-                    detail="valuation-block sum with exact geometric tail vs closed form",
-                ),
+                _record("pair_density_block_series", _point(params), series, density),
             ]
     return records
 
 
 def suite_z2(N: int = 10):
     interval = zp_interval(2, 1, 2, N)
+    blocks = cf.z2_block_measure(0) + cf.z2_block_tail(1)
     return [
         _record("pair_density_z2", _point({"p": 2, "r": 1, "N": N}), cf.diop2_z2(), interval),
-        _record(
-            "pair_density_z2_blocks",
-            _point({"p": 2, "r": 1}),
-            cf.z2_block_measure(0) + cf.z2_block_tail(1),
-            cf.diop2_z2(),
-            detail="5/16 head plus 1/48 geometric tail",
-        ),
+        _record("pair_density_z2_blocks", _point({"p": 2, "r": 1}), blocks, cf.diop2_z2()),
     ]
 
 
@@ -208,24 +218,14 @@ def suite_triples_fp(pmax: int = 31, budget: int = AUDIT_BUDGET):
         for result in censuses(p, range(1, p), 3, budget):
             boundary, offdiag, interior, density = stated[legendre(result.r, p)]
             point = _point({"p": p, "r": result.r})
-            for quantity, claimed, oracle, detail in (
-                ("triple_boundary_count", boundary, result.boundary, ""),
-                (
-                    "triple_partition",
-                    result.boundary + result.offdiag + result.interior,
-                    result.total,
-                    "boundary + offdiag + interior vs total",
-                ),
-                ("triple_offdiag_count", offdiag, result.offdiag, "stated off-diagonal count vs census (known suspect)"),
-                (
-                    "triple_interior_density",
-                    interior,
-                    Fraction(result.interior, p3),
-                    "stated interior density vs census (known suspect)",
-                ),
-                ("triple_density", density, Fraction(result.total, p3), "stated total density vs census (known suspect)"),
+            for quantity, claimed, oracle in (
+                ("triple_boundary_count", boundary, result.boundary),
+                ("triple_partition", result.boundary + result.offdiag + result.interior, result.total),
+                ("triple_offdiag_count", offdiag, result.offdiag),
+                ("triple_interior_density", interior, Fraction(result.interior, p3)),
+                ("triple_density", density, Fraction(result.total, p3)),
             ):
-                records.append(_record(quantity, point, claimed, oracle, detail=detail))
+                records.append(_record(quantity, point, claimed, oracle))
     return records
 
 
@@ -240,15 +240,7 @@ def suite_conic(pmax: int = 13, budget: int = AUDIT_BUDGET):
             direct = conic_sum_direct(a2s[:, None, None], a1, a0, p)
             for a2, sums in zip(a2s.tolist(), direct):
                 mismatches += int(np.count_nonzero(sums != cf.conic_sum_closed(a2, a1, a0, p)))
-        records.append(
-            _record(
-                "conic_sum",
-                _point({"p": p, "cases": (p - 1) * p * p}),
-                0,
-                mismatches,
-                detail="closed-form vs direct-sum mismatches over all (a2, a1, a0)",
-            )
-        )
+        records.append(_record("conic_sum", _point({"p": p, "cases": (p - 1) * p * p}), 0, mismatches))
     return records
 
 
@@ -279,15 +271,7 @@ def suite_valuation_classes(ps=(3, 5), N: int = 7, budget: int = AUDIT_BUDGET):
                 if alpha > 0:
                     stated = cf.mu_B_beta_claimed(p, alpha, shape.chi_s, v)
                     if stated != claimed:
-                        records.append(
-                            _record(
-                                "pair_block_B_stated",
-                                point,
-                                stated,
-                                oracle,
-                                detail="stated block density differs from the validated one here",
-                            )
-                        )
+                        records.append(_record("pair_block_B_stated", point, stated, oracle))
     return records
 
 
@@ -296,27 +280,15 @@ def suite_ok_series():
     for q in (3, 5, 7, 9, 25, 27):
         for alpha in range(7):
             for chi_s in (1, -1):
-                records.append(
-                    _record(
-                        "pair_density_ok_series",
-                        _point({"q": q, "alpha": alpha, "chi_s": chi_s, "beta_max": alpha + 6}),
-                        cf.series_consistency(q, alpha, chi_s, alpha + 6),
-                        cf.pair_measure(q, alpha, chi_s),
-                        detail="block series with closed-form tail vs five-case density",
-                    )
-                )
+                point = _point({"q": q, "alpha": alpha, "chi_s": chi_s, "beta_max": alpha + 6})
+                series = cf.series_consistency(q, alpha, chi_s, alpha + 6)
+                records.append(_record("pair_density_ok_series", point, series, cf.pair_measure(q, alpha, chi_s)))
     for p in (3, 5, 7, 11, 13):
         for r in auto_rset(p):
             shape = r_shape(r, p)
-            records.append(
-                _record(
-                    "pair_density_ok_vs_zp",
-                    _point({"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s}),
-                    cf.pair_measure(p, shape.alpha, shape.chi_s),
-                    cf.diop2_zp(shape),
-                    detail="residue-field specialization q = p against the p-adic form",
-                )
-            )
+            point = _point({"p": p, "r": r, "alpha": shape.alpha, "chi_s": shape.chi_s})
+            claimed = cf.pair_measure(p, shape.alpha, shape.chi_s)
+            records.append(_record("pair_density_ok_vs_zp", point, claimed, cf.diop2_zp(shape)))
     return records
 
 
@@ -377,13 +349,7 @@ def _extension_census_crosscheck(p, r, counts):
     units = member.copy()
     np.fill_diagonal(units, False)
     direct = zero * _clique_count(units, 3) + _clique_count(units, 3, member)
-    return _record(
-        "extension_census_crosscheck",
-        _point({"p": p, "r": r}),
-        6 * sum(counts),
-        direct,
-        detail="summed extension sets vs direct restricted quadruple sweep",
-    )
+    return _record("extension_census_crosscheck", _point({"p": p, "r": r}), 6 * sum(counts), direct)
 
 
 def _asymptotics_item(result):

@@ -7,13 +7,13 @@ toward the upper bound unless some product + r is provably a nonsquare.
 Soundness of the classifier makes [lo, hi] a rigorous bracket of the Haar
 measure at every precision; increasing N only tightens it.
 
-For pairs there is a fast path: the number of (a, b) with ab = t mod p^N
-depends only on v_p(t), so counting the selected residues per valuation
-shell and weighting each shell once replaces the p^(2N) sweep.  The ab of
-shell k or deeper are the multiples of p^k, so each shell count is the
-difference of the counts over the classes of t = ab + r mod p^k and mod
-p^(k+1); each class, contiguous, is the one before it sliced at digit k of
-r, and its nonzero and positive statuses give both brackets.  Triples go
+For pairs there is a fast path that replaces the p^(2N) sweep: each a of
+valuation k < N meets every value of the class of r mod p^k, the values
+ab + r, exactly p^k times, and a = 0 meets r alone, p^N times.  So a pair
+count is (p - 1)p^(N-1) times the good values summed over the classes of r
+mod p^k for k < N, plus p^N when r itself is good; each class, contiguous,
+is the one before it sliced at digit k of r, and its nonzero and positive
+statuses give both brackets.  Triples go
 through the F_q census's square-class engine (`_class_triangles`): with
 a = p^k x for a unit x, ab + r depends on xy and on min(k + l, N) alone, so
 each triple of valuation shells is one class sum over the unit group, one
@@ -110,6 +110,7 @@ def status_table(p: int, N: int) -> np.ndarray:
     return st
 
 
+# no code here calls it; kept only because the benchmark's traced run (bench/spans.py) times it by name
 def pair_product_weights(p: int, N: int) -> tuple[int, ...]:
     """#{(a, b) in (Z/p^N)^2 : ab = t}, one entry per valuation shell of t.
 
@@ -125,11 +126,10 @@ def pair_product_weights(p: int, N: int) -> tuple[int, ...]:
 def _pair_count(p: int, N: int, deeper: list[int]) -> int:
     """#{(a, b) in (Z/p^N)^2 : ab + r is good}, given deeper[k], the good values of the class t = r mod p^k.
 
-    The ab of shell k or deeper are the multiples of p^k, so shell k counts
-    deeper[k] - deeper[k + 1] values (shell N, ab = 0, counts deeper[N]),
-    each weighted by `pair_product_weights`.
+    Each of the (p - 1)p^(N-1-k) values a of valuation k < N meets each value
+    of the class mod p^k p^k times, and a = 0 meets r alone, p^N times.
     """
-    return sum((d - e) * w for d, e, w in zip(deeper, [*deeper[1:], 0], pair_product_weights(p, N)))
+    return (p - 1) * p ** (N - 1) * sum(deeper[:N]) + p**N * deeper[N]
 
 
 def _interval_from_counts(lo_count: int, hi_count: int, denom: int, p: int, N: int, m: int) -> MeasureInterval:
@@ -225,7 +225,7 @@ def zp_interval(
 ) -> MeasureInterval:
     """Rigorous [lo, hi] bracket of the D(r) m-tuple measure over Z_p.
 
-    Pairs take the valuation-weight fast path, triples the shell route, and
+    Pairs take the valuation fast path, triples the shell route, and
     m >= 4 the general sweep.
     r must be nonzero; its class mod p^N may vanish.
     """

@@ -173,12 +173,21 @@ def test_suite_z3_adjudicate_documents_discrepancy():
     assert m3.verdict in (DISAGREE, INCONCLUSIVE)
 
 
-def test_gating_is_decided_by_the_quantity():
-    # the quantities emitted as non-gating are exactly ADJUDICATIONS, each emitted,
-    # and no quantity is emitted both ways
+def test_every_record_reads_its_quantity_row():
+    # `audit all` emits exactly the ledger's quantities, 16 gating and 6 not; each
+    # record gates as its row says and prints its row's fixed detail, if it has one
     records = run_suite("all")
-    assert {r.quantity for r in records if not r.must_agree} == audit.ADJUDICATIONS
-    assert all(r.must_agree == (r.quantity not in audit.ADJUDICATIONS) for r in records)
+    assert {r.quantity for r in records} == set(audit.QUANTITIES)
+    assert len(audit.QUANTITIES) == 22 and sum(not gates for gates, _ in audit.QUANTITIES.values()) == 6
+    for r in records:
+        gates, detail = audit.QUANTITIES[r.quantity]
+        assert r.must_agree is gates, r.quantity
+        if detail is not None:
+            assert r.detail == detail, r.quantity
+        else:
+            assert isinstance(r.detail, str) and r.detail, r.quantity  # built at the call site
+    with pytest.raises(KeyError, match="no_such_quantity"):
+        audit._record("no_such_quantity", audit._point({"p": 3}), Fr(0), Fr(0))
 
 
 def test_suite_valuation_classes_gating_records_agree():
@@ -224,6 +233,8 @@ def test_run_suite_unknown():
 
 def test_run_suite_all_passes_each_suite_only_its_arguments(monkeypatch):
     seen = {}
+    for quantity in ("one", "two"):  # `_record` builds only the quantities the ledger names
+        monkeypatch.setitem(audit.QUANTITIES, quantity, (True, ""))
 
     def one(pmax=0):
         seen["one"] = pmax

@@ -161,7 +161,8 @@ def test_pair_fast_path_equals_the_sweep(p, N):
 @pytest.mark.parametrize("p,N", [(2, 12), (3, 8), (5, 5), (13, 3), (3, 11)])
 def test_pair_fast_path_equals_the_weighted_table(p, N):
     # past the sweep's reach: lo and hi weigh each value t = ab + r by the
-    # number of products ab = t - r, read from the shell of t - r
+    # number of products ab = t - r, read from the shell of t - r, where the
+    # library counts by the valuation of a
     q = p**N
     st = status_table(p, N)
     w = np.array(pair_product_weights(p, N))
